@@ -78,6 +78,14 @@ func (b *Bitset) Set(i int) bool {
 	return true
 }
 
+// Grow extends the domain to hold [0, n) in one step, so that filling a set
+// whose domain is known up front allocates once instead of once per doubling.
+func (b *Bitset) Grow(n int) {
+	if words := (n + 63) >> 6; words > len(b.words) {
+		b.words = append(b.words, make([]uint64, words-len(b.words))...)
+	}
+}
+
 // Get reports whether bit i is set. Out-of-domain indices read as clear.
 func (b *Bitset) Get(i int) bool {
 	w := i >> 6

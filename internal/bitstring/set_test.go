@@ -85,3 +85,21 @@ func TestMapKeyEquality(t *testing.T) {
 		t.Fatal("different-length strings share a MapKey")
 	}
 }
+
+func TestBitsetGrow(t *testing.T) {
+	var b Bitset
+	b.Grow(130)
+	words := &b.words[0]
+	for _, i := range []int{0, 64, 129} {
+		if b.Get(i) || !b.Set(i) || !b.Get(i) {
+			t.Fatalf("bit %d after Grow", i)
+		}
+	}
+	if &b.words[0] != words || b.Count() != 3 {
+		t.Fatalf("Set reallocated or miscounted inside the grown domain (count %d)", b.Count())
+	}
+	b.Grow(10) // never shrinks
+	if !b.Get(129) {
+		t.Fatal("Grow to a smaller domain lost bits")
+	}
+}

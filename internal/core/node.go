@@ -6,7 +6,6 @@ import (
 	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/intern"
 	"github.com/fastba/fastba/internal/prng"
-	"github.com/fastba/fastba/internal/sampler"
 	"github.com/fastba/fastba/internal/simnet"
 )
 
@@ -26,6 +25,10 @@ import (
 // slice, and the composite (x, s, r, w) counters key their maps by integer
 // tuples. This keeps the delivery hot path free of per-message key
 // formatting and map-of-map churn (DESIGN.md §4).
+//
+// Every "is y ∈ I(s, x) / H(s, x) / J(x, r)?" a handler asks is answered by
+// the node's sampler memo (memo.go), never by walking the shared samplers'
+// permutations per delivery.
 type Node struct {
 	id     int
 	params Params
@@ -79,18 +82,14 @@ type Node struct {
 	// decision when Params.DeferredRelay is enabled.
 	relayDeferred []deferredPull
 
-	// hxSizes caches |distinct H(s, x)| per (x, s): quorum thresholds are
-	// consulted on every Fw1/Fw2 delivery but the distinct size of a quorum
-	// never changes within a run.
-	hxSizes map[xsID]int
+	// memo holds the sampler rows this instance has derived (memo.go).
+	memo samplerMemo
 
-	// scratchJ and scratchH are reused sampling buffers for the fan-out hot
-	// paths (startPull, forwardPull): poll lists and pull quorums are sampled
-	// into node-owned scratch instead of a fresh slice per query. The node is
-	// single-threaded and sends only enqueue, so the buffers cannot be
-	// observed mid-iteration.
+	// scratchJ is the reused poll-list buffer of the fan-out paths
+	// (startPull, forwardPull): J(x, r) is sampled into node-owned scratch
+	// instead of a fresh slice per fan-out. The node is single-threaded and
+	// sends only enqueue, so the buffer cannot be observed mid-iteration.
 	scratchJ []int
-	scratchH []int
 	// setPool recycles vouch Sets: fw1Vouches/fw2Vouches entries churn per
 	// (x, s, r[, w]) counter key and are deleted on majority, so recycling
 	// them keeps steady-state Fw1/Fw2 delivery free of slice growth.
@@ -102,10 +101,13 @@ type Node struct {
 
 // strState is the per-interned-string protocol state, indexed by intern ID.
 type strState struct {
-	// Push state (§3.1.1): the quorum members that pushed this string and
-	// the cached |distinct I(s, this)| threshold (0 = not yet computed).
-	pushRecv   bitstring.Set
-	pushQuorum int
+	// Push state (§3.1.1): the quorum members that pushed this string.
+	pushRecv bitstring.Set
+	// Memoised sampler rows of this string (memo.go; an empty row is one not
+	// derived yet): the Push Quorum I(s, this), and the requesters this node
+	// proxies for, {x : this ∈ H(s, x)}.
+	pushQuorum bitstring.Bitset
+	proxied    bitstring.Bitset
 	// Algorithm 1 state: the label r_{x,s} of the poll this node issued for
 	// the string and the distinct answerers.
 	hasLabel bool
@@ -189,7 +191,6 @@ func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng
 		fw2Majority:   make(map[xsrID]bool),
 		polled:        make(map[xsID]bool),
 		answered:      make(map[xsID]bool),
-		hxSizes:       make(map[xsID]int),
 	}
 	// s_this always has a valid interned ID, even for the zero string, so
 	// the Algorithm 2 fast path can key state by it unconditionally.
@@ -224,12 +225,14 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 	for i := range n.states {
 		st := &n.states[i]
 		st.pushRecv.Reset()
-		st.pushQuorum = 0
+		st.pushQuorum.Reset()
+		st.proxied.Reset()
 		st.hasLabel = false
 		st.label = 0
 		st.answers.Reset()
 	}
 	n.candidates.Reset()
+	n.memo.reset()
 
 	// Live vouch sets return to the free list before their keys clear, so a
 	// recycled node starts the next instance with its set capacity intact.
@@ -247,7 +250,6 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 	clear(n.fw2Majority)
 	clear(n.polled)
 	clear(n.answered)
-	clear(n.hxSizes)
 	n.answerCount = 0
 	n.deferred = n.deferred[:0]
 	n.beliefDeferred = n.beliefDeferred[:0]
@@ -255,17 +257,6 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 	n.stats = Stats{}
 
 	n.sthisID = n.strs.ID(initial)
-}
-
-// quorumInto samples Quorum(s, x) into dst, using the sampler's
-// allocation-free QuorumAppend when it offers one and falling back to a
-// copy of the allocating Quorum otherwise (third-party Quorum
-// implementations used by tests and ablations).
-func (n *Node) quorumInto(dst []int, q sampler.Quorum, s bitstring.String, x int) []int {
-	if aq, ok := q.(sampler.AppendQuorum); ok {
-		return aq.QuorumAppend(dst, s, x)
-	}
-	return append(dst, q.Quorum(s, x)...)
 }
 
 // getSet takes a vouch set from the node-local free list (or allocates).
@@ -414,10 +405,15 @@ func (n *Node) onPush(ctx simnet.Context, from int, m MsgPush) {
 	if m.S.IsZero() || m.S.Len() != n.params.StringBits {
 		return // malformed candidate; only the adversary sends these
 	}
-	if !n.smp.I.Contains(m.S, n.id, from) {
+	sid := n.strs.Lookup(m.S)
+	quorum := n.pushQuorum(sid, m.S)
+	if !quorum.Get(from) {
 		return
 	}
-	sid := n.strs.ID(m.S)
+	quorumSize := quorum.Count()
+	if sid == intern.None {
+		sid = n.strs.ID(m.S) // the first authentic push earns the string its state
+	}
 	if n.candidates.Get(int(sid)) {
 		return
 	}
@@ -425,10 +421,7 @@ func (n *Node) onPush(ctx simnet.Context, from int, m MsgPush) {
 	if !st.pushRecv.Add(from) {
 		return // duplicate pusher: the count did not change
 	}
-	if st.pushQuorum == 0 {
-		st.pushQuorum = countDistinct(n.smp.I.Quorum(m.S, n.id))
-	}
-	if 2*st.pushRecv.Len() > st.pushQuorum {
+	if 2*st.pushRecv.Len() > quorumSize {
 		n.candidates.Set(int(sid))
 		st.pushRecv = bitstring.Set{} // accepted: release the pusher set
 		n.startPull(ctx, sid, m.S)
@@ -455,9 +448,8 @@ func (n *Node) startPull(ctx simnet.Context, sid intern.ID, s bitstring.String) 
 		ctx.Send(w, poll)
 	}
 	var pull simnet.Message = MsgPull{S: s, R: r}
-	n.scratchH = n.quorumInto(n.scratchH[:0], n.smp.H, s, n.id)
-	for _, y := range distinct(n.scratchH) {
-		ctx.Send(y, pull)
+	for _, y := range n.pullMembers(sid, s, n.id) {
+		ctx.Send(int(y), pull)
 	}
 }
 
@@ -468,7 +460,7 @@ func (n *Node) startPull(ctx simnet.Context, sid intern.ID, s bitstring.String) 
 // trigger (Lemma 6: "the adversary can send pull requests at most once for
 // each node it controls").
 func (n *Node) onPull(ctx simnet.Context, from int, m MsgPull) {
-	if !n.smp.H.Contains(m.S, from, n.id) {
+	if !n.proxied(n.strs.Lookup(m.S), m.S).Get(from) {
 		return // this ∉ H(s, x): not our request to proxy
 	}
 	if !m.S.Equal(n.sthis) {
@@ -496,9 +488,8 @@ func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring
 		// this double loop dominated the allocation profile of sustained-load
 		// runs (one interface conversion per Send).
 		var fw simnet.Message = MsgFw1{X: x, S: s, R: r, W: w}
-		n.scratchH = n.quorumInto(n.scratchH[:0], n.smp.H, s, w)
-		for _, z := range distinct(n.scratchH) {
-			ctx.Send(z, fw)
+		for _, z := range n.pullMembers(sid, s, w) {
+			ctx.Send(int(z), fw)
 		}
 	}
 }
@@ -509,16 +500,17 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 	if !m.S.Equal(n.sthis) {
 		return
 	}
-	if !n.smp.H.Contains(m.S, m.W, n.id) { // this ∈ H(s, w)
-		return
-	}
-	if !n.smp.H.Contains(m.S, m.X, from) { // y ∈ H(s, x)
-		return
-	}
-	if !n.smp.J.Contains(m.X, m.R, m.W) { // w ∈ J(x, r)
-		return
-	}
 	sid := n.sthisID
+	if !n.proxied(sid, m.S).Get(m.W) { // this ∈ H(s, w)
+		return
+	}
+	vouchers := n.pullQuorum(sid, m.S, m.X)
+	if !vouchers.Get(from) { // y ∈ H(s, x)
+		return
+	}
+	if !n.pollList(m.X, m.R).Get(m.W) { // w ∈ J(x, r)
+		return
+	}
 	doneKey := xswID{x: m.X, s: sid, w: m.W}
 	if n.fw1Done[doneKey] {
 		return
@@ -532,7 +524,7 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 	if !set.Add(from) {
 		return // duplicate voucher: the count did not change
 	}
-	if 2*set.Len() > n.hQuorumSize(sid, m.S, m.X) {
+	if 2*set.Len() > vouchers.Count() {
 		n.fw1Done[doneKey] = true // forward only once
 		delete(n.fw1Vouches, vk)
 		n.putSet(set)
@@ -551,13 +543,18 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 	if m.S.Len() != n.params.StringBits {
 		return
 	}
-	if !n.smp.J.Contains(m.X, m.R, n.id) { // this ∈ J(x, r)
+	if !n.pollList(m.X, m.R).Get(n.id) { // this ∈ J(x, r)
 		return
 	}
-	if !n.smp.H.Contains(m.S, n.id, from) { // z ∈ H(s, this)
+	sid := n.strs.Lookup(m.S)
+	vouchers := n.pullQuorum(sid, m.S, n.id)
+	if !vouchers.Get(from) { // z ∈ H(s, this)
 		return
 	}
-	sid := n.strs.ID(m.S)
+	quorumSize := vouchers.Count()
+	if sid == intern.None {
+		sid = n.strs.ID(m.S) // the first authentic Fw2 earns the string its state
+	}
 	k := xsrID{x: m.X, s: sid, r: m.R}
 	if n.fw2Majority[k] {
 		return
@@ -570,7 +567,7 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 	if !set.Add(from) {
 		return // duplicate voucher: the count did not change
 	}
-	if 2*set.Len() <= n.hQuorumSize(sid, m.S, n.id) {
+	if 2*set.Len() <= quorumSize {
 		return
 	}
 	n.fw2Majority[k] = true
@@ -585,7 +582,7 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 // set; if the Fw2 majority was already reached (the asynchronous case where
 // the Poll overtakes the routed request) answer immediately.
 func (n *Node) onPoll(ctx simnet.Context, from int, m MsgPoll) {
-	if !n.smp.J.Contains(from, m.R, n.id) {
+	if !n.pollList(from, m.R).Get(n.id) {
 		return
 	}
 	sid := n.strs.ID(m.S)
@@ -640,7 +637,7 @@ func (n *Node) onAnswer(ctx simnet.Context, from int, m MsgAnswer) {
 	if !st.hasLabel || st.label != m.R {
 		return // not a poll we issued
 	}
-	if !n.smp.J.Contains(n.id, st.label, from) {
+	if !n.pollList(n.id, st.label).Get(from) {
 		return // answerer is not on the authoritative poll list
 	}
 	if !st.answers.Add(from) {
@@ -691,19 +688,6 @@ func (n *Node) decide(ctx simnet.Context, sid intern.ID, s bitstring.String) {
 	}
 }
 
-// hQuorumSize returns |distinct H(s, x)|, cached per (x, s): the threshold
-// denominators of Algorithms 2/3 are consulted on every Fw1/Fw2 delivery
-// and never change within a run.
-func (n *Node) hQuorumSize(sid intern.ID, s bitstring.String, x int) int {
-	k := xsID{x: x, s: sid}
-	if v, ok := n.hxSizes[k]; ok {
-		return v
-	}
-	v := countDistinct(n.smp.H.Quorum(s, x))
-	n.hxSizes[k] = v
-	return v
-}
-
 // distinct returns the distinct elements of ids, preserving first-seen
 // order. Quorums built from unions of permutations may contain the same
 // node under two indices; thresholds and sends use the distinct view.
@@ -725,22 +709,4 @@ func distinct(ids []int) []int {
 		}
 	}
 	return out
-}
-
-// countDistinct returns len(distinct(ids)) without modifying ids.
-func countDistinct(ids []int) int {
-	count := 0
-	for i, id := range ids {
-		dup := false
-		for _, prev := range ids[:i] {
-			if prev == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			count++
-		}
-	}
-	return count
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fastba/fastba/internal/sampler"
 	"github.com/fastba/fastba/internal/simnet"
 )
 
@@ -133,5 +134,34 @@ func TestEngineAbort(t *testing.T) {
 	e.Abort()
 	if _, err := e.Append(ctx, [][]byte{[]byte("y")}); err == nil {
 		t.Fatal("append after abort succeeded")
+	}
+}
+
+// samplerFootprint runs a fabric log of the given length and returns how
+// many strings' permutation sets its shared samplers hold at the end.
+func samplerFootprint(t *testing.T, instances int) int {
+	t.Helper()
+	e, err := New(Config{N: 8, Seed: 3, KnowFrac: 1, Depth: 4, InstanceTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.StartFabric()
+	entries := appendAll(t, e, instances)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkLog(t, entries, instances)
+	smp := e.mux[0].smp
+	return smp.I.(*sampler.PermQuorum).CachedStrings() + smp.H.(*sampler.PermQuorum).CachedStrings()
+}
+
+// TestSamplerFootprintIndependentOfLogLength: every committed instance
+// brings the shared samplers a string they have never seen, and the log
+// shares one Samplers for its whole life — its footprint must not grow with
+// the log.
+func TestSamplerFootprintIndependentOfLogLength(t *testing.T) {
+	short, long := samplerFootprint(t, 500), samplerFootprint(t, 5000)
+	if short == 0 || long != short {
+		t.Fatalf("sampler holds %d strings after 500 instances and %d after 5000", short, long)
 	}
 }

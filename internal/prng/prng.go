@@ -10,6 +10,8 @@
 // runs are reproducible bit-for-bit.
 package prng
 
+import "math/bits"
+
 // Mix64 is the splitmix64 finalizer. It is a bijection on uint64 with good
 // avalanche behaviour and is the basic building block for key derivation and
 // for the Feistel round function.
@@ -92,7 +94,7 @@ func (s *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := s.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
@@ -142,21 +144,4 @@ func DeriveKey(master uint64, purpose string, index uint64) uint64 {
 		h = Mix64(h ^ uint64(b))
 	}
 	return Hash2(h, index)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo), without
-// importing math/bits (kept local so the package stays dependency-light and
-// inlinable).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return hi, lo
 }

@@ -195,22 +195,39 @@ func TestPermApplyPanicsOutOfDomain(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	tests := []struct {
-		a, b   uint64
-		hi, lo uint64
+// TestIntnGoldenStream pins Source.Intn's output stream — values and the
+// number of 64-bit draws its rejection loop consumes — as recorded before the
+// hand-rolled 128-bit multiply gave way to math/bits.Mul64: every seeded
+// choice in the tree (populations, schedulers, adversaries) hangs off it.
+func TestIntnGoldenStream(t *testing.T) {
+	golden := []struct {
+		bound int
+		want  [4]int
 	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{^uint64(0), ^uint64(0), ^uint64(0) - 1, 1},
-		{0xdeadbeef, 0x12345678, 0, 0xdeadbeef * 0x12345678},
+		{1, [4]int{0, 0, 0, 0}},
+		{2, [4]int{1, 1, 0, 0}},
+		{3, [4]int{2, 2, 0, 2}},
+		{7, [4]int{3, 2, 4, 1}},
+		{24, [4]int{13, 12, 7, 18}},
+		{256, [4]int{99, 115, 3, 209}},
+		{1000, [4]int{3, 903, 897, 122}},
+		{65537, [4]int{19111, 16651, 43783, 40031}},
+		{1 << 20, [4]int{839479, 246444, 466249, 320978}},
+		{1<<31 - 1, [4]int{2042215130, 1626097256, 807107705, 361888152}},
+		{1<<62 + 12345, [4]int{3770527180496589083, 4502060379241055533, 4206905216992642525, 1648483696342970484}},
+		{1<<63 - 1, [4]int{5237645809306510547, 2612974658553505870, 1799682194816684339, 6920509372614704488}},
+		{3 << 61, [4]int{560575356676094927, 4663807960418946733, 4418529943949431179, 5002262354389344461}},
 	}
-	for _, tt := range tests {
-		hi, lo := mul64(tt.a, tt.b)
-		if hi != tt.hi || lo != tt.lo {
-			t.Errorf("mul64(%#x, %#x) = (%#x, %#x), want (%#x, %#x)", tt.a, tt.b, hi, lo, tt.hi, tt.lo)
+	s := New(0x5eed)
+	for _, g := range golden {
+		for i, want := range g.want {
+			if got := s.Intn(g.bound); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", g.bound, i, got, want)
+			}
 		}
+	}
+	if got, want := s.Uint64(), uint64(0xf1e892597020d3ae); got != want {
+		t.Fatalf("stream position after the golden draws: next word %#x, want %#x", got, want)
 	}
 }
 

@@ -52,8 +52,8 @@ func (p *Poll) List(x int, r uint64) []int {
 	return p.ListAppend(make([]int, 0, p.d), x, r)
 }
 
-// ListAppend appends J(x, r) to dst, the allocation-free form of List for
-// the delivery hot paths (callers pass a reused scratch slice as dst[:0]).
+// ListAppend appends J(x, r) to dst, the allocation-free form of List
+// (callers pass a reused scratch slice as dst[:0]).
 func (p *Poll) ListAppend(dst []int, x int, r uint64) []int {
 	perm := p.permFor(x, r)
 	for i := 0; i < p.d; i++ {
@@ -74,12 +74,12 @@ func (p *Poll) Contains(x int, r uint64, w int) bool {
 }
 
 func (p *Poll) permFor(x int, r uint64) prng.Perm {
-	// Poll lists are short-lived (one per pull request), so unlike
-	// PermQuorum there is no cache: the Perm is rebuilt per query — by
-	// value, so it lives on the caller's stack — which keeps memory flat
-	// under adversarial label churn AND the delivery hot path (J.Contains
-	// runs per Fw1/Fw2/Answer) allocation-free. This matters doubly for
-	// the decision log, where one shared sampler serves every instance of
-	// a long-lived run.
+	// The sampler itself keeps nothing per (x, r): labels are the
+	// adversary's to choose, so any table here could be churned, and one
+	// shared Poll serves every instance of a long-lived decision log. The
+	// Perm is built by value, on the caller's stack. What makes this
+	// affordable is that the protocol core does not come here per delivery:
+	// each node memoises the lists it has verified for the length of one
+	// agreement instance (internal/core/memo.go).
 	return prng.MakePerm(p.n, prng.Hash3(p.seed, uint64(x), r%p.labels))
 }

@@ -21,7 +21,7 @@ package sampler
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/prng"
@@ -31,31 +31,30 @@ import (
 // Implementations must be deterministic and safe for concurrent use.
 // Quorum and Inverse must return freshly allocated slices on every call:
 // callers own the result and may mutate it (the protocol core deduplicates
-// quorums in place on its delivery hot path).
+// quorums in place on its fan-out paths). The Append forms sample into a
+// caller-owned slice instead — dst's existing contents are preserved, so
+// callers pass dst[:0] to reuse capacity — and are what the protocol core's
+// membership memo fills its rows from.
 type Quorum interface {
 	// Quorum returns the quorum assigned to node x for string s.
 	// The result may contain duplicates only if the implementation is
 	// multiset-based; the permutation construction returns distinct slots
 	// per j but the same node may appear under two different j.
 	Quorum(s bitstring.String, x int) []int
+	// QuorumAppend appends Quorum(s, x) to dst and returns the extended
+	// slice.
+	QuorumAppend(dst []int, s bitstring.String, x int) []int
 	// Inverse returns every node x such that y ∈ Quorum(s, x).
 	Inverse(s bitstring.String, y int) []int
+	// InverseAppend appends Inverse(s, y) to dst and returns the extended
+	// slice.
+	InverseAppend(dst []int, s bitstring.String, y int) []int
 	// Contains reports whether y ∈ Quorum(s, x).
 	Contains(s bitstring.String, x, y int) bool
 	// Size returns the quorum cardinality d (counting multiplicity).
 	Size() int
 	// N returns the node-domain size.
 	N() int
-}
-
-// AppendQuorum is the optional allocation-free extension of Quorum: the
-// hot delivery paths (internal/core) probe for it and sample into a
-// caller-owned scratch slice instead of taking a fresh allocation per
-// query. Implementations append Quorum(s, x) to dst and return the
-// extended slice; dst's existing contents are preserved (callers pass
-// dst[:0] to reuse capacity).
-type AppendQuorum interface {
-	QuorumAppend(dst []int, s bitstring.String, x int) []int
 }
 
 // PermQuorum is the permutation-based quorum sampler described in the
@@ -65,8 +64,28 @@ type PermQuorum struct {
 	n, d int
 	seed uint64
 
-	mu    sync.RWMutex
-	perms map[uint64][]*prng.Perm // string hash -> d permutations
+	// cache is a direct-mapped table of recently used permutation sets,
+	// indexed by string hash. Its size is fixed, so a sampler shared by
+	// every instance of a long-lived decision log (one new string per
+	// instance) or probed with junk strings by a flooding adversary never
+	// grows; a miss or an eviction only re-derives d Feistel key schedules.
+	// Slots are published atomically and never mutated afterwards, which
+	// makes lookups lock-free; racing builders store identical sets.
+	cache [permCacheSlots]atomic.Pointer[permSet]
+}
+
+// permCacheSlots bounds the strings whose permutations a PermQuorum keeps.
+// An agreement queries a handful of strings at a time (gstring plus the
+// private candidates of the unknowledgeable few), and the protocol core
+// memoises the rows it derives, so a small table already serves almost
+// every lookup.
+const permCacheSlots = 64
+
+// permSet is the d permutations σ_{s,j} of one string, tagged with the
+// string hash they were keyed by.
+type permSet struct {
+	hash  uint64
+	perms []prng.Perm
 }
 
 var _ Quorum = (*PermQuorum)(nil)
@@ -79,12 +98,7 @@ func NewPermQuorum(n, d int, seed uint64, tag string) *PermQuorum {
 	if n <= 0 || d <= 0 {
 		panic(fmt.Sprintf("sampler: invalid PermQuorum geometry n=%d d=%d", n, d))
 	}
-	return &PermQuorum{
-		n:     n,
-		d:     d,
-		seed:  prng.DeriveKey(seed, "sampler/"+tag, 0),
-		perms: make(map[uint64][]*prng.Perm),
-	}
+	return &PermQuorum{n: n, d: d, seed: prng.DeriveKey(seed, "sampler/"+tag, 0)}
 }
 
 // N returns the node-domain size.
@@ -98,10 +112,11 @@ func (q *PermQuorum) Quorum(s bitstring.String, x int) []int {
 	return q.QuorumAppend(make([]int, 0, q.d), s, x)
 }
 
-// QuorumAppend appends Quorum(s, x) to dst (sampler.AppendQuorum).
+// QuorumAppend appends Quorum(s, x) to dst.
 func (q *PermQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
-	for _, p := range q.permsFor(s) {
-		dst = append(dst, p.Apply(x))
+	ps := q.permsFor(s)
+	for j := range ps {
+		dst = append(dst, ps[j].Apply(x))
 	}
 	return dst
 }
@@ -110,46 +125,56 @@ func (q *PermQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
 // contains y. Its length is always exactly d — the deterministic
 // no-overload guarantee of this construction.
 func (q *PermQuorum) Inverse(s bitstring.String, y int) []int {
+	return q.InverseAppend(make([]int, 0, q.d), s, y)
+}
+
+// InverseAppend appends Inverse(s, y) to dst.
+func (q *PermQuorum) InverseAppend(dst []int, s bitstring.String, y int) []int {
 	ps := q.permsFor(s)
-	out := make([]int, q.d)
-	for j, p := range ps {
-		out[j] = p.Invert(y)
+	for j := range ps {
+		dst = append(dst, ps[j].Invert(y))
 	}
-	return out
+	return dst
 }
 
 // Contains reports whether y ∈ Quorum(s, x) in O(d) time.
 func (q *PermQuorum) Contains(s bitstring.String, x, y int) bool {
-	for _, p := range q.permsFor(s) {
-		if p.Apply(x) == y {
+	ps := q.permsFor(s)
+	for j := range ps {
+		if ps[j].Apply(x) == y {
 			return true
 		}
 	}
 	return false
 }
 
-// permsFor returns (building and caching on first use) the d permutations
-// keyed by s. The cache is bounded by the number of distinct strings seen in
-// an execution, which Lemma 4 bounds by O(n).
-func (q *PermQuorum) permsFor(s bitstring.String) []*prng.Perm {
+// CachedStrings returns how many strings' permutation sets the sampler
+// currently holds — its whole per-string footprint, at most permCacheSlots.
+func (q *PermQuorum) CachedStrings() int {
+	held := 0
+	for i := range q.cache {
+		if q.cache[i].Load() != nil {
+			held++
+		}
+	}
+	return held
+}
+
+// permsFor returns the d permutations keyed by s, from the cache slot of
+// s's hash when it still holds them and freshly derived (and published to
+// that slot) otherwise.
+func (q *PermQuorum) permsFor(s bitstring.String) []prng.Perm {
 	h := s.Hash64()
-	q.mu.RLock()
-	ps, ok := q.perms[h]
-	q.mu.RUnlock()
-	if ok {
-		return ps
+	slot := &q.cache[h%permCacheSlots]
+	if set := slot.Load(); set != nil && set.hash == h {
+		return set.perms
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if ps, ok = q.perms[h]; ok {
-		return ps
+	set := &permSet{hash: h, perms: make([]prng.Perm, q.d)}
+	for j := range set.perms {
+		set.perms[j] = prng.MakePerm(q.n, prng.Hash3(q.seed, h, uint64(j)))
 	}
-	ps = make([]*prng.Perm, q.d)
-	for j := range ps {
-		ps[j] = prng.NewPerm(q.n, prng.Hash3(q.seed, h, uint64(j)))
-	}
-	q.perms[h] = ps
-	return ps
+	slot.Store(set)
+	return set.perms
 }
 
 // HashQuorum is a naive sampler that draws each quorum member independently
@@ -183,7 +208,7 @@ func (q *HashQuorum) Quorum(s bitstring.String, x int) []int {
 	return q.QuorumAppend(make([]int, 0, q.d), s, x)
 }
 
-// QuorumAppend appends Quorum(s, x) to dst (sampler.AppendQuorum).
+// QuorumAppend appends Quorum(s, x) to dst.
 func (q *HashQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
 	h := s.Hash64()
 	for j := 0; j < q.d; j++ {
@@ -195,13 +220,17 @@ func (q *HashQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
 // Inverse scans the whole domain — Θ(n·d). The naive construction has no
 // efficient inverse; this is part of why the permutation sampler is used.
 func (q *HashQuorum) Inverse(s bitstring.String, y int) []int {
-	var out []int
+	return q.InverseAppend(nil, s, y)
+}
+
+// InverseAppend appends Inverse(s, y) to dst.
+func (q *HashQuorum) InverseAppend(dst []int, s bitstring.String, y int) []int {
 	for x := 0; x < q.n; x++ {
 		if q.Contains(s, x, y) {
-			out = append(out, x)
+			dst = append(dst, x)
 		}
 	}
-	return out
+	return dst
 }
 
 // Contains reports whether y ∈ Quorum(s, x).

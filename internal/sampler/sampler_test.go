@@ -103,6 +103,31 @@ func TestPermQuorumNoOverload(t *testing.T) {
 	}
 }
 
+// TestPermQuorumCacheBounded: the per-string permutation cache holds a fixed
+// number of strings however many the sampler is asked about, and a string
+// evicted and derived again samples exactly the quorums it did before.
+func TestPermQuorumCacheBounded(t *testing.T) {
+	const n, d = 100, 10
+	q := NewPermQuorum(n, d, 5, "H")
+	strs := randStrings(8, 5000, 40)
+	first := make([][]int, len(strs))
+	for i, s := range strs {
+		first[i] = q.Quorum(s, i%n)
+	}
+	if held := q.CachedStrings(); held == 0 || held > permCacheSlots {
+		t.Fatalf("sampler holds %d strings after %d, bound is %d", held, len(strs), permCacheSlots)
+	}
+	fresh := NewPermQuorum(n, d, 5, "H")
+	for i, s := range strs {
+		again, want := q.Quorum(s, i%n), fresh.Quorum(s, i%n)
+		for j := range want {
+			if first[i][j] != want[j] || again[j] != want[j] {
+				t.Fatalf("string %d: quorum changed across eviction: %v, then %v, fresh sampler %v", i, first[i], again, want)
+			}
+		}
+	}
+}
+
 func TestHashQuorumCanOverload(t *testing.T) {
 	// The ablation baseline: independent hashing exceeds the d load bound.
 	const n, d = 200, 9

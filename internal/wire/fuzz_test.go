@@ -6,14 +6,21 @@ import (
 	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/core"
 	"github.com/fastba/fastba/internal/prng"
+	"github.com/fastba/fastba/internal/simnet"
 )
 
 // FuzzUnmarshal feeds arbitrary bytes to every decoder path: decoding must
-// never panic, and whatever decodes successfully must re-encode to exactly
-// the bytes it consumed (canonical encoding).
+// never panic, whatever decodes successfully must re-encode to exactly the
+// bytes it consumed (canonical encoding), and a correct protocol node must
+// survive being handed it — the decoder does not range-check the node ids a
+// frame carries, so the node has to (testdata seed fw1-w-out-of-range: an
+// Fw1 for the node's own string whose W is 1<<31).
 func FuzzUnmarshal(f *testing.F) {
 	src := prng.New(1)
 	s := bitstring.Random(src, 40)
+	params := core.DefaultParams(24)
+	params.StringBits = s.Len()
+	smp := core.NewSamplers(params)
 	for _, m := range []interface {
 		WireSize() int
 		Kind() string
@@ -48,8 +55,15 @@ func FuzzUnmarshal(f *testing.F) {
 		if len(again) != m.WireSize() {
 			t.Fatalf("WireSize %d != encoded %d", m.WireSize(), len(again))
 		}
+		core.NewNode(3, s, params, smp, prng.New(2)).Deliver(discard{}, 5, m)
 	})
 }
+
+// discard is a simnet.Context that drops every send.
+type discard struct{}
+
+func (discard) Now() int                 { return 0 }
+func (discard) Send(int, simnet.Message) {}
 
 // FuzzDecodeBatch ensures batch-frame decoding never panics on junk, and
 // that whatever decodes re-encodes canonically: rebuilding the batch from
