@@ -175,10 +175,7 @@ type Config struct {
 	logLinger     time.Duration
 	logCommitFrac float64
 	logTimeout    time.Duration
-	// logNaive disables per-instance node recycling — the naive-rebuild
-	// arm of BenchmarkLogInstanceReuse (no public option on purpose).
-	logNaive bool
-	workload Workload
+	workload      Workload
 
 	// Durable-store knobs (WithLogStore and friends) and the catch-up
 	// source a restarted log fetches its missing committed prefix from.

@@ -64,39 +64,16 @@ func TestCoalescingReducesFrames(t *testing.T) {
 	}
 }
 
-// TestDisableCoalesce locks the bisection knob: with coalescing off, every
-// message is its own frame.
-func TestDisableCoalesce(t *testing.T) {
-	st := runAER(t, 12, Options{DisableCoalesce: true})
-	if st.BatchFrames != 0 {
-		t.Fatalf("batch frames written with coalescing disabled: %+v", st)
-	}
-	if st.FramesSent != st.MessagesSent {
-		t.Fatalf("frame/message mismatch without coalescing: %d frames, %d messages", st.FramesSent, st.MessagesSent)
-	}
-}
-
-// BenchmarkLinkCoalesce compares a full TCP agreement run with coalescing
-// on and off. The msgs/frame metric is the batching ratio; entries/s-style
-// wall clock is noisy on shared hardware — allocs and the ratio are the
-// numbers to watch.
+// BenchmarkLinkCoalesce runs a full TCP agreement over coalescing links.
+// The msgs/frame metric is the batching ratio; wall clock is noisy on
+// shared hardware — allocs and the ratio are the numbers to watch.
 func BenchmarkLinkCoalesce(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{
-		{"coalesce", Options{FlushWindow: 200 * time.Microsecond}},
-		{"single-frame", Options{DisableCoalesce: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var last simnet.NetStats
-			for i := 0; i < b.N; i++ {
-				last = runAER(b, 16, bc.opts)
-			}
-			if last.FramesSent > 0 {
-				b.ReportMetric(float64(last.MessagesSent)/float64(last.FramesSent), "msgs/frame")
-			}
-		})
+	b.ReportAllocs()
+	var last simnet.NetStats
+	for i := 0; i < b.N; i++ {
+		last = runAER(b, 16, Options{FlushWindow: 200 * time.Microsecond})
+	}
+	if last.FramesSent > 0 {
+		b.ReportMetric(float64(last.MessagesSent)/float64(last.FramesSent), "msgs/frame")
 	}
 }

@@ -129,7 +129,7 @@ func (l *link) run() {
 // collection and go out singly: they are latency probes, and batching one
 // behind data would distort the detector's clock.
 func (l *link) dispatch(f outFrame) {
-	if f.ping || l.c.opts.DisableCoalesce {
+	if f.ping {
 		l.deliver(f)
 		return
 	}

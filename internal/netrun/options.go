@@ -38,10 +38,6 @@ type Options struct {
 	// already queued goes out in one frame, and an idle queue never delays
 	// a write.
 	FlushWindow time.Duration
-	// DisableCoalesce turns link-level frame coalescing off: every message
-	// is written as its own frame (the pre-batching wire behavior, kept for
-	// benchmarks and bisection).
-	DisableCoalesce bool
 	// Chaos, when active, severs live connections mid-run on a seeded
 	// schedule. See ChaosPlan.
 	Chaos ChaosPlan

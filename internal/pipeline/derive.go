@@ -7,15 +7,14 @@ import (
 	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/prng"
 	"github.com/fastba/fastba/internal/simnet"
-	"github.com/fastba/fastba/internal/store"
 )
 
-// The seeded derivations every decision-log runtime shares. The in-process
-// Engine and the multi-process daemon replica (internal/server) must agree
-// bit-for-bit on the corruption set, each instance's value digest and each
-// node's initial belief — otherwise their committed logs diverge — so the
-// derivations live here as pure functions of (seed, geometry, inputs) and
-// both runtimes call the same code.
+// The seeded derivations every host of the engine shares. Engines that
+// each host a slice of one population — the daemons of a cluster — must
+// agree bit-for-bit on the corruption set, each instance's value digest
+// and each node's initial belief, otherwise their committed logs diverge:
+// the derivations are pure functions of (seed, geometry, inputs), and
+// each is evaluated over the whole population wherever it runs.
 
 // CorruptSet derives the log's non-adaptive fail-silent corruption set:
 // the first ⌊frac·n⌋ entries of a seeded permutation of [n].
@@ -83,9 +82,3 @@ func OpenMsgs(seed uint64, stringBits int, knowFrac float64, corrupt []bool, seq
 	}
 	return msgs
 }
-
-// RecordOf converts a committed entry to its durable form.
-func RecordOf(en Entry) store.Record { return recordOf(en) }
-
-// EntryOf reverses RecordOf for recovered records.
-func EntryOf(r store.Record) Entry { return entryOf(r) }

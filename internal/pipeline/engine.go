@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -35,28 +34,43 @@ type Config struct {
 	// KnowFrac is the per-instance fraction of correct nodes that start
 	// knowing the instance's value; the rest hold a shared junk candidate.
 	KnowFrac float64
-	// Depth bounds concurrently open instances (≥ 1).
+	// Depth bounds the instances this engine has sequenced and not yet
+	// committed (≥ 1).
 	Depth int
-	// CommitFraction is the fraction of correct nodes that must decide
-	// before an instance commits (default 1 — every correct node).
-	CommitFraction float64
-	// InstanceTimeout fails the log when the head instance does not commit
-	// in time (default 30s). Lossy fault plans can legitimately destroy an
-	// instance's liveness; the timeout turns that into a reported error
-	// instead of a hang.
+	// Need is how many hosted correct nodes must decide before an instance
+	// commits (0: every one of them). A decision carries its poll quorum
+	// certificate, so a host whose peers hold the rest of the population
+	// can commit on one.
+	Need int
+	// InstanceTimeout fails the log when a head instance this engine
+	// sequenced does not commit in time (default 30s). Lossy fault plans
+	// can legitimately destroy an instance's liveness; the timeout turns
+	// that into a reported error instead of a hang. Instances registered
+	// through Open never fail the log — their host repairs them from peers.
 	InstanceTimeout time.Duration
+	// ReproposeAfter is how long a head instance this engine sequenced may
+	// sit undecided before it is re-opened with a bumped attempt (default
+	// 2s). A reopen rebuilds every hosted protocol node of the instance
+	// under fresh poll labels and quorum geometry — the retry that turns
+	// the protocol's almost-everywhere, per-run guarantee into liveness —
+	// and goes out through Broadcast again, reaching hosts that missed the
+	// first one.
+	ReproposeAfter time.Duration
 	// Faults is the fault plan installed on the transport's send path.
 	Faults simnet.FaultPlan
 	// Net carries the TCP transport's supervision knobs — dial timeout,
-	// redial policy, heartbeat detector, send-queue bound, chaos plan.
-	// StartFabric ignores it.
+	// redial policy, heartbeat detector, send-queue bound, chaos plan —
+	// and, in Net.Hosted, which node ids this engine hosts (nil: all N).
+	// StartFabric ignores everything but Hosted.
 	Net netrun.Options
-	// DisablePool turns off per-instance node recycling (benchmark knob:
-	// the naive-rebuild arm of BenchmarkLogInstanceReuse).
-	DisablePool bool
+	// Broadcast, when set, ships every open this engine sequences — the
+	// first and each reproposal — to the hosts of the other nodes, whose
+	// engines take it through Open. Nil when every node is hosted here.
+	Broadcast func(seq uint64, attempt uint32, payloads [][]byte)
 	// OnCommit, when set, observes every committed entry, in sequence
-	// order, from the engine's commit goroutine.
-	OnCommit func(Entry)
+	// order, from the engine's commit goroutine; repaired reports a commit
+	// taken from a peer's record (Repair) instead of local decisions.
+	OnCommit func(e Entry, repaired bool)
 	// Store, when set, makes the log durable: the engine seeds its
 	// committed prefix from the store's recovered records (new instances
 	// open at the recovered frontier) and persists every in-order commit
@@ -75,8 +89,8 @@ type Entry struct {
 	Value bitstring.String
 	// Payloads are the client payloads folded into this instance.
 	Payloads [][]byte
-	// Deciders and Correct count the correct nodes that decided before the
-	// commit and the correct population.
+	// Deciders and Correct count the hosted correct nodes that decided
+	// before the commit and the hosted correct population.
 	Deciders int
 	Correct  int
 	// DistinctValues counts distinct decided values among deciders at
@@ -99,26 +113,39 @@ type instance struct {
 	proposed bitstring.String
 	payloads [][]byte
 	opened   time.Time
+	lastOpen time.Time // last (re)open — paces the reproposals
+	attempt  uint32    // current run of the randomized protocol
 
-	deciders     int
+	// decided holds the node ids that decided: a node counts once across
+	// reopens, however often its rebuilt child re-decides.
+	decided      bitstring.Bitset
 	values       map[bitstring.MapKey]int
 	value        bitstring.String // a maximally decided value
 	valueCount   int
 	certDeficits int
 
+	// slot marks an instance this engine sequenced: it holds a Depth token,
+	// and the engine owes it reproposals, the timeout and the drain at Close.
+	slot      bool
 	committed chan struct{} // closed when the instance commits or the log fails
 }
 
-// Engine runs the pipelined decision log over one long-lived transport.
-// Build it with New, start exactly one transport (StartFabric or
-// StartTCP), feed it with Append, then Close it.
+// Engine is the decision log's one commit engine: it sequences appends,
+// opens instances with attempts, collects one decision per hosted node,
+// commits strictly in order, persists before surfacing, reproposes a
+// stalled head and drains at Close. Its hosts differ only in data — which
+// node ids live here, how many deciders commit, whether opens are shipped
+// to peers and whether peers' records repair the log (DESIGN.md §7).
+// Build it with New, start exactly one transport (StartFabric, StartTCP,
+// or Start over one the host assembled from Nodes), feed it with Append —
+// or, on a host that follows another engine's sequencing, Open and
+// Repair — then Close it.
 type Engine struct {
 	cfg     Config
 	params  core.Params
 	corrupt []bool
-	correct int
-	need    int // deciders required to commit
-	mux     []*MuxNode
+	live    []int // hosted correct node ids, ascending
+	need    int   // deciders required to commit
 	nodes   []simnet.Node
 
 	fab     *simnet.Fabric
@@ -130,7 +157,7 @@ type Engine struct {
 	recovered   int
 	catchupAddr string
 
-	slots   chan struct{} // Depth tokens: held while an instance is open
+	slots   chan struct{} // Depth tokens: held while a sequenced instance is open
 	wake    chan struct{} // commit-watcher kick (capacity 1)
 	done    chan struct{} // watcher shutdown
 	failCh  chan struct{} // closed on the first fatal error, releasing Append waiters
@@ -140,9 +167,14 @@ type Engine struct {
 	nextSeq   uint64
 	commitSeq uint64
 	open      map[uint64]*instance
-	// instPool recycles committed instance shells (struct + values map);
-	// the committed channel is rebuilt per use — a closed channel cannot
-	// be reused. Guarded by mu.
+	// repaired holds peer records handed in through Repair, by seq, until
+	// advance reaches them.
+	repaired    map[uint64]store.Record
+	nRepaired   int
+	nReproposed int
+	// instPool recycles committed instance shells (struct, values map,
+	// decided set); the committed channel is rebuilt per use — a closed
+	// channel cannot be reused. Guarded by mu.
 	instPool []*instance
 	entries  []Entry
 	failed   error
@@ -150,6 +182,13 @@ type Engine struct {
 
 	teardown sync.Once
 }
+
+// remoteNode stands in for a node another process hosts; the transport
+// carries every envelope addressed to it, so it is never activated here.
+type remoteNode struct{}
+
+func (remoteNode) Init(simnet.Context)                         {}
+func (remoteNode) Deliver(simnet.Context, int, simnet.Message) {}
 
 // New validates the configuration and assembles the node vector. The
 // engine is inert until a transport starts.
@@ -172,14 +211,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Depth <= 0 {
 		cfg.Depth = 1
 	}
-	if cfg.CommitFraction <= 0 {
-		cfg.CommitFraction = 1
-	}
-	if cfg.CommitFraction > 1 {
-		return nil, fmt.Errorf("pipeline: commit fraction %v above 1", cfg.CommitFraction)
-	}
 	if cfg.InstanceTimeout <= 0 {
 		cfg.InstanceTimeout = 30 * time.Second
+	}
+	if cfg.ReproposeAfter <= 0 {
+		cfg.ReproposeAfter = 2 * time.Second
 	}
 	if !(cfg.CorruptFrac >= 0 && cfg.CorruptFrac < 1.0/3) {
 		return nil, fmt.Errorf("pipeline: corrupt fraction %v outside [0, 1/3)", cfg.CorruptFrac)
@@ -190,25 +226,41 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Faults.Validate(cfg.N); err != nil {
 		return nil, err
 	}
+	hosted := cfg.Net.Hosted
+	if hosted != nil && len(hosted) != cfg.N {
+		return nil, fmt.Errorf("pipeline: %d hosted flags for n = %d", len(hosted), cfg.N)
+	}
 
 	e := &Engine{
-		cfg:     cfg,
-		params:  cfg.Params,
-		corrupt: make([]bool, cfg.N),
+		cfg:    cfg,
+		params: cfg.Params,
+		// Non-adaptive corruption, fixed for the log's lifetime (the shared
+		// cross-runtime derivation — derive.go).
+		corrupt: CorruptSet(cfg.Seed, cfg.N, cfg.CorruptFrac),
+		nodes:   make([]simnet.Node, cfg.N),
 		slots:   make(chan struct{}, cfg.Depth),
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		failCh:  make(chan struct{}),
 		open:    make(map[uint64]*instance),
 	}
-
-	// Non-adaptive corruption, fixed for the log's lifetime (the shared
-	// cross-runtime derivation — derive.go).
-	e.corrupt = CorruptSet(cfg.Seed, cfg.N, cfg.CorruptFrac)
-	e.correct = cfg.N - int(cfg.CorruptFrac*float64(cfg.N))
-	e.need = int(math.Ceil(cfg.CommitFraction * float64(e.correct)))
-	if e.need < 1 {
-		e.need = 1
+	smp := core.NewSamplers(cfg.Params)
+	for id := range e.nodes {
+		if hosted != nil && !hosted[id] {
+			e.nodes[id] = remoteNode{}
+			continue
+		}
+		e.nodes[id] = NewMuxNode(id, e.corrupt[id], cfg.Params, smp, cfg.Seed, e.onDecision)
+		if !e.corrupt[id] {
+			e.live = append(e.live, id)
+		}
+	}
+	e.need = cfg.Need
+	if e.need == 0 {
+		e.need = len(e.live)
+	}
+	if e.need < 1 || e.need > len(e.live) {
+		return nil, fmt.Errorf("pipeline: %d deciders required of %d hosted correct nodes", cfg.Need, len(e.live))
 	}
 
 	// A durable log resumes where its store's recovered prefix ends: the
@@ -217,27 +269,17 @@ func New(cfg Config) (*Engine, error) {
 	// instances open at the recovered frontier.
 	if cfg.Store != nil {
 		for _, r := range cfg.Store.Records() {
-			e.entries = append(e.entries, entryOf(r))
+			e.entries = append(e.entries, EntryOf(r))
 		}
 		e.commitSeq = cfg.Store.Frontier()
 		e.nextSeq = e.commitSeq
 		e.recovered = len(e.entries)
 	}
-
-	smp := core.NewSamplers(cfg.Params)
-	e.mux = make([]*MuxNode, cfg.N)
-	e.nodes = make([]simnet.Node, cfg.N)
-	for id := 0; id < cfg.N; id++ {
-		m := NewMuxNode(id, e.corrupt[id], cfg.Params, smp, cfg.Seed, e.onDecision)
-		m.disablePool = cfg.DisablePool
-		e.mux[id] = m
-		e.nodes[id] = m
-	}
 	return e, nil
 }
 
-// recordOf converts a committed entry to its durable form.
-func recordOf(en Entry) store.Record {
+// RecordOf converts a committed entry to its durable form.
+func RecordOf(en Entry) store.Record {
 	return store.Record{
 		Seq:             en.Seq,
 		Value:           en.Value,
@@ -252,8 +294,8 @@ func recordOf(en Entry) store.Record {
 	}
 }
 
-// entryOf reverses recordOf for recovered records.
-func entryOf(r store.Record) Entry {
+// EntryOf reverses RecordOf for recovered and repaired records.
+func EntryOf(r store.Record) Entry {
 	return Entry{
 		Seq:             r.Seq,
 		Value:           r.Value,
@@ -268,12 +310,25 @@ func entryOf(r store.Record) Entry {
 	}
 }
 
-// Correct returns the number of correct nodes.
-func (e *Engine) Correct() int { return e.correct }
+// Correct returns the number of hosted correct nodes.
+func (e *Engine) Correct() int { return len(e.live) }
 
 // Recovered returns how many committed entries were seeded from the
 // store's recovered prefix at construction.
 func (e *Engine) Recovered() int { return e.recovered }
+
+// Nodes returns the node vector a transport is built from: the MuxNode of
+// every hosted id, an inert placeholder for the rest.
+func (e *Engine) Nodes() []simnet.Node { return e.nodes }
+
+// Start runs the log over a transport the host assembled around Nodes;
+// inject puts a control message into a hosted node's mailbox. The host
+// stops that transport itself, after Close or Abort has returned.
+func (e *Engine) Start(inject func(simnet.Envelope)) {
+	e.inject = inject
+	e.watcher.Add(1)
+	go e.watch()
+}
 
 // StartFabric runs the log over the in-process loopback Fabric
 // (CounterClock: fault windows and decision times are per-node delivery
@@ -285,9 +340,7 @@ func (e *Engine) StartFabric() {
 	}
 	e.fab.ServeCatchup(e.CatchupRecords)
 	e.fab.Start()
-	e.inject = e.fab.InjectLocal
-	e.watcher.Add(1)
-	go e.watch()
+	e.Start(e.fab.InjectLocal)
 }
 
 // StartTCP runs the log over real loopback TCP sockets (one listener per
@@ -308,9 +361,7 @@ func (e *Engine) StartTCP() error {
 	e.catchupAddr = addr
 	cluster.Start()
 	e.cluster = cluster
-	e.inject = cluster.Inject
-	e.watcher.Add(1)
-	go e.watch()
+	e.Start(cluster.Inject)
 	return nil
 }
 
@@ -320,7 +371,7 @@ func (e *Engine) CatchupAddr() string { return e.catchupAddr }
 
 // CatchupRecords serves one catch-up chunk: the committed entries
 // [from, from+max), encoded as store records. It is the handler behind
-// both transports' catch-up surfaces.
+// every transport's catch-up surface.
 func (e *Engine) CatchupRecords(from uint64, max int) [][]byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -333,7 +384,7 @@ func (e *Engine) CatchupRecords(from uint64, max int) [][]byte {
 	}
 	out := make([][]byte, 0, end-from)
 	for seq := from; seq < end; seq++ {
-		out = append(out, store.AppendRecord(nil, recordOf(e.entries[seq])))
+		out = append(out, store.AppendRecord(nil, RecordOf(e.entries[seq])))
 	}
 	return out
 }
@@ -355,18 +406,9 @@ func (e *Engine) Catchup(from uint64, max int) ([][]byte, bool) {
 	return e.fab.Catchup(from, max)
 }
 
-// Value derives instance seq's proposal digest from the batch: the first
-// StringBits bits of SHA-256 over (seed, seq, payloads). All correct
-// runtimes derive the same value for the same inputs, which is what makes
-// committed logs comparable across transports (the shared cross-runtime
-// derivation — derive.go).
-func (e *Engine) Value(seq uint64, payloads [][]byte) bitstring.String {
-	return BatchValue(e.cfg.Seed, e.params.StringBits, seq, payloads)
-}
-
-// Append opens the next instance with the given batch, blocking while the
-// pipeline is at Depth. It returns the assigned sequence number; the
-// commit is observed with WaitSeq or OnCommit.
+// Append sequences the next instance with the given batch and opens it,
+// blocking while the pipeline is at Depth. It returns the assigned
+// sequence number; the commit is observed with WaitSeq or OnCommit.
 func (e *Engine) Append(ctx context.Context, payloads [][]byte) (uint64, error) {
 	select {
 	case e.slots <- struct{}{}:
@@ -392,28 +434,91 @@ func (e *Engine) Append(ctx context.Context, payloads [][]byte) (uint64, error) 
 		<-e.slots
 		return 0, e.runError()
 	}
-	inst := e.getInstance()
-	inst.seq = seq
-	inst.proposed = e.Value(seq, payloads)
-	inst.payloads = payloads
-	inst.opened = time.Now()
-	inst.committed = make(chan struct{})
-	e.open[seq] = inst
+	inst := e.register(seq, payloads)
+	inst.slot = true
+	proposed := inst.proposed
 	e.mu.Unlock()
 
-	e.openInstance(seq, inst.proposed)
+	e.propose(seq, 0, proposed, payloads)
 	return seq, nil
 }
 
-// getInstance returns a recycled instance shell or builds a fresh one.
-// Callers hold e.mu.
-func (e *Engine) getInstance() *instance {
-	if n := len(e.instPool); n > 0 {
-		inst := e.instPool[n-1]
-		e.instPool = e.instPool[:n-1]
-		return inst
+// Open is the follower entry point: it takes an open that another engine
+// sequenced and shipped through its Broadcast. The instance registers
+// without a Depth token and the hosted nodes start from the derived
+// initial beliefs. An already committed sequence and a duplicate or stale
+// attempt are dropped; a higher attempt re-opens the hosted nodes, so the
+// undecided ones re-run the instance under fresh labels.
+func (e *Engine) Open(seq uint64, attempt uint32, payloads [][]byte) {
+	e.mu.Lock()
+	if e.failed != nil || e.closed || seq < e.commitSeq || seq > MaxSeq {
+		e.mu.Unlock()
+		return
 	}
-	return &instance{values: make(map[bitstring.MapKey]int, 1)}
+	inst := e.open[seq]
+	if inst != nil && attempt <= inst.attempt {
+		e.mu.Unlock()
+		return
+	}
+	if inst == nil {
+		inst = e.register(seq, payloads)
+		if seq >= e.nextSeq {
+			e.nextSeq = seq + 1
+		}
+	}
+	inst.attempt = attempt
+	inst.lastOpen = time.Now()
+	proposed := inst.proposed
+	e.mu.Unlock()
+
+	e.openInstance(seq, attempt, proposed)
+	e.kick()
+}
+
+// Repair hands the engine committed records fetched from a peer's log, a
+// contiguous run from the frontier the fetch asked for. advance commits
+// each in place of local decisions once it is the head, so a host closes
+// what it cannot decide itself: a restart gap, a missed broadcast, hosted
+// nodes that all wedged. It returns how many records were still ahead of
+// the frontier.
+func (e *Engine) Repair(recs []store.Record) int {
+	n := 0
+	e.mu.Lock()
+	for _, rec := range recs {
+		if rec.Seq < e.commitSeq {
+			continue
+		}
+		if e.repaired == nil {
+			e.repaired = make(map[uint64]store.Record)
+		}
+		e.repaired[rec.Seq] = rec
+		n++
+	}
+	e.mu.Unlock()
+	if n > 0 {
+		e.kick()
+	}
+	return n
+}
+
+// register builds the open instance for seq from a recycled shell or a
+// fresh one. Callers hold e.mu.
+func (e *Engine) register(seq uint64, payloads [][]byte) *instance {
+	var inst *instance
+	if n := len(e.instPool); n > 0 {
+		inst = e.instPool[n-1]
+		e.instPool = e.instPool[:n-1]
+	} else {
+		inst = &instance{values: make(map[bitstring.MapKey]int, 1)}
+	}
+	inst.seq = seq
+	inst.proposed = BatchValue(e.cfg.Seed, e.params.StringBits, seq, payloads)
+	inst.payloads = payloads
+	inst.opened = time.Now()
+	inst.lastOpen = inst.opened
+	inst.committed = make(chan struct{})
+	e.open[seq] = inst
+	return inst
 }
 
 // putInstance recycles a committed instance shell. Callers hold e.mu and
@@ -423,7 +528,8 @@ func (e *Engine) getInstance() *instance {
 // before the recycle.
 func (e *Engine) putInstance(inst *instance) {
 	clear(inst.values)
-	*inst = instance{values: inst.values}
+	inst.decided.Reset()
+	*inst = instance{values: inst.values, decided: inst.decided}
 	e.instPool = append(e.instPool, inst)
 }
 
@@ -438,27 +544,34 @@ func (e *Engine) appendBlocked() error {
 	return nil
 }
 
-// openInstance distributes MsgOpen to every node with the deterministic
-// per-node initial beliefs of instance seq (the shared cross-runtime
-// derivation — derive.go).
-func (e *Engine) openInstance(seq uint64, value bitstring.String) {
-	for id, msg := range OpenMsgs(e.cfg.Seed, e.params.StringBits, e.cfg.KnowFrac, e.corrupt, seq, 0, value) {
-		if msg == nil {
-			// Corrupt nodes ignore MsgOpen; skip the injection entirely.
-			continue
-		}
-		e.inject(simnet.Envelope{From: id, To: id, Msg: msg})
+// propose opens (seq, attempt) on the hosted nodes and ships it to the
+// hosts of the others.
+func (e *Engine) propose(seq uint64, attempt uint32, value bitstring.String, payloads [][]byte) {
+	e.openInstance(seq, attempt, value)
+	if e.cfg.Broadcast != nil {
+		e.cfg.Broadcast(seq, attempt, payloads)
+	}
+}
+
+// openInstance injects MsgOpen into every hosted correct node with the
+// deterministic per-node initial beliefs of instance seq. The derivation
+// covers the whole population (the shared cross-runtime derivation —
+// derive.go): an engine hosting a slice must consume the same draws.
+func (e *Engine) openInstance(seq uint64, attempt uint32, value bitstring.String) {
+	msgs := OpenMsgs(e.cfg.Seed, e.params.StringBits, e.cfg.KnowFrac, e.corrupt, seq, attempt, value)
+	for _, id := range e.live {
+		e.inject(simnet.Envelope{From: id, To: id, Msg: msgs[id]})
 	}
 }
 
 // onDecision is the MuxNode callback: record one node's decision and kick
-// the commit watcher. Decisions arriving after the instance committed
-// (possible below CommitFraction 1) are dropped.
+// the commit watcher. A node decides an instance once across reopens — a
+// rebuilt child that re-decides is deduplicated here — and decisions
+// arriving after the instance committed are dropped.
 func (e *Engine) onDecision(node int, seq uint64, value bitstring.String, support, need int) {
 	e.mu.Lock()
 	inst := e.open[seq]
-	if inst != nil {
-		inst.deciders++
+	if inst != nil && inst.decided.Set(node) {
 		k := value.MapKey()
 		inst.values[k]++
 		if inst.values[k] > inst.valueCount {
@@ -484,7 +597,7 @@ func (e *Engine) kick() {
 }
 
 // watch is the commit goroutine: it advances the in-order commit frontier
-// on every decision signal and polls for instance timeouts.
+// on every decision signal and polls for the stalled-head timers.
 func (e *Engine) watch() {
 	defer e.watcher.Done()
 	ticker := time.NewTicker(10 * time.Millisecond)
@@ -500,35 +613,58 @@ func (e *Engine) watch() {
 	}
 }
 
-// advance commits every head instance whose decision threshold is met, in
-// sequence order, and fails the log on a head timeout.
+// advance commits head instances in sequence order — through local
+// decisions when the threshold is met, through a repaired peer record
+// when Repair filled the gap first — and runs the stalled-head timers of
+// the instances this engine sequenced: a reproposal after ReproposeAfter,
+// the log's failure after InstanceTimeout.
 func (e *Engine) advance() {
 	for {
 		e.mu.Lock()
-		inst := e.open[e.commitSeq]
-		if inst == nil || e.failed != nil {
+		if e.failed != nil {
 			e.mu.Unlock()
 			return
 		}
-		if inst.deciders < e.need {
-			if time.Since(inst.opened) > e.cfg.InstanceTimeout {
-				e.failLocked(fmt.Errorf("pipeline: instance %d: %d of %d required deciders after %v",
-					inst.seq, inst.deciders, e.need, e.cfg.InstanceTimeout))
+		head := e.commitSeq
+		inst := e.open[head]
+		rec, repaired := e.repaired[head]
+		var entry Entry
+		switch {
+		case inst != nil && inst.decided.Count() >= e.need:
+			repaired = false
+			entry = Entry{
+				Seq:             inst.seq,
+				Value:           inst.value,
+				Payloads:        inst.payloads,
+				Deciders:        inst.decided.Count(),
+				Correct:         len(e.live),
+				DistinctValues:  len(inst.values),
+				CertDeficits:    inst.certDeficits,
+				MatchesProposal: inst.value.Equal(inst.proposed),
+				Opened:          inst.opened,
+				Committed:       time.Now(),
 			}
+		case repaired:
+			entry = EntryOf(rec)
+		case inst != nil && inst.slot && time.Since(inst.opened) > e.cfg.InstanceTimeout:
+			e.failLocked(fmt.Errorf("pipeline: instance %d: %d of %d required deciders after %v",
+				inst.seq, inst.decided.Count(), e.need, e.cfg.InstanceTimeout))
 			e.mu.Unlock()
 			return
-		}
-		entry := Entry{
-			Seq:             inst.seq,
-			Value:           inst.value,
-			Payloads:        inst.payloads,
-			Deciders:        inst.deciders,
-			Correct:         e.correct,
-			DistinctValues:  len(inst.values),
-			CertDeficits:    inst.certDeficits,
-			MatchesProposal: inst.value.Equal(inst.proposed),
-			Opened:          inst.opened,
-			Committed:       time.Now(),
+		case inst != nil && inst.slot && time.Since(inst.lastOpen) > e.cfg.ReproposeAfter && inst.attempt < MaxAttempt:
+			// One run of the randomized protocol left hosted nodes wedged:
+			// run it again. Every attempt proposes the same derived value, so
+			// a node that already decided can only re-decide identically.
+			inst.attempt++
+			inst.lastOpen = time.Now()
+			e.nReproposed++
+			attempt, proposed, payloads := inst.attempt, inst.proposed, inst.payloads
+			e.mu.Unlock()
+			e.propose(head, attempt, proposed, payloads)
+			return
+		default:
+			e.mu.Unlock()
+			return
 		}
 		e.mu.Unlock()
 
@@ -539,7 +675,7 @@ func (e *Engine) advance() {
 		// it; late decisions mutate counters the snapshot above no longer
 		// reads.
 		if st := e.cfg.Store; st != nil {
-			if err := st.Append(recordOf(entry)); err != nil {
+			if err := st.Append(RecordOf(entry)); err != nil {
 				e.mu.Lock()
 				e.failLocked(fmt.Errorf("pipeline: persist seq %d: %w", entry.Seq, err))
 				e.mu.Unlock()
@@ -557,24 +693,34 @@ func (e *Engine) advance() {
 			e.mu.Unlock()
 			return
 		}
-		delete(e.open, e.commitSeq)
+		delete(e.open, head)
+		delete(e.repaired, head)
 		e.commitSeq++
+		if e.nextSeq < e.commitSeq {
+			// Repair ran ahead of everything sequenced or opened here.
+			e.nextSeq = e.commitSeq
+		}
 		e.entries = append(e.entries, entry)
+		if repaired {
+			e.nRepaired++
+		}
+		slot := false
+		if inst != nil {
+			close(inst.committed)
+			slot = inst.slot
+			e.putInstance(inst)
+		}
 		e.mu.Unlock()
 
-		close(inst.committed)
-		e.mu.Lock()
-		e.putInstance(inst)
-		e.mu.Unlock()
-		<-e.slots // free the pipeline slot
+		if slot {
+			<-e.slots // free the pipeline slot
+		}
 		var closeMsg simnet.Message = MsgClose{Seq: entry.Seq} // boxed once, not per node
-		for id := 0; id < e.cfg.N; id++ {
-			if !e.corrupt[id] {
-				e.inject(simnet.Envelope{From: id, To: id, Msg: closeMsg})
-			}
+		for _, id := range e.live {
+			e.inject(simnet.Envelope{From: id, To: id, Msg: closeMsg})
 		}
 		if e.cfg.OnCommit != nil {
-			e.cfg.OnCommit(entry)
+			e.cfg.OnCommit(entry, repaired)
 		}
 	}
 }
@@ -630,6 +776,7 @@ func (e *Engine) WaitSeq(ctx context.Context, seq uint64) (Entry, error) {
 	}
 	select {
 	case <-committed:
+	case <-e.done: // Close abandoned an instance another engine sequenced
 	case <-ctx.Done():
 		return Entry{}, ctx.Err()
 	}
@@ -654,6 +801,28 @@ func (e *Engine) CommittedSeq(seq uint64) (Entry, bool) {
 	return Entry{}, false
 }
 
+// Frontier returns the committed frontier: the next sequence to commit.
+func (e *Engine) Frontier() uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.commitSeq
+}
+
+// Repaired returns how many entries committed from a peer's record
+// (Repair); Reproposed how many times a stalled head instance was
+// re-opened with a bumped attempt.
+func (e *Engine) Repaired() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.nRepaired
+}
+
+func (e *Engine) Reproposed() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.nReproposed
+}
+
 // Failed returns a channel closed on the log's first fatal error (an
 // instance timeout, an abort). Waiters holding per-payload state use it
 // to resolve promptly instead of discovering the failure at Close.
@@ -673,16 +842,21 @@ func (e *Engine) Err() error {
 	return e.failed
 }
 
-// Close drains the log — no new Appends, every open instance gets until
-// the instance timeout to commit — then tears the transport down. It
-// returns the log's fatal error, if any.
+// Close drains the log — no new Appends or Opens, every instance this
+// engine sequenced gets until the instance timeout to commit — then stops
+// the watcher and the transport the engine started. Instances registered
+// through Open are not waited for: only their sequencer can repropose
+// them, and it may already be gone; the host's store and Repair after a
+// restart cover them. It returns the log's fatal error, if any.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	e.closed = true
 	// Capture channels, not instances: a committed shell is recycled.
 	waiting := make([]chan struct{}, 0, len(e.open))
 	for _, inst := range e.open {
-		waiting = append(waiting, inst.committed)
+		if inst.slot {
+			waiting = append(waiting, inst.committed)
+		}
 	}
 	e.mu.Unlock()
 	deadline := time.NewTimer(e.cfg.InstanceTimeout + time.Second)
@@ -709,7 +883,7 @@ func (e *Engine) Abort() {
 	e.stop()
 }
 
-// stop shuts the watcher and the transport down, once.
+// stop shuts the watcher and the engine's own transport down, once.
 func (e *Engine) stop() {
 	e.teardown.Do(func() {
 		close(e.done)

@@ -9,7 +9,10 @@
 // instance-tagged traffic (simnet.InstMsg) onto per-instance core.Node
 // children recycled through a pool (core.Node.Reset), and an Engine that
 // opens instances as client batches arrive, detects decisions, commits
-// instances strictly in sequence order and retires them.
+// instances strictly in sequence order, re-runs a stalled one and retires
+// them. The Engine is the log's only commit engine: the in-process
+// DecisionLog hosts every node on it, a balogd daemon (internal/server)
+// its slice of them.
 //
 // Determinism contract: the committed log — the sequence of (Seq, Value)
 // pairs — is a pure function of (seed, batch contents) whenever the value
@@ -18,7 +21,8 @@
 // correct node's decision success depends only on which poll-list members
 // are correct, not on delivery order. The cross-runtime conformance test
 // locks this: the same seed and workload produce byte-identical committed
-// logs on the in-process Fabric and over real TCP sockets.
+// logs on the in-process Fabric, over real TCP sockets and on a cluster of
+// daemons.
 package pipeline
 
 import (
@@ -112,15 +116,12 @@ type pendingEnv struct {
 // never activate one node concurrently), so MuxNode takes no locks;
 // decisions leave the goroutine only through the DecisionFunc callback.
 type MuxNode struct {
-	id      int
-	corrupt bool
-	params  core.Params
-	smp     *core.Samplers
-	seed    uint64
-	// disablePool forces NewNode per instance instead of Reset on a pooled
-	// child — the naive-rebuild arm of BenchmarkLogInstanceReuse.
-	disablePool bool
-	onDecision  DecisionFunc
+	id         int
+	corrupt    bool
+	params     core.Params
+	smp        *core.Samplers
+	seed       uint64
+	onDecision DecisionFunc
 
 	children map[uint64]*muxChild
 	pool     []*core.Node
@@ -205,9 +206,7 @@ func (m *MuxNode) open(ctx simnet.Context, t MsgOpen) {
 			return
 		}
 		delete(m.children, t.Seq)
-		if !m.disablePool {
-			m.pool = append(m.pool, prev.node)
-		}
+		m.pool = append(m.pool, prev.node)
 	}
 	key := prng.Hash2(t.Seq, uint64(m.id))
 	smp := m.smp
@@ -226,7 +225,7 @@ func (m *MuxNode) open(ctx simnet.Context, t MsgOpen) {
 	}
 	rng := prng.New(prng.DeriveKey(m.seed, "log/node", key))
 	var node *core.Node
-	if n := len(m.pool); n > 0 && !m.disablePool {
+	if n := len(m.pool); n > 0 {
 		node = m.pool[n-1]
 		m.pool = m.pool[:n-1]
 		node.Reset(t.Initial, smp, rng)
@@ -283,9 +282,7 @@ func (m *MuxNode) samplersFor(attempt uint32) *core.Samplers {
 func (m *MuxNode) close(seq uint64) {
 	if child, ok := m.children[seq]; ok {
 		delete(m.children, seq)
-		if !m.disablePool {
-			m.pool = append(m.pool, child.node)
-		}
+		m.pool = append(m.pool, child.node)
 	}
 	delete(m.pending, seq)
 	if seq+1 > m.retired {

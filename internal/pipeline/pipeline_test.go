@@ -8,6 +8,7 @@ import (
 
 	"github.com/fastba/fastba/internal/sampler"
 	"github.com/fastba/fastba/internal/simnet"
+	"github.com/fastba/fastba/internal/store"
 )
 
 // appendAll feeds count deterministic single-payload batches and waits for
@@ -151,7 +152,7 @@ func samplerFootprint(t *testing.T, instances int) int {
 		t.Fatal(err)
 	}
 	checkLog(t, entries, instances)
-	smp := e.mux[0].smp
+	smp := e.nodes[0].(*MuxNode).smp
 	return smp.I.(*sampler.PermQuorum).CachedStrings() + smp.H.(*sampler.PermQuorum).CachedStrings()
 }
 
@@ -163,5 +164,261 @@ func TestSamplerFootprintIndependentOfLogLength(t *testing.T) {
 	short, long := samplerFootprint(t, 500), samplerFootprint(t, 5000)
 	if short == 0 || long != short {
 		t.Fatalf("sampler holds %d strings after 500 instances and %d after 5000", short, long)
+	}
+}
+
+// TestEngineReproposesWedgedHead: at the default population (10% corrupt,
+// 85% knowledgeable) a run of the randomized protocol regularly leaves a
+// correct node wedged, and a log that commits on every correct node used
+// to die there ("21 of 22 required deciders"). The engine re-runs the head
+// under fresh labels and quorum geometry instead, and the log goes on.
+func TestEngineReproposesWedgedHead(t *testing.T) {
+	e, err := New(Config{N: 24, Seed: 1, CorruptFrac: 0.1, KnowFrac: 0.85, Depth: 4,
+		InstanceTimeout: 30 * time.Second, ReproposeAfter: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.StartFabric()
+	entries := appendAll(t, e, 20)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkLog(t, entries, 20)
+	for _, entry := range entries {
+		if entry.Deciders != e.Correct() {
+			t.Errorf("seq %d: %d deciders of %d correct", entry.Seq, entry.Deciders, e.Correct())
+		}
+	}
+	if e.Reproposed() == 0 {
+		t.Fatal("no instance wedged: the run no longer exercises reproposal")
+	}
+}
+
+// splitEngines runs one population as two engines over one Fabric, no
+// sockets: lead hosts ids below k and sequences, follow hosts the rest and
+// takes lead's opens through ship (nil: straight into follow.Open).
+func splitEngines(t *testing.T, base Config, k int, ship func(follow *Engine, seq uint64, attempt uint32, payloads [][]byte)) (lead, follow *Engine) {
+	t.Helper()
+	low, high := make([]bool, base.N), make([]bool, base.N)
+	for id := range low {
+		low[id], high[id] = id < k, id >= k
+	}
+	if ship == nil {
+		ship = func(f *Engine, seq uint64, attempt uint32, payloads [][]byte) { f.Open(seq, attempt, payloads) }
+	}
+	leadCfg, followCfg := base, base
+	leadCfg.Net.Hosted, followCfg.Net.Hosted = low, high
+	leadCfg.Broadcast = func(seq uint64, attempt uint32, payloads [][]byte) { ship(follow, seq, attempt, payloads) }
+	var err error
+	if lead, err = New(leadCfg); err != nil {
+		t.Fatal(err)
+	}
+	if follow, err = New(followCfg); err != nil {
+		t.Fatal(err)
+	}
+	nodes := append([]simnet.Node(nil), lead.Nodes()...)
+	copy(nodes[k:], follow.Nodes()[k:])
+	fab := simnet.NewFabric(nodes, simnet.CounterClock, true)
+	fab.Start()
+	lead.Start(fab.InjectLocal)
+	follow.Start(fab.InjectLocal)
+	t.Cleanup(func() {
+		lead.Abort()
+		follow.Abort()
+		fab.Stop()
+	})
+	return lead, follow
+}
+
+// waitFrontier polls until the engine has committed want entries.
+func waitFrontier(t *testing.T, e *Engine, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); e.Frontier() < want; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("frontier %d, want %d (err: %v)", e.Frontier(), want, e.Err())
+		}
+	}
+}
+
+func sameLog(t *testing.T, what string, got, want []Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := RecordOf(got[i]), RecordOf(want[i])
+		g.Deciders, g.Correct, g.OpenedNs, g.CommittedNs = w.Deciders, w.Correct, w.OpenedNs, w.CommittedNs
+		if string(store.AppendRecord(nil, g)) != string(store.AppendRecord(nil, w)) {
+			t.Errorf("%s: entry %d diverges: %+v vs %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSplitEnginesFollowerCommits: the follower path — opens arriving
+// through Open, no Depth token, commits on the hosted slice's own
+// decisions — yields the leader's log, and each engine reports its own
+// hosted correct population.
+func TestSplitEnginesFollowerCommits(t *testing.T) {
+	lead, follow := splitEngines(t, Config{N: 16, Seed: 3, CorruptFrac: 0.1, KnowFrac: 1, Depth: 2}, 8, nil)
+	entries := appendAll(t, lead, 6)
+	checkLog(t, entries, 6)
+	waitFrontier(t, follow, 6)
+	sameLog(t, "follower vs leader", follow.Entries(), entries)
+	if lead.Correct()+follow.Correct() != 15 {
+		t.Fatalf("hosted correct populations %d + %d, want the 15 correct nodes of n = 16", lead.Correct(), follow.Correct())
+	}
+	for _, e := range []*Engine{lead, follow} {
+		for _, entry := range e.Entries() {
+			if entry.Correct != e.Correct() || entry.Deciders != e.Correct() {
+				t.Errorf("seq %d: %d deciders of %d, engine hosts %d correct nodes", entry.Seq, entry.Deciders, entry.Correct, e.Correct())
+			}
+		}
+	}
+	if err := follow.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lead.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReproposalReachesFollowerThatMissedTheOpen: the first broadcast of
+// seq 1 is lost; the leader's reproposal ships it again, the follower
+// registers it at attempt 1, and both commit.
+func TestReproposalReachesFollowerThatMissedTheOpen(t *testing.T) {
+	base := Config{N: 16, Seed: 5, KnowFrac: 1, Depth: 2, ReproposeAfter: 100 * time.Millisecond}
+	lead, follow := splitEngines(t, base, 8, func(f *Engine, seq uint64, attempt uint32, payloads [][]byte) {
+		if seq == 1 && attempt == 0 {
+			return
+		}
+		f.Open(seq, attempt, payloads)
+	})
+	entries := appendAll(t, lead, 3)
+	checkLog(t, entries, 3)
+	waitFrontier(t, follow, 3)
+	sameLog(t, "follower vs leader", follow.Entries(), entries)
+	if lead.Reproposed() == 0 {
+		t.Fatal("the leader never reproposed the instance its follower missed")
+	}
+}
+
+// TestOpenDuplicateStaleAndClose drives the follower entry point on an
+// engine whose instances cannot decide (the other half of the population
+// is nowhere): duplicate and stale opens change nothing, a higher attempt
+// re-opens, and Close does not wait for instances it did not sequence.
+func TestOpenDuplicateStaleAndClose(t *testing.T) {
+	hosted := make([]bool, 16)
+	for id := 8; id < 16; id++ {
+		hosted[id] = true
+	}
+	cfg := Config{N: 16, Seed: 1, KnowFrac: 1, InstanceTimeout: 30 * time.Second}
+	cfg.Net.Hosted = hosted
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := simnet.NewFabric(e.Nodes(), simnet.CounterClock, true)
+	fab.Start()
+	defer fab.Stop()
+	e.Start(fab.InjectLocal)
+
+	attempt := func(seq uint64) (uint32, *instance) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		inst := e.open[seq]
+		if inst == nil {
+			t.Fatalf("seq %d not open", seq)
+		}
+		if inst.slot {
+			t.Fatalf("seq %d holds a Depth token it was never given", seq)
+		}
+		return inst.attempt, inst
+	}
+	payloads := [][]byte{[]byte("p")}
+	e.Open(0, 0, payloads)
+	_, first := attempt(0)
+	e.Open(0, 0, payloads) // duplicate
+	if a, inst := attempt(0); a != 0 || inst != first {
+		t.Fatalf("duplicate open replaced the instance (attempt %d)", a)
+	}
+	e.Open(0, 2, payloads) // reopen
+	e.Open(0, 1, payloads) // stale
+	if a, inst := attempt(0); a != 2 || inst != first {
+		t.Fatalf("after reopen 2 and stale 1 the instance is at attempt %d", a)
+	}
+	e.Open(5, 3, payloads) // first seen at a later attempt, ahead of the frontier
+	if a, _ := attempt(5); a != 3 {
+		t.Fatalf("seq 5 registered at attempt %d, want 3", a)
+	}
+	e.mu.Lock()
+	next := e.nextSeq
+	e.mu.Unlock()
+	if next != 6 {
+		t.Fatalf("next sequence %d after an open of seq 5, want 6", next)
+	}
+
+	start := time.Now()
+	if err := e.Close(); err != nil {
+		t.Fatalf("close with undecidable follower instances: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("close waited %v on instances another engine sequenced", took)
+	}
+	e.Open(6, 0, payloads) // closed: dropped
+	if got := len(e.Entries()); got != 0 {
+		t.Fatalf("%d entries committed out of nowhere", got)
+	}
+}
+
+// TestRepairCommitsPeerRecords: an engine that saw no open at all commits
+// a peer's records — handed over out of order, the tail before the head —
+// strictly in sequence, reports them as repaired, and sequences past them
+// afterwards.
+func TestRepairCommitsPeerRecords(t *testing.T) {
+	donor, err := New(Config{N: 16, Seed: 9, KnowFrac: 1, Depth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor.StartFabric()
+	want := appendAll(t, donor, 4)
+	run, err := store.DecodeRun(0, donor.CatchupRecords(0, 16))
+	if err != nil || len(run) != 4 {
+		t.Fatalf("donor served %d records (%v), want 4", len(run), err)
+	}
+	if err := donor.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var repaired []uint64
+	cfg := Config{N: 16, Seed: 9, KnowFrac: 1, OnCommit: func(e Entry, viaRepair bool) {
+		if viaRepair {
+			repaired = append(repaired, e.Seq)
+		}
+	}}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(func(simnet.Envelope) {}) // no protocol traffic: repair alone must carry it
+	if n := e.Repair(run[1:]); n != 3 {
+		t.Fatalf("repair kept %d records, want 3", n)
+	}
+	if n := e.Repair(run[:2]); n != 2 {
+		t.Fatalf("repair kept %d records, want 2", n)
+	}
+	waitFrontier(t, e, 4)
+	if n := e.Repair(run); n != 0 {
+		t.Fatalf("repair kept %d records behind the frontier", n)
+	}
+	e.Abort() // the watcher is the OnCommit caller: join it before reading
+	sameLog(t, "repaired vs donor", e.Entries(), want)
+	if e.Repaired() != 4 || fmt.Sprint(repaired) != "[0 1 2 3]" {
+		t.Fatalf("%d repaired commits counted, observed in order %v, want 0..3", e.Repaired(), repaired)
+	}
+	e.mu.Lock()
+	next := e.nextSeq
+	e.mu.Unlock()
+	if next != 4 {
+		t.Fatalf("next sequence %d after repairing 4 entries, want 4", next)
 	}
 }

@@ -1,649 +1,144 @@
 package server
 
 import (
-	"context"
-	"fmt"
-	"math"
 	"sync"
 	"time"
 
-	"github.com/fastba/fastba/internal/bitstring"
-	"github.com/fastba/fastba/internal/core"
 	"github.com/fastba/fastba/internal/netrun"
 	"github.com/fastba/fastba/internal/pipeline"
 	"github.com/fastba/fastba/internal/simnet"
 	"github.com/fastba/fastba/internal/store"
 )
 
-// ErrNotLeader reports an append on a follower replica.
-var ErrNotLeader = fmt.Errorf("server: not the leader")
-
-// ErrReplicaClosed reports an operation on a cleanly closed replica.
-var ErrReplicaClosed = fmt.Errorf("server: replica closed")
-
-// ReplicaConfig parameterizes one daemon's slice of the distributed
-// decision log.
-type ReplicaConfig struct {
-	// Nodes is the global population n = Daemons·PerDaemon; Daemon this
-	// process's index; PerDaemon the nodes hosted per daemon.
-	Nodes     int
-	Daemons   int
-	Daemon    int
-	PerDaemon int
-	// Leader marks the sequencing daemon (daemon 0 by convention): it
-	// assigns instance sequence numbers and broadcasts LogOpen.
-	Leader bool
-	// Params is the protocol geometry (zero value: core.DefaultParams).
-	Params core.Params
-	// Seed keys the shared derivations; it must be identical on every
-	// daemon of a cluster.
-	Seed uint64
-	// CorruptFrac and KnowFrac mirror pipeline.Config.
-	CorruptFrac float64
-	KnowFrac    float64
-	// Depth bounds the leader's concurrently open instances.
-	Depth int
-	// CommitFraction is the fraction of this daemon's correct nodes that
-	// must decide before the daemon commits locally. The default (zero) is
-	// one decider: a single certified decision already carries the poll
-	// quorum certificate, and the randomized protocol only guarantees
-	// almost-everywhere decisions — at small n a daemon that waits for all
-	// of its local nodes stalls on every per-node wedge. Catch-up repair
-	// covers a daemon whose local nodes all wedged.
-	CommitFraction float64
-	// InstanceTimeout fails the leader when its head instance does not
-	// commit in time (default 30s). Followers never fail on a stall — they
-	// repair from peers instead.
-	InstanceTimeout time.Duration
-	// ReproposeAfter is how long the leader lets its head instance sit
-	// undecided before re-broadcasting the open with a bumped attempt
-	// (default 2s). A reopen rebuilds undecided protocol nodes under fresh
-	// poll labels — the retry that turns the protocol's almost-everywhere
-	// guarantee into daemon-level liveness — and re-delivers the open to
-	// daemons that missed the original broadcast (a restart, a dropped
-	// dead-link frame).
-	ReproposeAfter time.Duration
-	// Store is this daemon's durable WAL (required).
-	Store *store.Store
-	// Net must carry the partial-hosting topology (Hosted/Addrs) of this
-	// daemon's node slice.
-	Net netrun.Options
-	// CatchupAddr is this daemon's fixed catch-up listen address;
-	// PeerCatchup the peers' catch-up addresses (self excluded).
-	CatchupAddr string
-	PeerCatchup []string
-	// RepairEvery is the stall-scan period (default 250ms); StallAfter the
-	// no-progress window after which a repair fetch fires (default 1s).
-	RepairEvery time.Duration
-	StallAfter  time.Duration
-	// OnCommit observes every committed entry in sequence order from the
-	// replica's commit goroutine; repaired reports a commit taken from a
-	// peer's log (catch-up) rather than local decisions.
-	OnCommit func(e pipeline.Entry, repaired bool)
-}
-
-// rinst is one open (not yet committed) agreement instance on this
-// daemon.
-type rinst struct {
-	seq      uint64
-	proposed bitstring.String
-	payloads [][]byte
-	opened   time.Time
-	lastOpen time.Time // last (re)open — paces the repropose backoff
-	attempt  uint32    // current run of the randomized protocol
-
-	decided      map[int]bool // node id → decided (dedups across reopens)
-	values       map[bitstring.MapKey]int
-	value        bitstring.String
-	valueCount   int
-	certDeficits int
-
-	slot      bool          // holds one of the leader's Depth tokens
-	committed chan struct{} // closed when the instance commits or the replica fails
-}
-
-// Replica runs one daemon's slice of the decision log: k local protocol
-// nodes on a partially hosted TCP mesh, a local in-order commit frontier
-// with persist-before-surface, and a catch-up repair loop that closes
-// gaps (a restart, a missed broadcast) from peer daemons' committed logs.
+// Replica is the daemon's host adapter around the decision log's one
+// commit engine (pipeline.Engine, embedded): sequencing, decisions,
+// in-order commit, persist-before-surface and reproposal are the engine's.
+// The replica adds what only a multi-process host has: this daemon's slice
+// of the population on a partially hosted TCP mesh, LogOpen interception
+// and broadcast, the stall scan that fetches committed records from peer
+// daemons for the engine's Repair, and the fixed catch-up listener
+// (DESIGN.md §7 has the table of what each host passes the engine).
 type Replica struct {
-	cfg      ReplicaConfig
-	params   core.Params
-	corrupt  []bool
-	localIDs []int
-	need     int // local deciders required to commit
-	repFrom  int // the local node id LogOpen broadcasts are sent from
-
-	mux     []*pipeline.MuxNode
-	cluster *netrun.Cluster
-
+	*pipeline.Engine
+	cfg         Config
+	cluster     *netrun.Cluster
 	catchupAddr string
-	recovered   int
+	peers       []string // the peer daemons' catch-up addresses
 
-	slots   chan struct{}
-	wake    chan struct{}
-	done    chan struct{}
-	failCh  chan struct{}
-	workers sync.WaitGroup
-
-	mu          sync.Mutex
-	nextSeq     uint64
-	commitSeq   uint64
-	open        map[uint64]*rinst
-	repaired    map[uint64]store.Record
-	nRepaired   int
-	nReproposed int
-	entries     []pipeline.Entry
-	failed      error
-	closed      bool
-
+	done     chan struct{}
+	scan     sync.WaitGroup
 	teardown sync.Once
 }
 
-// NewReplica validates the configuration, seeds the committed prefix from
-// the store and assembles the partially hosted cluster. The replica is
-// inert until Start.
-func NewReplica(cfg ReplicaConfig) (*Replica, error) {
-	if cfg.Daemons < 1 || cfg.PerDaemon < 1 || cfg.Nodes != cfg.Daemons*cfg.PerDaemon {
-		return nil, fmt.Errorf("server: need n = daemons·k, got n=%d daemons=%d k=%d", cfg.Nodes, cfg.Daemons, cfg.PerDaemon)
-	}
-	if cfg.Daemon < 0 || cfg.Daemon >= cfg.Daemons {
-		return nil, fmt.Errorf("server: daemon index %d outside [0, %d)", cfg.Daemon, cfg.Daemons)
-	}
-	if cfg.Nodes < 8 {
-		return nil, fmt.Errorf("server: n = %d too small (pipeline needs ≥ 8)", cfg.Nodes)
-	}
-	if cfg.Params.N == 0 {
-		cfg.Params = core.DefaultParams(cfg.Nodes)
-	}
-	if cfg.Params.N != cfg.Nodes {
-		return nil, fmt.Errorf("server: params are for n = %d, cluster has n = %d", cfg.Params.N, cfg.Nodes)
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("server: replica requires a store")
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 4
-	}
-	if cfg.CommitFraction < 0 || cfg.CommitFraction > 1 {
-		return nil, fmt.Errorf("server: commit fraction %v outside [0, 1]", cfg.CommitFraction)
-	}
-	if cfg.InstanceTimeout <= 0 {
-		cfg.InstanceTimeout = 30 * time.Second
-	}
-	if cfg.ReproposeAfter <= 0 {
-		cfg.ReproposeAfter = 2 * time.Second
-	}
-	if cfg.RepairEvery <= 0 {
-		cfg.RepairEvery = 250 * time.Millisecond
-	}
-	if cfg.StallAfter <= 0 {
-		cfg.StallAfter = time.Second
-	}
-	if !(cfg.CorruptFrac >= 0 && cfg.CorruptFrac < 1.0/3) {
-		return nil, fmt.Errorf("server: corrupt fraction %v outside [0, 1/3)", cfg.CorruptFrac)
-	}
-	if !(cfg.KnowFrac >= 0 && cfg.KnowFrac <= 1) {
-		return nil, fmt.Errorf("server: know fraction %v outside [0, 1]", cfg.KnowFrac)
-	}
-
-	r := &Replica{
-		cfg:      cfg,
-		params:   cfg.Params,
-		corrupt:  pipeline.CorruptSet(cfg.Seed, cfg.Nodes, cfg.CorruptFrac),
-		slots:    make(chan struct{}, cfg.Depth),
-		wake:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		failCh:   make(chan struct{}),
-		open:     make(map[uint64]*rinst),
-		repaired: make(map[uint64]store.Record),
-	}
-	base := cfg.Daemon * cfg.PerDaemon
-	correctLocal := 0
+// newReplica builds the engine over this daemon's node slice and the
+// partially hosted cluster around it, and binds the catch-up listener.
+// The replica is inert until Start.
+func newReplica(cfg Config, lay clusterLayout, st *store.Store, onCommit func(pipeline.Entry, bool)) (*Replica, error) {
+	r := &Replica{cfg: cfg, peers: lay.peerCatchup(cfg.Daemon), done: make(chan struct{})}
+	hosted := make([]bool, len(lay.nodeAddrs))
 	for i := 0; i < cfg.PerDaemon; i++ {
-		r.localIDs = append(r.localIDs, base+i)
-		if !r.corrupt[base+i] {
-			correctLocal++
-		}
+		hosted[cfg.Daemon*cfg.PerDaemon+i] = true
 	}
-	if correctLocal == 0 {
-		return nil, fmt.Errorf("server: daemon %d hosts no correct node (corrupt fraction %v)", cfg.Daemon, cfg.CorruptFrac)
+	mesh := netrun.Options{
+		Hosted:    hosted,
+		Addrs:     lay.nodeAddrs,
+		Reconnect: cfg.Reconnect,
+		Heartbeat: cfg.Heartbeat,
 	}
-	r.need = 1
-	if cfg.CommitFraction > 0 {
-		r.need = int(math.Ceil(cfg.CommitFraction * float64(correctLocal)))
-		if r.need < 1 {
-			r.need = 1
-		}
-	}
-	r.repFrom = base
-
-	// Resume where the recovered WAL prefix ends.
-	for _, rec := range cfg.Store.Records() {
-		r.entries = append(r.entries, pipeline.EntryOf(rec))
-	}
-	r.commitSeq = cfg.Store.Frontier()
-	r.nextSeq = r.commitSeq
-	r.recovered = len(r.entries)
-
-	// k real protocol nodes behind shims (LogOpen interception), remote
-	// placeholders elsewhere: the fabric routes every protocol send
-	// through the TCP transport, so placeholders are never activated.
-	smp := core.NewSamplers(cfg.Params)
-	nodes := make([]simnet.Node, cfg.Nodes)
-	for id := range nodes {
-		nodes[id] = remoteNode{}
-	}
-	r.mux = make([]*pipeline.MuxNode, 0, cfg.PerDaemon)
-	for _, id := range r.localIDs {
-		m := pipeline.NewMuxNode(id, r.corrupt[id], cfg.Params, smp, cfg.Seed, r.onDecision)
-		r.mux = append(r.mux, m)
-		nodes[id] = &shimNode{r: r, mux: m}
-	}
-	cluster, err := netrun.NewWithOptions(nodes, cfg.Net)
+	eng, err := pipeline.New(pipeline.Config{
+		N:     len(lay.nodeAddrs),
+		Seed:  cfg.Seed,
+		Depth: cfg.Depth,
+		// Every node is correct and learns the proposed batch digest: the
+		// daemon's adversary is the network and the processes that die.
+		KnowFrac: 1,
+		// One certified local decision commits: it carries the poll quorum
+		// certificate, and the randomized protocol only promises
+		// almost-everywhere decisions — at small n a daemon waiting for all
+		// of its nodes would stall on every per-node wedge. Repair covers a
+		// daemon whose nodes all wedged.
+		Need:            1,
+		InstanceTimeout: cfg.InstanceTimeout,
+		ReproposeAfter:  cfg.ReproposeAfter,
+		Net:             mesh,
+		Broadcast:       r.broadcastOpen,
+		OnCommit:        onCommit,
+		Store:           st,
+	})
 	if err != nil {
 		return nil, err
 	}
-	addr, err := cluster.ServeCatchupOn(cfg.CatchupAddr, r.CatchupRecords)
-	if err != nil {
-		cluster.Close()
+	r.Engine = eng
+
+	// Hosted protocol nodes sit behind shims (LogOpen interception); the
+	// fabric routes every send to a remote id through the TCP transport.
+	nodes := append([]simnet.Node(nil), eng.Nodes()...)
+	for id, node := range nodes {
+		if mux, ok := node.(*pipeline.MuxNode); ok {
+			nodes[id] = &shimNode{MuxNode: mux, eng: eng}
+		}
+	}
+	if r.cluster, err = netrun.NewWithOptions(nodes, mesh); err != nil {
 		return nil, err
 	}
-	r.catchupAddr = addr
-	r.cluster = cluster
+	if r.catchupAddr, err = r.cluster.ServeCatchupOn(lay.catchupAddrs[cfg.Daemon], eng.CatchupRecords); err != nil {
+		r.cluster.Close()
+		return nil, err
+	}
 	return r, nil
 }
 
-// remoteNode is the placeholder for a node hosted by a peer daemon; the
-// transport carries every envelope addressed to it, so it is never
-// activated locally.
-type remoteNode struct{}
-
-func (remoteNode) Init(simnet.Context)                          {}
-func (remoteNode) Deliver(simnet.Context, int, simnet.Message)  {}
-
-// shimNode wraps a hosted MuxNode, intercepting the daemon-level LogOpen
-// broadcast before protocol delivery.
+// shimNode is a hosted MuxNode that takes the daemon-level LogOpen
+// broadcast out of the message stream and hands it to the engine.
 type shimNode struct {
-	r   *Replica
-	mux *pipeline.MuxNode
+	*pipeline.MuxNode
+	eng *pipeline.Engine
 }
-
-func (s *shimNode) Init(ctx simnet.Context) { s.mux.Init(ctx) }
 
 func (s *shimNode) Deliver(ctx simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	if lo, ok := msg.(simnet.LogOpen); ok {
-		s.r.handleOpen(lo)
+		s.eng.Open(lo.Seq, lo.Attempt, lo.Payloads)
 		return
 	}
-	s.mux.Deliver(ctx, from, msg)
+	s.MuxNode.Deliver(ctx, from, msg)
 }
 
-func (s *shimNode) DeliverTagged(ctx simnet.Context, from simnet.NodeID, msg simnet.Message, inst uint32) {
-	s.mux.DeliverTagged(ctx, from, msg, inst)
-}
-
-// Start launches the cluster and the replica's commit and repair
-// goroutines.
+// Start launches the engine, the mesh and the stall scan.
 func (r *Replica) Start() {
+	r.Engine.Start(r.cluster.Inject)
 	r.cluster.Start()
-	r.workers.Add(2)
-	go r.watch()
+	r.scan.Add(1)
 	go r.repairLoop()
 }
 
 // CatchupAddr returns the catch-up listener's bound address.
 func (r *Replica) CatchupAddr() string { return r.catchupAddr }
 
-// Frontier returns the committed frontier.
-func (r *Replica) Frontier() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.commitSeq
-}
-
-// Recovered returns the number of entries seeded from the WAL at
-// construction; Repaired the number committed through peer catch-up.
-func (r *Replica) Recovered() int { return r.recovered }
-
-func (r *Replica) Repaired() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nRepaired
-}
-
-// Reproposed returns how many times the leader re-opened a stalled head
-// instance with a bumped attempt.
-func (r *Replica) Reproposed() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nReproposed
-}
-
 // NetStats snapshots the mesh's supervision counters (safe mid-run).
 func (r *Replica) NetStats() simnet.NetStats { return r.cluster.NetStats() }
 
-// Err returns the replica's fatal error, if any.
-func (r *Replica) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failed
-}
-
-// Failed returns a channel closed on the replica's first fatal error.
-func (r *Replica) Failed() <-chan struct{} { return r.failCh }
-
-// CatchupRecords serves one catch-up chunk — committed entries
-// [from, from+max) as encoded store records — to restarted peers and to
-// the harness's log-agreement oracle.
-func (r *Replica) CatchupRecords(from uint64, max int) [][]byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if from >= r.commitSeq || max <= 0 {
-		return nil
-	}
-	end := from + uint64(max)
-	if end > r.commitSeq {
-		end = r.commitSeq
-	}
-	out := make([][]byte, 0, end-from)
-	for seq := from; seq < end; seq++ {
-		out = append(out, store.AppendRecord(nil, pipeline.RecordOf(r.entries[seq])))
-	}
-	return out
-}
-
-// Append opens the next instance with the given batch (leader only),
-// blocking while the pipeline is at Depth. The commit is observed through
-// OnCommit.
-func (r *Replica) Append(ctx context.Context, payloads [][]byte) (uint64, error) {
-	if !r.cfg.Leader {
-		return 0, ErrNotLeader
-	}
-	select {
-	case r.slots <- struct{}{}:
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-r.failCh:
-		return 0, r.runError()
-	case <-r.done:
-		return 0, r.runError()
-	}
-
-	r.mu.Lock()
-	if err := r.appendBlocked(); err != nil {
-		r.mu.Unlock()
-		<-r.slots
-		return 0, err
-	}
-	seq := r.nextSeq
-	r.nextSeq++
-	if seq > pipeline.MaxSeq {
-		r.failLocked(fmt.Errorf("server: instance tag overflow at seq %d", seq))
-		r.mu.Unlock()
-		<-r.slots
-		return 0, r.runError()
-	}
-	inst := r.newInstLocked(seq, payloads)
-	inst.slot = true
-	r.open[seq] = inst
-	proposed := inst.proposed
-	r.mu.Unlock()
-
-	r.injectOpens(seq, 0, proposed)
-	r.broadcastOpen(seq, 0, payloads)
-	return seq, nil
-}
-
-// newInstLocked builds an open instance. Callers hold r.mu.
-func (r *Replica) newInstLocked(seq uint64, payloads [][]byte) *rinst {
-	now := time.Now()
-	return &rinst{
-		seq:       seq,
-		proposed:  pipeline.BatchValue(r.cfg.Seed, r.params.StringBits, seq, payloads),
-		payloads:  payloads,
-		opened:    now,
-		lastOpen:  now,
-		decided:   make(map[int]bool, 1),
-		values:    make(map[bitstring.MapKey]int, 1),
-		committed: make(chan struct{}),
-	}
-}
-
-// appendBlocked reports why new instances cannot open, if they cannot.
-func (r *Replica) appendBlocked() error {
-	if r.failed != nil {
-		return r.failed
-	}
-	if r.closed {
-		return ErrReplicaClosed
-	}
-	return nil
-}
-
-// handleOpen processes one LogOpen broadcast (follower path): register
-// the instance and inject the derived initial beliefs into the hosted
-// nodes. Duplicates and already-committed sequences are dropped; a reopen
-// (higher attempt) re-injects the opens so undecided local nodes re-run
-// the instance under fresh labels.
-func (r *Replica) handleOpen(lo simnet.LogOpen) {
-	r.mu.Lock()
-	if r.failed != nil || r.closed || lo.Seq < r.commitSeq || lo.Seq > pipeline.MaxSeq {
-		r.mu.Unlock()
-		return
-	}
-	inst := r.open[lo.Seq]
-	if inst != nil && lo.Attempt <= inst.attempt {
-		r.mu.Unlock()
-		return
-	}
-	if inst == nil {
-		inst = r.newInstLocked(lo.Seq, lo.Payloads)
-		r.open[lo.Seq] = inst
-		if lo.Seq >= r.nextSeq {
-			r.nextSeq = lo.Seq + 1
-		}
-	}
-	inst.attempt = lo.Attempt
-	inst.lastOpen = time.Now()
-	proposed := inst.proposed
-	r.mu.Unlock()
-
-	r.injectOpens(lo.Seq, lo.Attempt, proposed)
-	r.kick()
-}
-
-// injectOpens derives the full population's initial beliefs (the shared
-// seeded derivation — every daemon must consume the same draws) and
-// injects the hosted slice's MsgOpens.
-func (r *Replica) injectOpens(seq uint64, attempt uint32, value bitstring.String) {
-	msgs := pipeline.OpenMsgs(r.cfg.Seed, r.params.StringBits, r.cfg.KnowFrac, r.corrupt, seq, attempt, value)
-	for _, id := range r.localIDs {
-		if msgs[id] == nil {
-			continue // corrupt nodes ignore opens
-		}
-		r.cluster.Inject(simnet.Envelope{From: id, To: id, Msg: msgs[id]})
-	}
-}
-
-// broadcastOpen ships the batch to one representative node per peer
-// daemon. A dark peer's frames die in its supervised link (dropped-down),
-// and the peer later closes the gap through catch-up repair or a
-// reproposal. Reproposals rotate the representative so a single bad link
-// cannot eat every attempt.
+// broadcastOpen is the engine's Broadcast hook: it ships the batch to one
+// representative node per peer daemon. A dark peer's frames die in its
+// supervised link (dropped-down), and the peer later closes the gap
+// through the stall scan or a reproposal. Reproposals rotate the
+// representative so a single bad link cannot eat every attempt.
 func (r *Replica) broadcastOpen(seq uint64, attempt uint32, payloads [][]byte) {
+	k := r.cfg.PerDaemon
 	lo := simnet.LogOpen{Seq: seq, Attempt: attempt, Payloads: payloads}
-	for d := 0; d < r.cfg.Daemons; d++ {
-		if d == r.cfg.Daemon {
-			continue
-		}
-		to := d*r.cfg.PerDaemon + int(attempt)%r.cfg.PerDaemon
-		r.cluster.Send(simnet.Envelope{From: r.repFrom, To: to, Msg: lo})
-	}
-}
-
-// onDecision is the MuxNode callback for hosted nodes. A node decides an
-// instance at most once across reopens: a rebuilt child that re-decides
-// (the reopen raced its first decision) is deduplicated here.
-func (r *Replica) onDecision(node int, seq uint64, value bitstring.String, support, need int) {
-	r.mu.Lock()
-	inst := r.open[seq]
-	if inst != nil && !inst.decided[node] {
-		inst.decided[node] = true
-		k := value.MapKey()
-		inst.values[k]++
-		if inst.values[k] > inst.valueCount {
-			inst.valueCount = inst.values[k]
-			inst.value = value
-		}
-		if support < need {
-			inst.certDeficits++
+	for d := range r.cfg.ClusterAddrs {
+		if d != r.cfg.Daemon {
+			r.cluster.Send(simnet.Envelope{From: r.cfg.Daemon * k, To: d*k + int(attempt)%k, Msg: lo})
 		}
 	}
-	r.mu.Unlock()
-	if inst != nil {
-		r.kick()
-	}
-}
-
-// kick wakes the commit watcher without blocking.
-func (r *Replica) kick() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
-}
-
-// watch is the commit goroutine.
-func (r *Replica) watch() {
-	defer r.workers.Done()
-	ticker := time.NewTicker(10 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-r.wake:
-		case <-ticker.C:
-		}
-		r.advance()
-	}
-}
-
-// advance commits the head instance — through local decisions when the
-// threshold is met, through a repaired peer record when catch-up filled
-// the gap first — in sequence order, with persist-before-surface.
-func (r *Replica) advance() {
-	for {
-		r.mu.Lock()
-		if r.failed != nil {
-			r.mu.Unlock()
-			return
-		}
-		head := r.commitSeq
-		inst := r.open[head]
-		var entry pipeline.Entry
-		var rec store.Record
-		viaRepair := false
-		switch {
-		case inst != nil && len(inst.decided) >= r.need:
-			entry = pipeline.Entry{
-				Seq:             inst.seq,
-				Value:           inst.value,
-				Payloads:        inst.payloads,
-				Deciders:        len(inst.decided),
-				Correct:         len(r.localIDs),
-				DistinctValues:  len(inst.values),
-				CertDeficits:    inst.certDeficits,
-				MatchesProposal: inst.value.Equal(inst.proposed),
-				Opened:          inst.opened,
-				Committed:       time.Now(),
-			}
-			rec = pipeline.RecordOf(entry)
-		case hasRepair(r.repaired, head):
-			rec = r.repaired[head]
-			entry = pipeline.EntryOf(rec)
-			viaRepair = true
-		default:
-			// The head is stalled. The leader retries the randomized protocol
-			// run before the hard timeout: a reopen with a bumped attempt
-			// re-rolls undecided nodes' poll labels and re-delivers the open
-			// to daemons that missed the original broadcast.
-			if inst != nil && r.cfg.Leader {
-				if time.Since(inst.opened) > r.cfg.InstanceTimeout {
-					r.failLocked(fmt.Errorf("server: instance %d: %d of %d required deciders after %v",
-						inst.seq, len(inst.decided), r.need, r.cfg.InstanceTimeout))
-				} else if time.Since(inst.lastOpen) > r.cfg.ReproposeAfter && inst.attempt < pipeline.MaxAttempt {
-					inst.attempt++
-					inst.lastOpen = time.Now()
-					r.nReproposed++
-					attempt, payloads, proposed := inst.attempt, inst.payloads, inst.proposed
-					r.mu.Unlock()
-					r.injectOpens(head, attempt, proposed)
-					r.broadcastOpen(head, attempt, payloads)
-					return
-				}
-			}
-			r.mu.Unlock()
-			return
-		}
-		r.mu.Unlock()
-
-		// Persist before surfacing: the entry is durable before OnCommit —
-		// and before the daemon acks the client — can observe it.
-		if err := r.cfg.Store.Append(rec); err != nil {
-			r.mu.Lock()
-			r.failLocked(fmt.Errorf("server: persist seq %d: %w", entry.Seq, err))
-			r.mu.Unlock()
-			return
-		}
-
-		r.mu.Lock()
-		if r.failed != nil {
-			r.mu.Unlock()
-			return
-		}
-		delete(r.repaired, head)
-		delete(r.open, head)
-		r.commitSeq++
-		r.entries = append(r.entries, entry)
-		if viaRepair {
-			r.nRepaired++
-		}
-		r.mu.Unlock()
-
-		if inst != nil {
-			close(inst.committed)
-			if inst.slot {
-				<-r.slots
-			}
-		}
-		var closeMsg simnet.Message = pipeline.MsgClose{Seq: entry.Seq}
-		for _, id := range r.localIDs {
-			if !r.corrupt[id] {
-				r.cluster.Inject(simnet.Envelope{From: id, To: id, Msg: closeMsg})
-			}
-		}
-		if r.cfg.OnCommit != nil {
-			r.cfg.OnCommit(entry, viaRepair)
-		}
-	}
-}
-
-func hasRepair(m map[uint64]store.Record, seq uint64) bool {
-	_, ok := m[seq]
-	return ok
 }
 
 // repairLoop watches the commit frontier: when it stalls past StallAfter
-// — a restart gap, a missed broadcast, a straggling local node — it
-// fetches committed records from peer daemons and hands them to advance.
+// — a restart gap, a missed broadcast, hosted nodes that all wedged — it
+// fetches committed records from peer daemons and hands the contiguous
+// run to the engine.
 func (r *Replica) repairLoop() {
-	defer r.workers.Done()
-	if len(r.cfg.PeerCatchup) == 0 {
+	defer r.scan.Done()
+	if len(r.peers) == 0 {
 		return
 	}
 	ticker := time.NewTicker(r.cfg.RepairEvery)
@@ -665,120 +160,42 @@ func (r *Replica) repairLoop() {
 		if time.Since(lastMove) < r.cfg.StallAfter {
 			continue
 		}
-		r.mu.Lock()
-		idle := len(r.open) == 0 && r.closed
-		r.mu.Unlock()
-		if idle {
-			continue // a drained, closing replica is not stalled
-		}
-		for i := 0; i < len(r.cfg.PeerCatchup); i++ {
-			peer := r.cfg.PeerCatchup[(next+i)%len(r.cfg.PeerCatchup)]
-			recs, err := netrun.FetchCatchup(peer, fr, r.cfg.Net.DialTimeout)
-			if err != nil || len(recs) == 0 {
+		for i := range r.peers {
+			enc, err := netrun.FetchCatchup(r.peers[(next+i)%len(r.peers)], fr, 0)
+			if err != nil {
 				continue
 			}
-			if n := r.ingestRepaired(fr, recs); n > 0 {
-				next = (next + i + 1) % len(r.cfg.PeerCatchup)
+			// A gap or a corrupt record ends the run; the good prefix stays.
+			run, _ := store.DecodeRun(fr, enc)
+			if r.Repair(run) > 0 {
+				next = (next + i + 1) % len(r.peers)
 				lastMove = time.Now()
-				r.kick()
 				break
 			}
 		}
 	}
 }
 
-// ingestRepaired decodes fetched records and registers the contiguous run
-// starting at from for the commit path. It returns how many were
-// registered.
-func (r *Replica) ingestRepaired(from uint64, recs [][]byte) int {
-	n := 0
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	want := from
-	for _, enc := range recs {
-		rec, err := store.DecodeRecord(enc)
-		if err != nil || rec.Seq != want {
-			break // non-contiguous or corrupt: keep the good prefix
-		}
-		if rec.Seq >= r.commitSeq {
-			r.repaired[rec.Seq] = rec
-			n++
-		}
-		want++
-	}
-	return n
-}
-
-// failLocked records the first fatal error and releases every waiter.
-// Callers hold r.mu.
-func (r *Replica) failLocked(err error) {
-	if r.failed != nil {
-		return
-	}
-	r.failed = err
-	close(r.failCh)
-	for _, inst := range r.open {
-		close(inst.committed)
-		if inst.slot {
-			inst.slot = false
-			// Drain the token asynchronously-safe: the channel has capacity
-			// Depth and every token was put by Append, so this never blocks.
-			<-r.slots
-		}
-	}
-	r.open = make(map[uint64]*rinst)
-}
-
-// runError returns the recorded fatal error, or the generic closed error.
-func (r *Replica) runError() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.failed != nil {
-		return r.failed
-	}
-	return ErrReplicaClosed
-}
-
-// Close drains the replica — no new appends, every open instance gets
-// until the instance timeout to commit (locally or through repair) — then
-// tears the mesh down. The store stays open: the daemon closes it after
-// the last ack has been flushed (the shutdown-ordering contract).
+// Close drains the engine (the instances this daemon sequenced), stops the
+// stall scan and tears the mesh down. The store stays open: the daemon
+// closes it after the last ack has been flushed (the shutdown-ordering
+// contract).
 func (r *Replica) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	waiting := make([]chan struct{}, 0, len(r.open))
-	for _, inst := range r.open {
-		waiting = append(waiting, inst.committed)
-	}
-	r.mu.Unlock()
-	deadline := time.NewTimer(r.cfg.InstanceTimeout + time.Second)
-	defer deadline.Stop()
-	for _, committed := range waiting {
-		select {
-		case <-committed:
-		case <-deadline.C:
-			r.mu.Lock()
-			r.failLocked(fmt.Errorf("server: close: open instances did not drain in %v", r.cfg.InstanceTimeout))
-			r.mu.Unlock()
-		}
-	}
+	err := r.Engine.Close()
 	r.stop()
-	return r.Err()
+	return err
 }
 
-// Abort tears the mesh down immediately, abandoning open instances.
+// Abort tears everything down immediately, abandoning open instances.
 func (r *Replica) Abort() {
-	r.mu.Lock()
-	r.failLocked(context.Canceled)
-	r.mu.Unlock()
+	r.Engine.Abort()
 	r.stop()
 }
 
-// stop shuts the workers and the transport down, once.
 func (r *Replica) stop() {
 	r.teardown.Do(func() {
 		close(r.done)
-		r.workers.Wait()
+		r.scan.Wait()
 		r.cluster.Close()
 	})
 }

@@ -42,16 +42,10 @@ type Config struct {
 	Depth    int
 	BatchMax int
 	QueueMax int
-	// CorruptFrac and KnowFrac mirror pipeline.Config. KnowFrac defaults
-	// to 1 (every correct node learns the proposed batch digest).
-	CorruptFrac float64
-	KnowFrac    float64
-	// CommitFraction is the local-decider commit threshold (default: one
-	// certified local decision; see ReplicaConfig.CommitFraction).
-	CommitFraction float64
 	// InstanceTimeout fails the leader on a stuck head instance
 	// (default 30s); ReproposeAfter re-runs a stalled head instance with a
-	// bumped attempt well before that (default 2s).
+	// bumped attempt well before that (default 2s). Followers never fail on
+	// a stall — they repair from peers instead.
 	InstanceTimeout time.Duration
 	ReproposeAfter  time.Duration
 	// SyncWindow is the WAL group-commit window (default 2ms).
@@ -98,14 +92,17 @@ func (cfg *Config) withDefaults() error {
 	if cfg.QueueMax <= 0 {
 		cfg.QueueMax = 64
 	}
-	if cfg.KnowFrac == 0 {
-		cfg.KnowFrac = 1
-	}
 	if cfg.SyncWindow <= 0 {
 		cfg.SyncWindow = 2 * time.Millisecond
 	}
 	if cfg.JoinEvery <= 0 {
 		cfg.JoinEvery = time.Second
+	}
+	if cfg.RepairEvery <= 0 {
+		cfg.RepairEvery = 250 * time.Millisecond
+	}
+	if cfg.StallAfter <= 0 {
+		cfg.StallAfter = time.Second
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
@@ -146,8 +143,19 @@ func layoutCluster(bases []string, k int) (clusterLayout, error) {
 	return lay, nil
 }
 
-// Daemon is one running balogd process: a replica (k protocol nodes +
-// WAL + repair), the client/admin listener with admission control, the
+// peerCatchup lists every daemon's catch-up address but self's.
+func (lay clusterLayout) peerCatchup(self int) []string {
+	var peers []string
+	for d, addr := range lay.catchupAddrs {
+		if d != self {
+			peers = append(peers, addr)
+		}
+	}
+	return peers
+}
+
+// Daemon is one running balogd process: a replica (the commit engine over
+// k protocol nodes + WAL + repair), the client/admin listener with admission control, the
 // membership join loop, the metrics endpoint and the status ticker.
 type Daemon struct {
 	cfg  Config
@@ -159,10 +167,10 @@ type Daemon struct {
 	adm *admission
 	mem *membership
 
-	leader     bool
-	clientLn   net.Listener
-	httpLn     net.Listener
-	httpSrv    *http.Server
+	leader   bool
+	clientLn net.Listener
+	httpLn   net.Listener
+	httpSrv  *http.Server
 
 	reg        *metrics.Registry
 	ctrAppends *metrics.Counter
@@ -215,42 +223,11 @@ func New(cfg Config) (*Daemon, error) {
 
 	// Startup catch-up: close as much of the committed gap as any live
 	// peer can serve before joining the mesh. Best-effort — at cluster
-	// boot no peer is up yet, and the replica's repair loop covers
+	// boot no peer is up yet, and the replica's stall scan covers
 	// whatever is still missing once traffic flows.
-	peers := d.peerCatchupAddrs()
-	d.catchUpFromPeers(peers)
+	d.catchUpFromPeers(lay.peerCatchup(cfg.Daemon))
 
-	hosted := make([]bool, len(lay.nodeAddrs))
-	base := cfg.Daemon * cfg.PerDaemon
-	for i := 0; i < cfg.PerDaemon; i++ {
-		hosted[base+i] = true
-	}
-	rep, err := NewReplica(ReplicaConfig{
-		Nodes:           len(cfg.ClusterAddrs) * cfg.PerDaemon,
-		Daemons:         len(cfg.ClusterAddrs),
-		Daemon:          cfg.Daemon,
-		PerDaemon:       cfg.PerDaemon,
-		Leader:          d.leader,
-		Seed:            cfg.Seed,
-		CorruptFrac:     cfg.CorruptFrac,
-		KnowFrac:        cfg.KnowFrac,
-		Depth:           cfg.Depth,
-		CommitFraction:  cfg.CommitFraction,
-		InstanceTimeout: cfg.InstanceTimeout,
-		ReproposeAfter:  cfg.ReproposeAfter,
-		Store:           st,
-		Net: netrun.Options{
-			Hosted:    hosted,
-			Addrs:     lay.nodeAddrs,
-			Reconnect: cfg.Reconnect,
-			Heartbeat: cfg.Heartbeat,
-		},
-		CatchupAddr: lay.catchupAddrs[cfg.Daemon],
-		PeerCatchup: peers,
-		RepairEvery: cfg.RepairEvery,
-		StallAfter:  cfg.StallAfter,
-		OnCommit:    d.onCommit,
-	})
+	rep, err := newReplica(cfg, lay, st, d.onCommit)
 	if err != nil {
 		st.Close()
 		return nil, err
@@ -287,34 +264,16 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-func (d *Daemon) peerCatchupAddrs() []string {
-	var peers []string
-	for i, addr := range d.lay.catchupAddrs {
-		if i != d.cfg.Daemon {
-			peers = append(peers, addr)
-		}
-	}
-	return peers
-}
-
 // catchUpFromPeers ingests committed records past our frontier from the
 // first peer that serves them.
 func (d *Daemon) catchUpFromPeers(peers []string) {
 	for _, peer := range peers {
 		enc, err := netrun.FetchCatchup(peer, d.st.Frontier(), time.Second)
-		if err != nil || len(enc) == 0 {
+		if err != nil {
 			continue
 		}
-		recs := make([]store.Record, 0, len(enc))
-		next := d.st.Frontier()
-		for _, e := range enc {
-			rec, err := store.DecodeRecord(e)
-			if err != nil || rec.Seq != next {
-				break
-			}
-			recs = append(recs, rec)
-			next++
-		}
+		// A gap or a corrupt record ends the run; the good prefix stays.
+		recs, _ := store.DecodeRun(d.st.Frontier(), enc)
 		if len(recs) == 0 {
 			continue
 		}
@@ -437,7 +396,7 @@ func (d *Daemon) batchLoop() {
 		seq, err := d.rep.Append(context.Background(), payloads)
 		if err != nil {
 			code := CodeFailed
-			if errors.Is(err, ErrReplicaClosed) || errors.Is(err, context.Canceled) {
+			if errors.Is(err, pipeline.ErrClosed) || errors.Is(err, context.Canceled) {
 				code = CodeShutdown
 			}
 			for _, p := range batch {

@@ -436,3 +436,43 @@ func TestShutdownNoLostAcks(t *testing.T) {
 		t.Error("shut-down daemon still accepting connections")
 	}
 }
+
+// TestLeaderFirstShutdownDoesNotBlockFollowers: in a sequential shutdown
+// the leader exits first, and a follower may still hold opens that only
+// the leader could have carried to a commit. The follower abandons them to
+// its WAL and to repair after the next start: every Shutdown returns nil,
+// promptly, instead of waiting out the instance timeout on them.
+func TestLeaderFirstShutdownDoesNotBlockFollowers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-daemon TCP cluster")
+	}
+	ds, _, _ := testCluster(t, 4, 2)
+	seqs := appendAll(t, ds[0].ClientAddr(), 4, "drain")
+	var top uint64
+	for _, seq := range seqs {
+		if seq >= top {
+			top = seq + 1
+		}
+	}
+	for _, d := range ds {
+		waitFrontier(t, d, top, 30*time.Second)
+	}
+	// An open no daemon but this follower ever hears of: its two nodes
+	// cannot decide it alone, and the leader that would repropose it is
+	// about to leave.
+	for _, d := range ds[1:] {
+		d.rep.Open(top+100, 0, [][]byte{[]byte("orphan")})
+	}
+	for i, d := range ds {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		start := time.Now()
+		err := d.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Errorf("daemon %d shutdown: %v", i, err)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("daemon %d shutdown took %v", i, took)
+		}
+	}
+}

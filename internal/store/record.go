@@ -119,3 +119,25 @@ func DecodeRecord(buf []byte) (Record, error) {
 	}
 	return r, nil
 }
+
+// DecodeRun decodes one fetched catch-up chunk and returns its contiguous
+// run from sequence from: the records that decode and carry exactly the
+// sequences from, from+1, …. The error says why the run ended before the
+// chunk did — an undecodable record or a gap. A caller that needs the
+// whole chunk (a log opening on a peer's prefix) treats it as fatal; one
+// that retries later (a running daemon's repair scan) keeps the run and
+// drops the rest.
+func DecodeRun(from uint64, encoded [][]byte) ([]Record, error) {
+	run := make([]Record, 0, len(encoded))
+	for _, b := range encoded {
+		r, err := DecodeRecord(b)
+		if err != nil {
+			return run, fmt.Errorf("store: catch-up record: %w", err)
+		}
+		if want := from + uint64(len(run)); r.Seq != want {
+			return run, fmt.Errorf("store: catch-up peer sent seq %d, expected %d", r.Seq, want)
+		}
+		run = append(run, r)
+	}
+	return run, nil
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -256,6 +257,9 @@ func OpenLog(ctx context.Context, cfg Config, opts ...Option) (*DecisionLog, err
 		}
 		l.st = st
 	}
+	// The engine counts deciders: WithLogCommitFraction's share of the
+	// correct nodes, rounded up; 0 (the default) is every one of them.
+	correct := cfg.n - int(cfg.corruptFrac*float64(cfg.n))
 	eng, err := pipeline.New(pipeline.Config{
 		N:               cfg.n,
 		Params:          cfg.params,
@@ -263,11 +267,10 @@ func OpenLog(ctx context.Context, cfg Config, opts ...Option) (*DecisionLog, err
 		CorruptFrac:     cfg.corruptFrac,
 		KnowFrac:        cfg.knowFrac,
 		Depth:           cfg.logDepth,
-		CommitFraction:  cfg.logCommitFrac,
+		Need:            max(0, int(math.Ceil(cfg.logCommitFrac*float64(correct)))),
 		InstanceTimeout: cfg.logTimeout,
 		Faults:          cfg.faults,
 		Net:             cfg.net,
-		DisablePool:     cfg.logNaive,
 		OnCommit:        l.onCommit,
 		Store:           l.st,
 	})
@@ -458,18 +461,9 @@ func (l *DecisionLog) catchupRecords(from uint64, max int) ([][]byte, bool) {
 // persists them.
 func catchUp(st *store.Store, cfg Config) error {
 	ingest := func(encoded [][]byte) error {
-		recs := make([]store.Record, 0, len(encoded))
-		next := st.Frontier()
-		for _, b := range encoded {
-			r, err := store.DecodeRecord(b)
-			if err != nil {
-				return fmt.Errorf("fastba: catch-up record: %w", err)
-			}
-			if r.Seq != next {
-				return fmt.Errorf("fastba: catch-up peer sent seq %d, expected %d", r.Seq, next)
-			}
-			recs = append(recs, r)
-			next++
+		recs, err := store.DecodeRun(st.Frontier(), encoded)
+		if err != nil {
+			return err
 		}
 		return st.AppendBatch(recs)
 	}
@@ -604,7 +598,7 @@ func (l *DecisionLog) batcher() {
 
 // onCommit resolves the committed instance's tickets and streams the
 // commit through the configured Observer.
-func (l *DecisionLog) onCommit(e pipeline.Entry) {
+func (l *DecisionLog) onCommit(e pipeline.Entry, _ bool) {
 	l.resolveSeq(e.Seq, logEntry(e))
 	if l.cfg.observer != nil {
 		size := 0

@@ -7,11 +7,9 @@ import (
 	"time"
 )
 
-// benchLog runs one 100-instance decision log on the fabric runtime and
-// returns the committed count. naive disables the per-instance node pool
-// (every instance reallocates its core.Node state from scratch instead of
-// rewinding pooled nodes with Node.Reset).
-func benchLog(b *testing.B, entries, depth int, naive bool) {
+// benchLog runs one decision log of the given length on the fabric
+// runtime and checks that every entry committed.
+func benchLog(b *testing.B, entries, depth int) {
 	b.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -21,7 +19,6 @@ func benchLog(b *testing.B, entries, depth int, naive bool) {
 		WithCorruptFrac(0),
 		WithLogDepth(depth),
 	)
-	cfg.logNaive = naive
 	log, err := OpenLog(ctx, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -40,21 +37,13 @@ func benchLog(b *testing.B, entries, depth int, naive bool) {
 }
 
 // BenchmarkLogInstanceReuse measures a 100-instance log (n=32, fabric
-// runtime): the reset arm recycles per-instance protocol nodes through
-// the MuxNode pool via core.Node.Reset; the naive arm rebuilds every node
-// per instance. allocs/op is the stable metric on this hardware
-// (BENCH_5.json).
+// runtime) whose per-instance protocol nodes are recycled through the
+// MuxNode pool via core.Node.Reset. allocs/op is the stable metric on this
+// hardware (BENCH_5.json).
 func BenchmarkLogInstanceReuse(b *testing.B) {
-	for _, arm := range []struct {
-		name  string
-		naive bool
-	}{{"reset", false}, {"naive", true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchLog(b, 100, 2, arm.naive)
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchLog(b, 100, 2)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/fastba/fastba/internal/store"
 )
 
 // conformancePayloads derives a deterministic workload: entry k is a
@@ -52,10 +54,11 @@ func runConformanceLog(t *testing.T, runtime LogRuntime, entries int, opts ...Op
 }
 
 // TestDecisionLogConformance: the same seed and workload yield
-// byte-identical committed logs on the in-process fabric and over real
-// TCP sockets — sequence numbers, decided values and payload bytes all
-// equal. This is the determinism contract of the decision log: committed
-// state is a function of (seed, batches), not of transport scheduling.
+// byte-identical committed logs on the in-process fabric, over real TCP
+// sockets and on a cluster of daemons — sequence numbers, decided values
+// and payload bytes all equal. This is the determinism contract of the
+// decision log: committed state is a function of (seed, batches), not of
+// transport scheduling or of which host runs which node.
 func TestDecisionLogConformance(t *testing.T) {
 	const entries = 6
 	fabric := runConformanceLog(t, RuntimeFabric, entries)
@@ -82,6 +85,87 @@ func TestDecisionLogConformance(t *testing.T) {
 	for _, entries := range [][]LogEntry{fabric, tcp} {
 		if rep := CheckLogInvariants(entries, 1); !rep.OK() {
 			t.Errorf("oracle violations: %s", rep)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+
+	// One commit engine, three hosts: a daemon cluster, each daemon hosting
+	// a slice of the population, commits the canonical (Seq, Value,
+	// Payloads) bytes of the in-process fabric and TCP logs. The daemons
+	// form batches from client traffic; one append at a time makes them
+	// the fixed one-payload batches the logs are given.
+	const daemons, k = 4, 2
+	ds, _, dirs := startDaemons(t, daemons, k, 32)
+	seed := testDaemonConfig(nil, dirs, 0, k, 32).Seed
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	logs := make(map[string][]store.Record)
+	for _, runtime := range []LogRuntime{RuntimeFabric, RuntimeTCP} {
+		log, err := OpenLog(ctx, NewConfig(daemons*k, WithSeed(seed), WithKnowFrac(1), WithCorruptFrac(0),
+			WithLogRuntime(runtime), WithLogDepth(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < entries; i++ {
+			if _, err := log.Append(ctx, [][]byte{[]byte(fmt.Sprintf("conformance-%d", i))}); err != nil {
+				t.Fatalf("append on %v: %v", runtime, err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatalf("close on %v: %v", runtime, err)
+		}
+		// The committed prefix as a catch-up peer would be served it.
+		if logs[runtime.String()], err = store.DecodeRun(0, log.eng.CatchupRecords(0, entries)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lc, err := DialLog(ctx, ClientConfig{Addr: ds[0].ClientAddr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	for i := 0; i < entries; i++ {
+		if seq, err := lc.Append(ctx, []byte(fmt.Sprintf("conformance-%d", i))); err != nil || seq != uint64(i) {
+			t.Fatalf("daemon append %d: seq %d, %v", i, seq, err)
+		}
+	}
+	for i, d := range ds {
+		for d.Frontier() < entries {
+			if ctx.Err() != nil {
+				t.Fatalf("daemon %d frontier %d, want %d", i, d.Frontier(), entries)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if err := d.Shutdown(ctx); err != nil {
+			t.Fatalf("daemon %d shutdown: %v", i, err)
+		}
+		st, err := store.Open(dirs[i], store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := st.Records()
+		st.Close()
+		logs[fmt.Sprintf("daemon %d", i)] = recs
+		for _, r := range recs {
+			// Each daemon reports its own slice: k hosted correct nodes, and
+			// at least the one certified decider it commits on.
+			if r.Correct != k || r.Deciders < 1 || r.Deciders > k {
+				t.Errorf("daemon %d seq %d: %d deciders of %d correct, hosting %d", i, r.Seq, r.Deciders, r.Correct, k)
+			}
+		}
+	}
+	want := logs[RuntimeFabric.String()]
+	for host, recs := range logs {
+		if len(recs) != entries {
+			t.Errorf("%s committed %d entries, want %d", host, len(recs), entries)
+			continue
+		}
+		for i := range recs {
+			if string(canonicalRecordBytes(recs[i])) != string(canonicalRecordBytes(want[i])) {
+				t.Errorf("%s entry %d diverges from the fabric log", host, i)
+			}
 		}
 	}
 }
