@@ -22,9 +22,10 @@ import (
 // All per-string state is keyed by dense interned IDs rather than string
 // map keys: each node owns an intern.Table mapping every candidate string
 // it has seen to a small integer, per-string counters live in an ID-indexed
-// slice, and the composite (x, s, r, w) counters key their maps by integer
-// tuples. This keeps the delivery hot path free of per-message key
-// formatting and map-of-map churn (DESIGN.md §4).
+// slice, the composite (x, s[, r]) counters key their maps by integer tuples
+// and the (x, s, r, w) vouch counters live in the Fw1 table. This keeps the
+// delivery hot path free of per-message key formatting and map-of-map churn
+// (DESIGN.md §4).
 //
 // Every "is y ∈ I(s, x) / H(s, x) / J(x, r)?" a handler asks is answered by
 // the node's sampler memo (memo.go), never by walking the shared samplers'
@@ -59,10 +60,10 @@ type Node struct {
 	candidates bitstring.Bitset
 
 	// Algorithm 2 state: Pull requests already forwarded (once per (x, s)),
-	// Fw1 vouch counters keyed by (x, s, r, w) and the forward-once flags.
+	// and the Fw1 table: vouch counters per (x, s, r, w) and the forward-once
+	// flags per (x, s, w) (fw1table.go).
 	pullForwarded map[xsID]bool
-	fw1Vouches    map[fw1ID]*bitstring.Set
-	fw1Done       map[xswID]bool
+	fw1           fw1Table
 
 	// Algorithm 3 state: Fw2 counters keyed by (x, s, r), the Polled set,
 	// sent answers, the answer budget and the deferred answers flushed on
@@ -90,9 +91,9 @@ type Node struct {
 	// instead of a fresh slice per fan-out. The node is single-threaded and
 	// sends only enqueue, so the buffer cannot be observed mid-iteration.
 	scratchJ []int
-	// setPool recycles vouch Sets: fw1Vouches/fw2Vouches entries churn per
-	// (x, s, r[, w]) counter key and are deleted on majority, so recycling
-	// them keeps steady-state Fw1/Fw2 delivery free of slice growth.
+	// setPool recycles vouch Sets: fw2Vouches entries churn per (x, s, r)
+	// counter key and are deleted on majority, so recycling them keeps
+	// steady-state Fw2 delivery free of slice growth.
 	setPool []*bitstring.Set
 
 	// Statistics surfaced to the experiment harness.
@@ -125,17 +126,6 @@ type (
 		x int
 		s intern.ID
 		r uint64
-	}
-	xswID struct {
-		x int
-		s intern.ID
-		w int
-	}
-	fw1ID struct {
-		x int
-		s intern.ID
-		r uint64
-		w int
 	}
 )
 
@@ -185,8 +175,7 @@ func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng
 		sthis:         initial,
 		initial:       initial,
 		pullForwarded: make(map[xsID]bool),
-		fw1Vouches:    make(map[fw1ID]*bitstring.Set),
-		fw1Done:       make(map[xswID]bool),
+		fw1:           fw1Table{stride: params.QuorumSize/2 + 1},
 		fw2Vouches:    make(map[xsrID]*bitstring.Set),
 		fw2Majority:   make(map[xsrID]bool),
 		polled:        make(map[xsID]bool),
@@ -236,16 +225,12 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 
 	// Live vouch sets return to the free list before their keys clear, so a
 	// recycled node starts the next instance with its set capacity intact.
-	for _, set := range n.fw1Vouches {
-		n.putSet(set)
-	}
 	for _, set := range n.fw2Vouches {
 		n.putSet(set)
 	}
 
 	clear(n.pullForwarded)
-	clear(n.fw1Vouches)
-	clear(n.fw1Done)
+	n.fw1.reset()
 	clear(n.fw2Vouches)
 	clear(n.fw2Majority)
 	clear(n.polled)
@@ -511,23 +496,25 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 	if !n.pollList(m.X, m.R).Get(m.W) { // w ∈ J(x, r)
 		return
 	}
-	doneKey := xswID{x: m.X, s: sid, w: m.W}
-	if n.fw1Done[doneKey] {
+	t := &n.fw1
+	if t.sid != sid {
+		t.reset() // the belief changed: nothing vouched under the old one can match again
+		t.sid = sid
+	}
+	pair := uint64(m.X)<<32 | uint64(m.W)
+	slot := t.open(pair, m.R, true)
+	if t.entries[slot].done {
 		return
 	}
-	vk := fw1ID{x: m.X, s: sid, r: m.R, w: m.W}
-	set := n.fw1Vouches[vk]
-	if set == nil {
-		set = n.getSet()
-		n.fw1Vouches[vk] = set
+	e := slot
+	if t.entries[slot].label != m.R {
+		e = t.open(pair, m.R, false) // x issued a second label for w
 	}
-	if !set.Add(from) {
+	if !t.vouch(e, from) {
 		return // duplicate voucher: the count did not change
 	}
-	if 2*set.Len() > vouchers.Count() {
-		n.fw1Done[doneKey] = true // forward only once
-		delete(n.fw1Vouches, vk)
-		n.putSet(set)
+	if 2*int(t.entries[e].n) > vouchers.Count() {
+		t.entries[slot].done = true // forward only once
 		ctx.Send(m.W, MsgFw2{X: m.X, S: m.S, R: m.R})
 	}
 }

@@ -81,8 +81,8 @@ func (c *asyncCtx) Now() int { return c.now }
 func (c *asyncCtx) Send(to NodeID, m Message) {
 	e := Envelope{From: c.self, To: to, Msg: m, Depth: c.now + 1, seq: c.r.seq}
 	c.r.seq++
-	validateEnvelope(len(c.r.nodes), e)
-	c.r.metrics.recordSend(e)
+	validateSend(len(c.r.nodes), to, m)
+	c.r.metrics.recordSend(c.self, int64(m.WireSize()+envelopeOverhead), m.Kind())
 	if c.r.inj == nil {
 		c.r.sched.Push(e)
 		return
@@ -126,13 +126,14 @@ func (r *AsyncRunner) Run() *Metrics {
 		if r.inj != nil && r.inj.CrashedAt(e.To, e.Depth) {
 			continue
 		}
-		r.metrics.recordDeliver(e)
+		r.metrics.recordDeliver(e.To, int64(e.Msg.WireSize()+envelopeOverhead), e.Depth)
 		ctx.self, ctx.now = e.To, e.Depth
 		r.nodes[e.To].Deliver(ctx, e.From, e.Msg)
 		if r.observer != nil {
 			r.observer(e)
 		}
 	}
+	r.metrics.foldKinds()
 	return r.metrics
 }
 

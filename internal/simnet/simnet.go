@@ -219,30 +219,64 @@ type Metrics struct {
 	// Net carries the connection-supervision counters of a network
 	// transport run (the TCP cluster); nil for in-process runners.
 	Net *NetStats
+
+	// kinds is the run of same-kind sends not yet folded into ByKind; the
+	// runners fold it before they hand the metrics out.
+	kinds kindRun
+}
+
+// kindRun counts sends per kind without hashing the kind string per message.
+// Kinds arrive in long runs — a fan-out is one kind, a protocol phase mostly
+// one — so the meter counts the current run in a field and touches the map
+// only when the kind changes.
+type kindRun struct {
+	kind  string
+	count int64
+}
+
+// add counts one send of the given kind, folding the previous run into
+// byKind when the kind changes.
+func (k *kindRun) add(byKind map[string]int64, kind string) {
+	if kind != k.kind {
+		k.fold(byKind)
+		k.kind = kind
+	}
+	k.count++
+}
+
+// fold moves the current run into byKind.
+func (k *kindRun) fold(byKind map[string]int64) {
+	if k.count > 0 {
+		byKind[k.kind] += k.count
+		k.count = 0
+	}
 }
 
 func newMetrics(n int) *Metrics {
 	return &Metrics{PerNode: make([]NodeMetrics, n), ByKind: make(map[string]int64)}
 }
 
-func (m *Metrics) recordSend(e Envelope) {
-	size := int64(e.Msg.WireSize() + envelopeOverhead)
-	pm := &m.PerNode[e.From]
+// recordSend meters one send of size bytes (payload + envelope overhead).
+func (m *Metrics) recordSend(from NodeID, size int64, kind string) {
+	pm := &m.PerNode[from]
 	pm.SentMsgs++
 	pm.SentBytes += size
-	m.ByKind[e.Msg.Kind()]++
+	m.kinds.add(m.ByKind, kind)
 }
 
-func (m *Metrics) recordDeliver(e Envelope) {
-	size := int64(e.Msg.WireSize() + envelopeOverhead)
-	pm := &m.PerNode[e.To]
+// recordDeliver meters one delivery of size bytes at the given time.
+func (m *Metrics) recordDeliver(to NodeID, size int64, depth int) {
+	pm := &m.PerNode[to]
 	pm.RecvMsgs++
 	pm.RecvBytes += size
 	m.Delivered++
-	if e.Depth > m.Rounds {
-		m.Rounds = e.Depth
+	if depth > m.Rounds {
+		m.Rounds = depth
 	}
 }
+
+// foldKinds completes ByKind; runners call it before returning the metrics.
+func (m *Metrics) foldKinds() { m.kinds.fold(m.ByKind) }
 
 // TotalSentBits returns the total number of bits sent by all nodes.
 func (m *Metrics) TotalSentBits() int64 {
@@ -275,13 +309,13 @@ func (m *Metrics) MaxSentBits() int64 {
 	return max
 }
 
-// validateEnvelope panics on malformed addressing; protocols constructing
+// validateSend panics on malformed addressing; protocols constructing
 // bad destinations is a programming error we want loudly and early.
-func validateEnvelope(n int, e Envelope) {
-	if e.To < 0 || e.To >= n {
-		panic(fmt.Sprintf("simnet: send to invalid node %d (n=%d)", e.To, n))
+func validateSend(n int, to NodeID, m Message) {
+	if to < 0 || to >= n {
+		panic(fmt.Sprintf("simnet: send to invalid node %d (n=%d)", to, n))
 	}
-	if e.Msg == nil {
+	if m == nil {
 		panic("simnet: nil message")
 	}
 }

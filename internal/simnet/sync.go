@@ -17,12 +17,16 @@ type SyncRunner struct {
 	observer Observer
 	stop     func() bool
 	inj      *Injector
+	// rushing reports whether any node is a Rusher: only then are a round's
+	// correct-node sends materialised as envelopes.
+	rushing bool
 
-	pending []Envelope // messages in flight (due this round or later)
-	due     []Envelope // scratch: the messages due in the current round
-	seq     uint64
-	round   int
-	ctx     *syncCtx // reused across deliveries (contexts are call-scoped)
+	// next collects the sends in flight (due next round or, under a fault
+	// plan, later); cur is the log the current round delivers from. The two
+	// swap at every round boundary (roundlog.go).
+	next, cur roundLog
+	round     int
+	ctx       *syncCtx // reused across deliveries (contexts are call-scoped)
 }
 
 // NewSync returns a runner over the given nodes. corrupt marks the
@@ -35,11 +39,17 @@ func NewSync(nodes []Node, corrupt []bool) *SyncRunner {
 	if len(corrupt) != len(nodes) {
 		panic("simnet: corrupt mask length mismatch")
 	}
-	return &SyncRunner{
+	r := &SyncRunner{
 		nodes:   nodes,
 		corrupt: corrupt,
 		metrics: newMetrics(len(nodes)),
 	}
+	for id, n := range nodes {
+		if _, ok := n.(Rusher); ok && corrupt[id] {
+			r.rushing = true
+		}
+	}
+	return r
 }
 
 // Observe registers an observer invoked on every delivery. It must be
@@ -80,22 +90,18 @@ type syncCtx struct {
 func (c *syncCtx) Now() int { return c.now }
 
 func (c *syncCtx) Send(to NodeID, m Message) {
-	e := Envelope{From: c.from, To: to, Msg: m, Depth: c.now + 1, seq: c.r.seq}
-	c.r.seq++
-	validateEnvelope(len(c.r.nodes), e)
-	c.r.metrics.recordSend(e)
-	if c.r.inj == nil {
-		c.r.pending = append(c.r.pending, e)
+	r := c.r
+	validateSend(len(r.nodes), to, m)
+	rec := sendRec{from: int32(c.from), to: int32(to), due: int32(c.now + 1), size: int32(m.WireSize() + envelopeOverhead), msg: m}
+	r.metrics.recordSend(c.from, int64(rec.size), m.Kind())
+	if r.inj == nil {
+		r.next.append(rec)
 		return
 	}
-	v := c.r.inj.Judge(e, c.now)
-	e.Depth += v.Delay
+	v := r.inj.Judge(Envelope{From: c.from, To: to}, c.now)
+	rec.due += int32(v.Delay)
 	for i := 0; i < v.Copies; i++ {
-		if i > 0 { // duplicates carry their own sequence number
-			e.seq = c.r.seq
-			c.r.seq++
-		}
-		c.r.pending = append(c.r.pending, e)
+		r.next.append(rec)
 	}
 }
 
@@ -103,8 +109,12 @@ func (c *syncCtx) Send(to NodeID, m Message) {
 // messages remain in flight or maxRounds rounds have elapsed. It returns
 // the collected metrics. Run must be called at most once.
 func (r *SyncRunner) Run(maxRounds int) *Metrics {
+	// Whichever way the run ends — quiescence, the round cap, StopWhen — the
+	// blocks still held go back to the pool, cleared (step has already
+	// released cur).
+	defer r.next.release()
 	r.initNodes()
-	for r.round = 1; r.round <= maxRounds && len(r.pending) > 0; r.round++ {
+	for r.round = 1; r.round <= maxRounds && r.next.n > 0; r.round++ {
 		if r.stop != nil && r.stop() {
 			break
 		}
@@ -113,6 +123,7 @@ func (r *SyncRunner) Run(maxRounds int) *Metrics {
 	if rounds := r.round - 1; rounds > r.metrics.Rounds {
 		r.metrics.Rounds = rounds
 	}
+	r.metrics.foldKinds()
 	return r.metrics
 }
 
@@ -128,7 +139,7 @@ func (r *SyncRunner) initNodes() {
 			n.Init(&syncCtx{r: r, from: id, now: 0})
 		}
 	}
-	correctSends := append([]Envelope(nil), r.pending...)
+	correctSends := r.correctSends(0)
 	for id, n := range r.nodes {
 		if r.corrupt[id] {
 			n.Init(&syncCtx{r: r, from: id, now: 0})
@@ -139,44 +150,45 @@ func (r *SyncRunner) initNodes() {
 	}
 }
 
-// step delivers the pending messages due this round and collects the
-// sends of the current one. With a fault plan installed, delayed messages
-// (Depth beyond the current round) stay in flight until their round comes.
+// correctSends materialises what the correct nodes have sent so far this
+// round — the records of next from index start on — as the envelopes a
+// Rusher is shown. Populations without a Rusher never pay for it.
+func (r *SyncRunner) correctSends(start int) []Envelope {
+	if !r.rushing {
+		return nil
+	}
+	sends := make([]Envelope, 0, r.next.n-start)
+	for i := start; i < r.next.n; i++ {
+		rec := r.next.at(i)
+		sends = append(sends, Envelope{From: int(rec.from), To: int(rec.to), Msg: rec.msg, Depth: int(rec.due)})
+	}
+	return sends
+}
+
+// step delivers the records due this round and collects the sends of the
+// current one. With a fault plan installed, delayed records (due beyond the
+// current round) are carried into the new log ahead of this round's sends,
+// in their original order, and stay in flight until their round comes.
 func (r *SyncRunner) step() {
-	var toDeliver []Envelope
-	if r.inj == nil {
-		toDeliver = r.pending
-		r.pending = nil
-	} else {
-		toDeliver = r.due[:0]
-		keep := r.pending[:0]
-		for _, e := range r.pending {
-			if e.Depth <= r.round {
-				toDeliver = append(toDeliver, e)
-			} else {
-				keep = append(keep, e)
+	r.cur, r.next = r.next, r.cur
+	if r.inj != nil {
+		for b := range r.cur.blocks {
+			for _, rec := range r.cur.span(b) {
+				if int(rec.due) > r.round {
+					r.next.append(rec)
+				}
 			}
 		}
-		r.due = toDeliver
-		r.pending = keep
 	}
-	carried := len(r.pending) // in-flight delayed messages are not this round's sends
+	carried := r.next.n // in-flight delayed messages are not this round's sends
 
 	// Deliver to correct nodes first and track what they send this round.
-	for _, e := range toDeliver {
-		if !r.corrupt[e.To] {
-			r.deliver(e)
-		}
-	}
-	correctSends := append([]Envelope(nil), r.pending[carried:]...)
+	r.deliverTo(false)
+	correctSends := r.correctSends(carried)
 
 	// Then Byzantine nodes receive their messages and, if rushing, observe
 	// the correct nodes' round traffic before sending.
-	for _, e := range toDeliver {
-		if r.corrupt[e.To] {
-			r.deliver(e)
-		}
-	}
+	r.deliverTo(true)
 	for id, n := range r.nodes {
 		if !r.corrupt[id] {
 			continue
@@ -192,27 +204,44 @@ func (r *SyncRunner) step() {
 			ticker.OnRoundEnd(&syncCtx{r: r, from: id, now: r.round}, r.round)
 		}
 	}
+	// Every record of the round has been delivered or carried over: its
+	// blocks are free for the sends of the round after.
+	r.cur.release()
 }
 
-func (r *SyncRunner) deliver(e Envelope) {
+// deliverTo delivers, in send order, the records of cur that are due and
+// addressed to the correct (byzantine = false) or the Byzantine nodes.
+func (r *SyncRunner) deliverTo(byzantine bool) {
+	for b := range r.cur.blocks {
+		recs := r.cur.span(b)
+		for i := range recs {
+			rec := &recs[i]
+			if r.corrupt[rec.to] == byzantine && int(rec.due) <= r.round {
+				r.deliver(rec)
+			}
+		}
+	}
+}
+
+func (r *SyncRunner) deliver(rec *sendRec) {
+	to := int(rec.to)
 	// Fail-silence covers receipt, not only transmission: a message
 	// arriving while its destination is inside a crash window vanishes at
 	// the door (in-flight sends do not survive into a crash, and delayed
 	// messages cannot land on a crashed node).
-	if r.inj != nil && r.inj.CrashedAt(e.To, r.round) {
+	if r.inj != nil && r.inj.CrashedAt(to, r.round) {
 		return
 	}
-	// Depth is re-stamped to the actual delivery round: messages injected
-	// by a Rusher were created with the same round number as regular sends
-	// but all arrive in the next round.
-	e.Depth = r.round
-	r.metrics.recordDeliver(e)
+	// The delivery is stamped with the actual round, not the record's due
+	// round: messages injected by a Rusher were created with the same round
+	// number as regular sends but all arrive in the next round.
+	r.metrics.recordDeliver(to, int64(rec.size), r.round)
 	if r.ctx == nil {
 		r.ctx = &syncCtx{r: r}
 	}
-	r.ctx.from, r.ctx.now = e.To, r.round
-	r.nodes[e.To].Deliver(r.ctx, e.From, e.Msg)
+	r.ctx.from, r.ctx.now = to, r.round
+	r.nodes[to].Deliver(r.ctx, int(rec.from), rec.msg)
 	if r.observer != nil {
-		r.observer(e)
+		r.observer(Envelope{From: int(rec.from), To: to, Msg: rec.msg, Depth: r.round})
 	}
 }

@@ -163,6 +163,7 @@ type obsEvent struct {
 type shard struct {
 	nm        NodeMetrics
 	byKind    map[string]int64
+	kinds     kindRun // the run of sends not yet folded into byKind
 	maxDepth  int
 	delivered int64
 	obs       []obsEvent
@@ -322,7 +323,7 @@ func (f *Fabric) Observing() bool { return f.observer != nil }
 // envelopes is the sending fabricCtx's: transports hand envelopes back to
 // the process that counted them on Send.
 func (f *Fabric) Inject(e Envelope) {
-	validateEnvelope(len(f.nodes), e)
+	validateSend(len(f.nodes), e.To, e.Msg)
 	if !f.box(e.To).Put(e) {
 		// The mailbox closed under the injector (teardown mid-run); the
 		// sender's count for this envelope must be returned or quiescence
@@ -341,7 +342,7 @@ func (f *Fabric) Inject(e Envelope) {
 // decrements per handled message regardless of origin). Envelopes
 // rejected by a closed mailbox are uncounted again.
 func (f *Fabric) InjectLocal(e Envelope) {
-	validateEnvelope(len(f.nodes), e)
+	validateSend(len(f.nodes), e.To, e.Msg)
 	if f.track {
 		f.inflight.Add(1)
 	}
@@ -475,6 +476,10 @@ func (f *Fabric) Metrics() *Metrics {
 		m.PerNode[i] = sh.nm
 		for k, v := range sh.byKind {
 			m.ByKind[k] += v
+		}
+		// The open run is read, not folded: the shard belongs to its worker.
+		if sh.kinds.count > 0 {
+			m.ByKind[sh.kinds.kind] += sh.kinds.count
 		}
 		if sh.maxDepth > m.Rounds {
 			m.Rounds = sh.maxDepth
@@ -613,12 +618,12 @@ func (c *fabricCtx) send(e Envelope, size int) {
 			return
 		}
 	} else {
-		validateEnvelope(len(c.f.nodes), e)
+		validateSend(len(c.f.nodes), e.To, e.Msg)
 	}
 	sh := &c.f.shards[c.self]
 	sh.nm.SentMsgs++
 	sh.nm.SentBytes += int64(size)
-	sh.byKind[e.Msg.Kind()]++
+	sh.kinds.add(sh.byKind, e.Msg.Kind())
 	copies := 1
 	if c.f.faults != nil {
 		v := c.f.faults.Judge(e, c.now)

@@ -1,0 +1,83 @@
+package fastba
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+)
+
+// poolDropsPuts reports whether sync.Pool loses Puts in this build: under
+// the race detector it drops a quarter of them on purpose, and a test that
+// counts on getting back what it put must stand down.
+func poolDropsPuts() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+	}
+	for i := 0; i < 64; i++ {
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRunAERAllocationBudget pins what a synchronous agreement allocates
+// once the round log's block pool is warm: the runner's share must stay
+// gone. At n = 64 a run moves some 230 k messages; the slice-based runner
+// this replaced regrew its round buffers from nil every round and allocated
+// 118 MB per run, the pooled round log leaves 7 MB (nodes, sampler memos,
+// Fw1 tables). The budget is not quite twice that. A run cancelled in the
+// middle of a round must hand its blocks back too, or the run after it pays
+// for them again: fifty blocks, 7 MB, which the same budget catches.
+func TestRunAERAllocationBudget(t *testing.T) {
+	const budget = 12 << 20
+	// A collection empties the pool; none may run between the runs compared.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if poolDropsPuts() {
+		t.Skip("sync.Pool drops Puts in this build (race detector)")
+	}
+
+	run := func(ctx context.Context, seed uint64, opts ...Option) (allocated uint64, err error) {
+		opts = append([]Option{WithSeed(seed), WithCorruptFrac(0.05), WithKnowFrac(0.92)}, opts...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = RunAERContext(ctx, NewConfig(64, opts...))
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+
+	if _, err := run(context.Background(), 7); err != nil {
+		t.Fatal(err)
+	}
+	got, err := run(context.Background(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > budget {
+		t.Errorf("second back-to-back RunAER allocated %d bytes, budget %d", got, budget)
+	}
+
+	// Cancel in the middle of the Pull round: when the runner sees it, at the
+	// round boundary, the whole Fw1 storm that round sent is in flight.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = run(ctx, 9, WithObserver(func(e Event) {
+		if e.Type == EventDeliver && e.Kind == "pull" {
+			cancel()
+		}
+	}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	got, err = run(context.Background(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > budget {
+		t.Errorf("RunAER after a cancelled run allocated %d bytes, budget %d: the cancelled run kept its blocks", got, budget)
+	}
+}
