@@ -254,8 +254,8 @@ func render(res *fastba.LoadResult) {
 		fmt.Printf("  durability %d crash/recover cycles, %d entries recovered from the store\n", res.Restarts, res.Recovered)
 	}
 	if n := res.Net; n.Dials > 0 {
-		fmt.Printf("  net        %d dials, %d redials (%d failed), %d suspects, %d recoveries, %d dead links, %d shed, %d dropped-down\n",
-			n.Dials, n.Redials, n.FailedDials, n.Suspects, n.Recoveries, n.DeadLinks, n.Shed, n.DroppedDown)
+		fmt.Printf("  net        %d dials, %d redials (%d failed), %d suspects, %d recoveries, %d dead links, %d dropped-down\n",
+			n.Dials, n.Redials, n.FailedDials, n.Suspects, n.Recoveries, n.DeadLinks, n.DroppedDown)
 		if n.FramesSent > 0 {
 			fmt.Printf("  wire       %d frames carried %d messages (%d batch frames, %.2f msgs/frame)\n",
 				n.FramesSent, n.MessagesSent, n.BatchFrames, float64(n.MessagesSent)/float64(n.FramesSent))

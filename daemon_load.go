@@ -363,21 +363,38 @@ func (c *daemonCluster) logTail(i int, max int) string {
 
 // allocPortBases reserves daemons contiguous blocks of span ports each on
 // the loopback interface, probing candidate ranges until one is entirely
-// free. The probe-then-release window is racy in principle; in practice
-// the harness owns the range for the few milliseconds before the daemons
-// bind, and a collision surfaces as a daemon startup failure.
+// free — all of them below the kernel's ephemeral range, whose ports
+// belong to outbound sockets (a neighbouring TCP test holds hundreds, plus
+// their TIME_WAIT tail). The probe-then-release window is racy in
+// principle; in practice the harness owns the range for the few
+// milliseconds before the daemons bind, and a collision surfaces as a
+// daemon startup failure.
 func allocPortBases(daemons, span int) ([]int, error) {
-	base := 23000 + (os.Getpid()*211)%17000
+	const floor = 10000
+	need, ceil := daemons*span, ephemeralLow()
+	width := ceil - need - floor
+	if width <= 0 {
+		return nil, fmt.Errorf("fastba: no room for %d ports between %d and the ephemeral range at %d", need, floor, ceil)
+	}
+	start := os.Getpid() * 211
 	for attempt := 0; attempt < 64; attempt++ {
-		lo := base + attempt*(daemons*span+37)
-		if lo+daemons*span >= 65000 {
-			lo = 23000 + (lo % 20000)
-		}
+		lo := floor + (start+attempt*(need+37))%width
 		if bases, ok := probeBlock(lo, daemons, span); ok {
 			return bases, nil
 		}
 	}
 	return nil, fmt.Errorf("fastba: no free port range for %d daemons × %d ports", daemons, span)
+}
+
+// ephemeralLow is the low bound of the kernel's ephemeral port range
+// (32768, the Linux default, where it cannot be read).
+func ephemeralLow() int {
+	var lo int
+	b, _ := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if _, err := fmt.Sscan(string(b), &lo); err != nil || lo <= 0 {
+		return 32768
+	}
+	return lo
 }
 
 func probeBlock(lo, daemons, span int) ([]int, bool) {

@@ -99,3 +99,17 @@ func TestWithMetricsExportsLoadFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocPortBasesBelowEphemeralRange: the harness never probes inside
+// the range the kernel hands to outbound sockets.
+func TestAllocPortBasesBelowEphemeralRange(t *testing.T) {
+	bases, err := allocPortBases(4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bases {
+		if b < 10000 || b+5 > ephemeralLow() {
+			t.Fatalf("block [%d, %d) outside [10000, %d)", b, b+5, ephemeralLow())
+		}
+	}
+}

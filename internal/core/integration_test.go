@@ -86,7 +86,7 @@ func TestAERGoRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes, correct := sc.Build(nil)
-	simnet.NewGo(nodes).Run()
+	simnet.NewFabric(nodes, simnet.CausalClock, true).Run()
 	if o := Evaluate(correct, sc.GString); !o.Agreement() {
 		t.Fatalf("goroutine runner: no agreement: %+v", o)
 	}

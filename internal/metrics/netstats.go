@@ -28,7 +28,6 @@ var netStatsCounters = []struct {
 	{"fastba_net_dials_total", "First successful dials of a supervised link.", func(s simnet.NetStats) int64 { return s.Dials }},
 	{"fastba_net_redials_total", "Successful re-establishments after a link failure.", func(s simnet.NetStats) int64 { return s.Redials }},
 	{"fastba_net_failed_dials_total", "Failed connect attempts.", func(s simnet.NetStats) int64 { return s.FailedDials }},
-	{"fastba_net_shed_total", "Frames dropped by the shed-oldest overload policy.", func(s simnet.NetStats) int64 { return s.Shed }},
 	{"fastba_net_dropped_down_total", "Frames dropped while their link was down.", func(s simnet.NetStats) int64 { return s.DroppedDown }},
 	{"fastba_net_suspects_total", "Heartbeat suspect transitions.", func(s simnet.NetStats) int64 { return s.Suspects }},
 	{"fastba_net_recoveries_total", "Suspected or down links confirmed alive again.", func(s simnet.NetStats) int64 { return s.Recoveries }},

@@ -97,7 +97,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 		h.Observe(v)
 	}
 	stats := simnet.NetStats{
-		Dials: 9, Redials: 2, FailedDials: 5, Shed: 1, DroppedDown: 4,
+		Dials: 9, Redials: 2, FailedDials: 5, DroppedDown: 4,
 		Suspects: 2, Recoveries: 2, DeadLinks: 1, PingsSent: 30, PongsReceived: 29,
 		ChaosStrikes: 0, ChaosSkips: 0, LinksSevered: 0,
 		FramesSent: 1000, MessagesSent: 1700, BatchFrames: 200,

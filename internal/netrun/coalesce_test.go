@@ -52,7 +52,7 @@ func runAER(t testing.TB, n int, opts Options) simnet.NetStats {
 // coalescing: on a loaded mesh, fewer frames than messages hit the wire,
 // with batch frames carrying the difference — and agreement still holds.
 func TestCoalescingReducesFrames(t *testing.T) {
-	st := runAER(t, 16, Options{FlushWindow: 200 * time.Microsecond})
+	st := runAER(t, 16, Options{})
 	if st.MessagesSent == 0 {
 		t.Fatal("no messages metered")
 	}
@@ -71,7 +71,7 @@ func BenchmarkLinkCoalesce(b *testing.B) {
 	b.ReportAllocs()
 	var last simnet.NetStats
 	for i := 0; i < b.N; i++ {
-		last = runAER(b, 16, Options{FlushWindow: 200 * time.Microsecond})
+		last = runAER(b, 16, Options{})
 	}
 	if last.FramesSent > 0 {
 		b.ReportMetric(float64(last.MessagesSent)/float64(last.FramesSent), "msgs/frame")

@@ -60,44 +60,25 @@ type outFrame struct {
 	ping bool
 }
 
+// linkQueueLen bounds each link's send queue, in frames; a full queue
+// blocks the sender until the writer drains.
+const linkQueueLen = 1024
+
 func newLink(c *Cluster, from, to int) *link {
 	return &link{
 		c:     c,
 		from:  from,
 		to:    to,
-		queue: make(chan outFrame, c.opts.QueueLen),
+		queue: make(chan outFrame, linkQueueLen),
 		rng:   prng.Hash2(uint64(from)+1, uint64(to)+1),
 	}
 }
 
-// enqueue hands a frame to the writer. Under the shed-oldest policy a
-// full queue drops its oldest frame to make room; under the default block
-// policy the sender waits. It reports false — recycling the buffer, with
+// enqueue hands a frame to the writer; a full queue blocks the sender
+// until the writer drains. It reports false — recycling the buffer, with
 // the fabric's send path doing the uncounting — only when the cluster is
 // closing.
 func (l *link) enqueue(f outFrame) bool {
-	if l.c.opts.ShedOldest {
-		for {
-			select {
-			case l.queue <- f:
-				return true
-			case <-l.c.closing:
-				bufPool.Put(f.buf)
-				return false
-			default:
-			}
-			select {
-			case old := <-l.queue:
-				if !old.ping {
-					l.c.stats.shed.Add(1)
-					l.c.fab.Uncount(1)
-					l.c.event(ConnShed, l.from, l.to)
-				}
-				bufPool.Put(old.buf)
-			default:
-			}
-		}
-	}
 	select {
 	case l.queue <- f:
 		return true
@@ -123,11 +104,10 @@ func (l *link) run() {
 }
 
 // dispatch writes one dequeued frame, first coalescing whatever else is
-// already waiting: all data frames queued for this link at write time —
-// plus, under a FlushWindow, those arriving within the linger — collapse
-// into a single batch frame (one syscall, one header). Pings terminate
-// collection and go out singly: they are latency probes, and batching one
-// behind data would distort the detector's clock.
+// already waiting: all data frames queued for this link at write time
+// collapse into a single batch frame (one syscall, one header). Pings
+// terminate collection and go out singly: they are latency probes, and
+// batching one behind data would distort the detector's clock.
 func (l *link) dispatch(f outFrame) {
 	if f.ping {
 		l.deliver(f)
@@ -147,9 +127,6 @@ collect:
 			l.gather = append(l.gather, g)
 			total += len(*g.buf)
 		default:
-			if w := l.c.opts.FlushWindow; w > 0 {
-				l.linger(w, &trailing, &total)
-			}
 			break collect
 		}
 	}
@@ -161,29 +138,6 @@ collect:
 	l.gather = l.gather[:0]
 	if trailing != nil {
 		l.deliver(*trailing)
-	}
-}
-
-// linger waits up to w for more frames during batch collection, appending
-// what arrives until the window expires, a ping arrives, the cluster
-// closes or the batch fills.
-func (l *link) linger(w time.Duration, trailing **outFrame, total *int) {
-	t := time.NewTimer(w)
-	defer t.Stop()
-	for len(l.gather) < maxBatchRecords && *total < maxBatchBytes {
-		select {
-		case g := <-l.queue:
-			if g.ping {
-				*trailing = &g
-				return
-			}
-			l.gather = append(l.gather, g)
-			*total += len(*g.buf)
-		case <-t.C:
-			return
-		case <-l.c.closing:
-			return
-		}
 	}
 }
 
@@ -335,10 +289,6 @@ func (l *link) ensure(forPing bool) net.Conn {
 // adopt installs a freshly dialed socket, clears suspicion and down
 // state, and spawns the pong reader.
 func (l *link) adopt(conn net.Conn) net.Conn {
-	if tc, ok := conn.(*net.TCPConn); ok && l.c.opts.SockBuf > 0 {
-		_ = tc.SetWriteBuffer(l.c.opts.SockBuf)
-		_ = tc.SetReadBuffer(l.c.opts.SockBuf)
-	}
 	l.mu.Lock()
 	if l.c.isClosing() {
 		l.mu.Unlock()

@@ -84,7 +84,7 @@ type connKey struct{ from, to int }
 // written with atomics and safe to snapshot mid-run.
 type netStats struct {
 	dials, redials, failedDials     atomic.Int64
-	shed, droppedDown               atomic.Int64
+	droppedDown                     atomic.Int64
 	suspects, recoveries, deadLinks atomic.Int64
 	pingsSent, pongsReceived        atomic.Int64
 	chaosStrikes, chaosSkips        atomic.Int64
@@ -101,7 +101,6 @@ func (s *netStats) snapshot() simnet.NetStats {
 		Dials:         s.dials.Load(),
 		Redials:       s.redials.Load(),
 		FailedDials:   s.failedDials.Load(),
-		Shed:          s.shed.Load(),
 		DroppedDown:   s.droppedDown.Load(),
 		Suspects:      s.suspects.Load(),
 		Recoveries:    s.recoveries.Load(),
@@ -216,7 +215,7 @@ func (c *Cluster) Metrics() *simnet.Metrics {
 }
 
 // NetStats snapshots the supervision counters — dial/redial churn,
-// detector transitions, shed frames, chaos strikes. Unlike Metrics it is
+// detector transitions, dropped frames, chaos strikes. Unlike Metrics it is
 // safe to call mid-run (all counters are atomic).
 func (c *Cluster) NetStats() simnet.NetStats { return c.stats.snapshot() }
 
@@ -294,7 +293,7 @@ func (c *Cluster) RunUntil(ctx context.Context, pred func() bool, timeout time.D
 // The count is kept in-process (both endpoints of every loopback connection
 // live in this cluster), so unlike a real distributed system the cluster
 // can detect global quiescence without running an agreement protocol for
-// it. Frames dropped by the supervision layer (shed, dead links, teardown)
+// it. Frames dropped by the supervision layer (dead links, teardown)
 // return their counts, but a frame that died *inside* a severed socket's
 // kernel buffer cannot be traced, so chaos runs and broken connections can
 // leak in-flight counts: callers should pass a timeout.
@@ -371,10 +370,6 @@ func (c *Cluster) acceptLoop(id int) {
 		conn, err := c.listeners[id].Accept()
 		if err != nil {
 			return // listener closed
-		}
-		if tc, ok := conn.(*net.TCPConn); ok && c.opts.SockBuf > 0 {
-			_ = tc.SetReadBuffer(c.opts.SockBuf)
-			_ = tc.SetWriteBuffer(c.opts.SockBuf)
 		}
 		c.wg.Add(1)
 		go func() {
@@ -573,8 +568,8 @@ func (c *Cluster) pauseInbound(ic *inboundConn) bool {
 // the (from, to) link supervisor, which owns dialing, redialing and the
 // actual write. It reports whether the frame was accepted (unknown
 // message types and a closing cluster are rejected; the Fabric then
-// uncounts them). Frames the supervisor later drops — shed, dead link,
-// teardown — return their in-flight counts through Fabric.Uncount.
+// uncounts them). Frames the supervisor later drops — dead link, teardown
+// — return their in-flight counts through Fabric.Uncount.
 func (c *Cluster) Send(e simnet.Envelope) bool {
 	bp := bufPool.Get().(*[]byte)
 	var buf []byte

@@ -21,23 +21,6 @@ type Options struct {
 	Reconnect ReconnectPolicy
 	// Heartbeat is the failure-detector policy.
 	Heartbeat HeartbeatPolicy
-	// QueueLen bounds each link's send queue, in frames. Default 1024.
-	QueueLen int
-	// ShedOldest selects the overload policy for a full send queue: true
-	// drops the oldest queued frame (counted in NetStats.Shed), false —
-	// the default — blocks the sender until the writer drains.
-	ShedOldest bool
-	// SockBuf, when positive, sets the kernel send/receive buffer size on
-	// every mesh connection. It exists to make backpressure observable at
-	// small scales (tests, experiments); 0 keeps the kernel default.
-	SockBuf int
-	// FlushWindow, when positive, is the coalescing linger: a link writer
-	// that found fewer than a full batch waiting lingers up to this long
-	// for more frames before writing, trading latency for larger batches.
-	// 0 (the default) coalesces opportunistically only — whatever is
-	// already queued goes out in one frame, and an idle queue never delays
-	// a write.
-	FlushWindow time.Duration
 	// Chaos, when active, severs live connections mid-run on a seeded
 	// schedule. See ChaosPlan.
 	Chaos ChaosPlan
@@ -111,8 +94,6 @@ const (
 	ConnRecovered
 	// ConnDown: the redial budget ran out; queued frames were dropped.
 	ConnDown
-	// ConnShed: the overload policy dropped the oldest queued frame.
-	ConnShed
 )
 
 func (k ConnEventKind) String() string {
@@ -127,8 +108,6 @@ func (k ConnEventKind) String() string {
 		return "alive"
 	case ConnDown:
 		return "down"
-	case ConnShed:
-		return "shed"
 	default:
 		return fmt.Sprintf("ConnEventKind(%d)", int(k))
 	}
@@ -148,9 +127,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 10 * time.Second
-	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 1024
 	}
 	if o.Reconnect.Base <= 0 {
 		o.Reconnect.Base = 25 * time.Millisecond
@@ -176,23 +152,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Validate rejects malformed options (negative durations or queue bounds,
-// unknown chaos kinds).
+// Validate rejects malformed options (negative durations, unknown chaos
+// kinds).
 func (o Options) Validate() error {
 	if o.DialTimeout < 0 || o.WriteTimeout < 0 {
 		return fmt.Errorf("netrun: negative timeout")
-	}
-	if o.QueueLen < 0 || o.SockBuf < 0 {
-		return fmt.Errorf("netrun: negative buffer bound")
 	}
 	if o.Reconnect.Base < 0 || o.Reconnect.Cap < 0 {
 		return fmt.Errorf("netrun: negative reconnect backoff")
 	}
 	if o.Heartbeat.Every < 0 || o.Heartbeat.SuspectAfter < 0 {
 		return fmt.Errorf("netrun: negative heartbeat window")
-	}
-	if o.FlushWindow < 0 {
-		return fmt.Errorf("netrun: negative flush window")
 	}
 	if (o.Hosted == nil) != (o.Addrs == nil) {
 		return fmt.Errorf("netrun: Hosted and Addrs must be set together")

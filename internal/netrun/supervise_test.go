@@ -140,64 +140,6 @@ func TestUnreachablePeerDegrades(t *testing.T) {
 	}
 }
 
-// TestShedOldestPolicy pins the bounded-backpressure contract: with a tiny
-// send queue, small kernel buffers and a receiver that stops draining, the
-// shed-oldest policy drops queued frames (counted in NetStats.Shed)
-// instead of blocking the sender — and the shed counts are returned to the
-// quiescence accounting, so the run still drains once the receiver resumes.
-func TestShedOldestPolicy(t *testing.T) {
-	const n = 2
-	nodes := make([]simnet.Node, n)
-	bcs := make([]*broadcaster, n)
-	for i := range nodes {
-		bcs[i] = &broadcaster{id: i, n: n}
-		nodes[i] = bcs[i]
-	}
-	cluster, err := NewWithOptions(nodes, Options{
-		QueueLen:   4,
-		ShedOldest: true,
-		SockBuf:    4096,
-		Heartbeat:  HeartbeatPolicy{Disable: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	cluster.Start()
-
-	// Establish the 0→1 socket and wait for its inbound registration.
-	kick(cluster, 0)
-	deadline := time.Now().Add(10 * time.Second)
-	for bcs[1].received.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("link 0→1 never delivered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cluster.mu.Lock()
-	ic := cluster.inbound[connKey{from: 0, to: 1}]
-	cluster.mu.Unlock()
-	if ic == nil {
-		t.Fatal("inbound connection not registered")
-	}
-	// Stop the receiver draining, then flood: the writer wedges on a full
-	// kernel buffer, the 4-slot queue fills, and shedding must begin.
-	ic.pausedUntil.Store(time.Now().Add(600 * time.Millisecond).UnixNano())
-	for i := 0; i < 5000; i++ {
-		kick(cluster, 0)
-	}
-	sheddingDeadline := time.Now().Add(30 * time.Second)
-	for cluster.NetStats().Shed == 0 {
-		if time.Now().After(sheddingDeadline) {
-			t.Fatalf("no frames shed under overload: %+v", cluster.NetStats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !cluster.AwaitQuiescence(60 * time.Second) {
-		t.Fatalf("cluster did not quiesce after shedding — shed frames leaked in-flight counts: %+v", cluster.NetStats())
-	}
-}
-
 // TestHeartbeatSuspectAndRecover drives the failure detector through a
 // full suspect→alive cycle on one link: a blackholed receiver stops
 // answering pings, the detector suspects the link and recycles the socket,

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+
+	"github.com/fastba/fastba/internal/wire"
 )
 
 // Client/admin frame kinds. Like internal/wire's kind bytes they are a
@@ -250,43 +252,43 @@ func ReadClientMsg(r io.Reader) (any, error) {
 }
 
 func decodeClientMsg(frame []byte) (any, error) {
-	d := cdecoder{buf: frame[1:]}
+	d := wire.NewCursor(frame[1:])
 	var msg any
 	switch kind := frame[0]; kind {
 	case KindHello:
 		msg = Hello{}
 	case KindHelloAck:
-		m := HelloAck{Node: d.u32(), Epoch: d.u64(), Leader: d.bool()}
-		m.LeaderAddr = d.lstring()
-		m.Frontier = d.u64()
+		m := HelloAck{Node: d.U32(), Epoch: d.U64(), Leader: d.U8() != 0}
+		m.LeaderAddr = lstring(&d)
+		m.Frontier = d.U64()
 		msg = m
 	case KindAppend:
-		msg = Append{Req: d.u64(), Payload: d.bytes()}
+		msg = Append{Req: d.U64(), Payload: d.Bytes()}
 	case KindAppendAck:
-		msg = AppendAck{Req: d.u64(), Code: d.u8(), Seq: d.u64(), LatencyNs: int64(d.u64())}
+		msg = AppendAck{Req: d.U64(), Code: d.U8(), Seq: d.U64(), LatencyNs: int64(d.U64())}
 	case KindStatus:
 		msg = Status{}
 	case KindStatusAck:
 		msg = StatusAck{
-			Node: d.u32(), Epoch: d.u64(), Leader: d.bool(), Frontier: d.u64(),
-			Recovered: d.u64(), Repaired: d.u64(), PeersAlive: d.u32(), Sessions: d.u32(),
+			Node: d.U32(), Epoch: d.U64(), Leader: d.U8() != 0, Frontier: d.U64(),
+			Recovered: d.U64(), Repaired: d.U64(), PeersAlive: d.U32(), Sessions: d.U32(),
 		}
 	case KindJoin:
-		msg = Join{Epoch: d.u64(), Node: d.u32()}
+		msg = Join{Epoch: d.U64(), Node: d.U32()}
 	case KindJoinAck:
-		msg = JoinAck{Code: d.u8(), Epoch: d.u64(), PeersAlive: d.u32()}
+		msg = JoinAck{Code: d.U8(), Epoch: d.U64(), PeersAlive: d.U32()}
 	case KindLeave:
-		msg = Leave{Epoch: d.u64(), Node: d.u32()}
+		msg = Leave{Epoch: d.U64(), Node: d.U32()}
 	case KindLeaveAck:
-		msg = LeaveAck{Code: d.u8()}
+		msg = LeaveAck{Code: d.U8()}
 	default:
 		return nil, fmt.Errorf("server: unknown client frame kind %#x", kind)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("server: decode client frame %#x: %w", frame[0], d.err)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("server: decode client frame %#x: %w", frame[0], err)
 	}
-	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("server: decode client frame %#x: %d trailing bytes", frame[0], len(d.buf)-d.pos)
+	if d.Rest() != 0 {
+		return nil, fmt.Errorf("server: decode client frame %#x: %d trailing bytes", frame[0], d.Rest())
 	}
 	return msg, nil
 }
@@ -303,70 +305,11 @@ func appendLString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// cdecoder is a cursor with sticky errors over a client frame payload.
-type cdecoder struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *cdecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.pos+n > len(d.buf) {
-		d.err = fmt.Errorf("truncated at offset %d (need %d of %d)", d.pos, n, len(d.buf))
-		return nil
-	}
-	out := d.buf[d.pos : d.pos+n]
-	d.pos += n
-	return out
-}
-
-func (d *cdecoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *cdecoder) bool() bool { return d.u8() != 0 }
-
-func (d *cdecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *cdecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *cdecoder) bytes() []byte {
-	n := int(d.u32())
-	b := d.take(n)
-	if d.err != nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (d *cdecoder) lstring() string {
-	b := d.take(2)
+// lstring decodes a u16-length-prefixed string.
+func lstring(d *wire.Cursor) string {
+	b := d.Take(2)
 	if b == nil {
 		return ""
 	}
-	n := int(binary.LittleEndian.Uint16(b))
-	s := d.take(n)
-	if d.err != nil {
-		return ""
-	}
-	return string(s)
+	return string(d.Take(int(binary.LittleEndian.Uint16(b))))
 }

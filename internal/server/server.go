@@ -154,9 +154,61 @@ func (lay clusterLayout) peerCatchup(self int) []string {
 	return peers
 }
 
+// session is one client connection: its admission queue (a source of the
+// ingest stage) and a write lock serializing ack frames (the commit path
+// and the read loop both write to the connection).
+type session struct {
+	conn    net.Conn
+	wmu     sync.Mutex
+	src     *pipeline.Source
+	latency *metrics.Histogram
+}
+
+// write sends one frame to the client, serialized against concurrent
+// ack writers. The deadline bounds how long a wedged client can stall
+// the commit observer. Errors are the connection's problem: the client
+// is gone and the commit it missed is recoverable through Status.
+func (s *session) write(msg any) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	_ = s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	return WriteClientMsg(s.conn, msg)
+}
+
+// pending is one admitted client append; the ingest stage completes it
+// with the commit, or with the error that ended it, and the ack goes out.
+type pending struct {
+	sess *session
+	req  uint64
+}
+
+func (p *pending) Complete(e pipeline.Entry, latency time.Duration, err error) {
+	if err != nil {
+		_ = p.sess.write(AppendAck{Req: p.req, Code: rejectCode(err)})
+		return
+	}
+	p.sess.latency.Observe(latency.Seconds())
+	_ = p.sess.write(AppendAck{Req: p.req, Code: CodeOK, Seq: e.Seq, LatencyNs: int64(latency)})
+}
+
+// rejectCode maps an ingest error to the wire: the session's queue is
+// full, the daemon is draining, or the replica failed.
+func rejectCode(err error) byte {
+	switch {
+	case errors.Is(err, pipeline.ErrFull):
+		return CodeOverload
+	case errors.Is(err, pipeline.ErrClosed), errors.Is(err, context.Canceled):
+		return CodeShutdown
+	default:
+		return CodeFailed
+	}
+}
+
 // Daemon is one running balogd process: a replica (the commit engine over
-// k protocol nodes + WAL + repair), the client/admin listener with admission control, the
-// membership join loop, the metrics endpoint and the status ticker.
+// k protocol nodes + WAL + repair), the client/admin listener with
+// admission control (the ingest stage: bounded per-session queues, fair
+// batches), the membership join loop, the metrics endpoint and the status
+// ticker.
 type Daemon struct {
 	cfg  Config
 	lay  clusterLayout
@@ -164,7 +216,7 @@ type Daemon struct {
 
 	st  *store.Store
 	rep *Replica
-	adm *admission
+	ing *pipeline.Ingest
 	mem *membership
 
 	leader   bool
@@ -184,9 +236,8 @@ type Daemon struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	done      chan struct{}
-	wg        sync.WaitGroup
-	batcherWG sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	closeOnce   sync.Once
 	shutdownErr error
@@ -209,7 +260,6 @@ func New(cfg Config) (*Daemon, error) {
 		logf:   cfg.Logf,
 		leader: cfg.Daemon == 0,
 		reg:    cfg.Registry,
-		adm:    newAdmission(cfg.QueueMax, cfg.BatchMax),
 		mem:    newMembership(cfg.Daemon, len(cfg.ClusterAddrs), cfg.Epoch, 3*cfg.JoinEvery),
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
@@ -261,6 +311,8 @@ func New(cfg Config) (*Daemon, error) {
 		fmt.Fprintln(w, "ok")
 	})
 	d.httpSrv = &http.Server{Handler: mux}
+	// Linger 0: a batch is whatever is queued when the batcher is free.
+	d.ing = pipeline.NewIngest(rep.Engine, cfg.QueueMax, cfg.BatchMax, 0)
 	return d, nil
 }
 
@@ -298,7 +350,7 @@ func (d *Daemon) registerMetrics() {
 		return float64(d.mem.Alive())
 	}, label...)
 	d.reg.GaugeFunc("fastba_sessions", "Open client sessions.", func() float64 {
-		return float64(d.adm.sessionCount())
+		return float64(d.sessionCount())
 	}, label...)
 	d.reg.GaugeFunc("fastba_reproposals", "Stalled head instances re-opened with a bumped attempt.", func() float64 {
 		return float64(d.rep.Reproposed())
@@ -311,13 +363,10 @@ func (d *Daemon) registerMetrics() {
 // Start launches the replica and every daemon loop.
 func (d *Daemon) Start() {
 	d.rep.Start()
-	d.batcherWG.Add(1)
-	go d.batchLoop()
-	d.wg.Add(5)
+	d.wg.Add(4)
 	go d.acceptLoop()
 	go d.joinLoop()
 	go d.statusLoop()
-	go d.watchReplica()
 	go func() {
 		defer d.wg.Done()
 		_ = d.httpSrv.Serve(d.httpLn)
@@ -343,69 +392,14 @@ func (d *Daemon) Err() error       { return d.rep.Err() }
 func (d *Daemon) Failed() <-chan struct{} { return d.rep.Failed() }
 
 // onCommit is the replica's commit observer: it updates the metrics and
-// acks every client append folded into the committed instance.
+// has the ingest stage ack every client append folded into the instance.
 func (d *Daemon) onCommit(e pipeline.Entry, repaired bool) {
 	d.ctrCommits.Inc()
 	d.gCommit.Set(float64(e.Seq + 1))
 	if repaired {
 		d.ctrRepair.Inc()
 	}
-	for _, p := range d.adm.resolve(e.Seq) {
-		lat := time.Since(p.queued)
-		d.hLatency.Observe(lat.Seconds())
-		_ = p.sess.write(AppendAck{Req: p.req, Code: CodeOK, Seq: e.Seq, LatencyNs: int64(lat)})
-	}
-}
-
-// watchReplica nacks every inflight append when the replica dies: their
-// instances will never commit, so without this the clients wait forever.
-// New enqueues start failing with CodeShutdown (the admission gate
-// closes), and handleConn keeps serving Status/Join so peers still see
-// the daemon's corpse report its epoch until the process exits.
-func (d *Daemon) watchReplica() {
-	defer d.wg.Done()
-	select {
-	case <-d.done:
-		return
-	case <-d.rep.Failed():
-	}
-	d.logf("balogd[%d]: replica failed: %v", d.cfg.Daemon, d.rep.Err())
-	d.adm.close()
-	// The batcher unblocks (Append fails fast once the replica is failed)
-	// and nacks what it still held; wait for it so nothing is tracked
-	// after the abandon sweep below.
-	d.batcherWG.Wait()
-	for _, p := range d.adm.abandonInflight() {
-		_ = p.sess.write(AppendAck{Req: p.req, Code: CodeFailed})
-	}
-}
-
-// batchLoop forms admitted appends into instances. It exits when the
-// admission gate is closed and drained.
-func (d *Daemon) batchLoop() {
-	defer d.batcherWG.Done()
-	for {
-		batch := d.adm.nextBatch()
-		if batch == nil {
-			return
-		}
-		payloads := make([][]byte, len(batch))
-		for i, p := range batch {
-			payloads[i] = p.payload
-		}
-		seq, err := d.rep.Append(context.Background(), payloads)
-		if err != nil {
-			code := CodeFailed
-			if errors.Is(err, pipeline.ErrClosed) || errors.Is(err, context.Canceled) {
-				code = CodeShutdown
-			}
-			for _, p := range batch {
-				_ = p.sess.write(AppendAck{Req: p.req, Code: code})
-			}
-			continue
-		}
-		d.adm.track(seq, batch)
-	}
+	d.ing.Commit(e)
 }
 
 // acceptLoop admits client connections.
@@ -431,6 +425,13 @@ func (d *Daemon) dropConn(conn net.Conn) {
 	conn.Close()
 }
 
+// sessionCount reports open client sessions.
+func (d *Daemon) sessionCount() int {
+	d.connMu.Lock()
+	defer d.connMu.Unlock()
+	return len(d.conns)
+}
+
 func (d *Daemon) closeConns() {
 	d.connMu.Lock()
 	for conn := range d.conns {
@@ -443,8 +444,8 @@ func (d *Daemon) closeConns() {
 func (d *Daemon) handleConn(conn net.Conn) {
 	defer d.wg.Done()
 	defer d.dropConn(conn)
-	sess := d.adm.attach(conn)
-	defer d.adm.detach(sess)
+	sess := &session{conn: conn, src: d.ing.Attach(), latency: d.hLatency}
+	defer sess.src.Detach()
 	for {
 		msg, err := ReadClientMsg(conn)
 		if err != nil {
@@ -464,13 +465,14 @@ func (d *Daemon) handleConn(conn net.Conn) {
 				err = sess.write(AppendAck{Req: m.Req, Code: CodeNotLeader})
 				break
 			}
-			switch code := d.adm.enqueue(sess, m.Req, m.Payload); code {
-			case CodeOK:
+			// Queued: the ack follows at commit. Refused: it goes out now.
+			if oerr := sess.src.Offer(m.Payload, &pending{sess: sess, req: m.Req}); oerr == nil {
 				d.ctrAppends.Inc()
-			case CodeOverload:
-				d.ctrShed.Inc()
-				err = sess.write(AppendAck{Req: m.Req, Code: code})
-			default:
+			} else {
+				code := rejectCode(oerr)
+				if code == CodeOverload {
+					d.ctrShed.Inc()
+				}
 				err = sess.write(AppendAck{Req: m.Req, Code: code})
 			}
 		case Status:
@@ -482,7 +484,7 @@ func (d *Daemon) handleConn(conn net.Conn) {
 				Recovered:  uint64(d.rep.Recovered()),
 				Repaired:   uint64(d.rep.Repaired()),
 				PeersAlive: uint32(d.mem.Alive()),
-				Sessions:   uint32(d.adm.sessionCount()),
+				Sessions:   uint32(d.sessionCount()),
 			})
 		case Join:
 			ack := d.mem.HandleJoin(m.Epoch, m.Node)
@@ -561,43 +563,26 @@ func (d *Daemon) statusLoop() {
 			fr := d.rep.Frontier()
 			d.logf("balogd[%d]: commit=%d tps=%d epoch=%d peers=%d sessions=%d shed=%d repaired=%d",
 				d.cfg.Daemon, fr, fr-last, d.mem.Epoch(), d.mem.Alive(),
-				d.adm.sessionCount(), d.ctrShed.Value(), d.rep.Repaired())
+				d.sessionCount(), d.ctrShed.Value(), d.rep.Repaired())
 			last = fr
 		}
 	}
 }
 
 // Shutdown drains the daemon gracefully, in the no-lost-acks order:
-// stop admitting (new appends get CodeShutdown) → drain the batcher →
-// wait for every inflight instance's commit acks to be written → close
-// client connections → tear the replica down → close the WAL last (its
-// close performs the final group-commit flush, so anything acked is on
-// disk before the process exits).
+// the ingest stage's Close (stop admitting — new appends get CodeShutdown
+// → drain the queues → wait until every inflight instance's commit acks
+// are written, or ctx ends and the rest get CodeFailed) → close client
+// connections → tear the replica down → close the WAL last (its close
+// performs the final group-commit flush, so anything acked is on disk
+// before the process exits).
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.closeOnce.Do(func() {
 		d.logf("balogd[%d]: shutting down", d.cfg.Daemon)
 		d.broadcastLeave()
 		close(d.done)
 		d.clientLn.Close()
-		d.adm.close()
-		d.batcherWG.Wait()
-
-		tick := time.NewTicker(5 * time.Millisecond)
-	drain:
-		for d.adm.inflightCount() > 0 {
-			select {
-			case <-ctx.Done():
-				break drain
-			case <-d.rep.Failed():
-				break drain
-			case <-tick.C:
-			}
-		}
-		tick.Stop()
-		for _, p := range d.adm.abandonInflight() {
-			_ = p.sess.write(AppendAck{Req: p.req, Code: CodeFailed})
-		}
-
+		d.ing.Close(ctx)
 		d.closeConns()
 		repErr := d.rep.Close()
 		if errors.Is(repErr, context.Canceled) {
@@ -629,12 +614,11 @@ func (d *Daemon) Kill() {
 	d.closeOnce.Do(func() {
 		close(d.done)
 		d.clientLn.Close()
-		d.adm.close()
 		d.closeConns()
 		d.rep.Abort()
 		d.httpSrv.Close()
 		d.st.Crash()
-		d.batcherWG.Wait()
+		d.ing.Close(context.Background()) // returns at once: the abort failed everything
 		d.wg.Wait()
 		d.shutdownErr = fmt.Errorf("server: killed")
 	})

@@ -52,7 +52,7 @@ func BenchmarkGoRunnerDeliver(b *testing.B) {
 				for id := range nodes {
 					nodes[id] = &relayNode{id: id, n: n, fanout: fanout, ttl: ttl}
 				}
-				m := NewGo(nodes).Run()
+				m := NewFabric(nodes, CausalClock, true).Run()
 				delivered = m.Delivered
 				if want := int64(n * fanout * (ttl + 1)); delivered != want {
 					b.Fatalf("delivered %d, want %d", delivered, want)

@@ -38,10 +38,8 @@ type NetStats struct {
 	Dials       int64 `json:"dials"`
 	Redials     int64 `json:"redials"`
 	FailedDials int64 `json:"failedDials"`
-	// Shed counts frames dropped by the shed-oldest overload policy;
 	// DroppedDown counts frames dropped because the peer's redial budget
 	// was exhausted and the link is in its down cooldown.
-	Shed        int64 `json:"shed"`
 	DroppedDown int64 `json:"droppedDown"`
 	// Suspects and Recoveries are the failure detector's transitions;
 	// DeadLinks counts links whose redial budget ran out (transitions into
@@ -73,7 +71,6 @@ func (s *NetStats) Add(o NetStats) {
 	s.Dials += o.Dials
 	s.Redials += o.Redials
 	s.FailedDials += o.FailedDials
-	s.Shed += o.Shed
 	s.DroppedDown += o.DroppedDown
 	s.Suspects += o.Suspects
 	s.Recoveries += o.Recoveries

@@ -16,8 +16,8 @@
 //     the longest chain of dependent messages leading to its decision —
 //     the standard asynchronous-round measure behind the paper's
 //     O(log n / log log n) bound.
-//   - GoRunner: one goroutine per node connected by unbounded mailboxes;
-//     it demonstrates that protocol nodes are runtime-agnostic actors and
+//   - Fabric.Run: worker goroutines draining unbounded mailboxes; it
+//     demonstrates that protocol nodes are runtime-agnostic actors and
 //     cross-checks the event-loop runners under real concurrency.
 //
 // All runners meter per-node sent/received messages and bytes, broken down
@@ -202,9 +202,9 @@ type NodeMetrics struct {
 
 // Observer receives every delivered envelope, in delivery order, after the
 // receiving node has handled it (so post-delivery node state is readable).
-// Runners call it synchronously from the delivery path (the GoRunner
-// serializes calls under its metrics lock), so implementations must be
-// fast and must not call back into the runner.
+// The event-loop runners call it synchronously from the delivery path (the
+// Fabric buffers per shard and replays in one ordered pass at Stop), so
+// implementations must be fast and must not call back into the runner.
 type Observer func(e Envelope)
 
 // Metrics aggregates a run.

@@ -283,7 +283,7 @@ func (r *recorderNode) Deliver(ctx Context, from NodeID, m Message) {
 
 func TestGoRunnerRing(t *testing.T) {
 	nodes := newRing(4)
-	m := NewGo(nodes).Run()
+	m := NewFabric(nodes, CausalClock, true).Run()
 	if m.Delivered != 10 {
 		t.Fatalf("GoRunner delivered %d, want 10", m.Delivered)
 	}
@@ -301,7 +301,7 @@ func TestGoRunnerRing(t *testing.T) {
 
 func TestGoRunnerQuiescesWithNoMessages(t *testing.T) {
 	nodes := []Node{&fanNode{id: 1, n: 1}} // sends nothing
-	m := NewGo(nodes).Run()
+	m := NewFabric(nodes, CausalClock, true).Run()
 	if m.Delivered != 0 {
 		t.Fatalf("Delivered = %d", m.Delivered)
 	}
@@ -316,7 +316,7 @@ func TestGoRunnerMatchesEventLoopTotals(t *testing.T) {
 		return nodes
 	}
 	sync := NewSync(mkNodes(), nil).Run(10)
-	gor := NewGo(mkNodes()).Run()
+	gor := NewFabric(mkNodes(), CausalClock, true).Run()
 	if sync.Delivered != gor.Delivered {
 		t.Fatalf("delivery counts differ: sync %d vs go %d", sync.Delivered, gor.Delivered)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the shared runtime core of the concurrent runners: the
-// goroutine runner (GoRunner) and the TCP cluster (internal/netrun, and
+// goroutine runner (Fabric.Run over loopback) and the TCP cluster (internal/netrun, and
 // through it the public RunTCP) both execute nodes on a Fabric and differ
 // only in their Transport. Metering, observer fan-in, mailbox plumbing and
 // quiescence detection therefore live here, in one place.
@@ -175,7 +175,7 @@ type shard struct {
 // mailbox in batches and dispatches to the nodes it owns, with sharded
 // per-node metrics merged at the end and an optional global in-flight
 // counter for quiescence detection. It is the runtime core shared by
-// GoRunner and the TCP cluster (DESIGN.md §10).
+// the goroutine runner (Run) and the TCP cluster (DESIGN.md §10).
 type Fabric struct {
 	nodes     []Node
 	transport Transport
@@ -395,6 +395,18 @@ func (f *Fabric) Start() {
 		f.wg.Add(1)
 		go f.workerLoop(w)
 	}
+}
+
+// Run is the fabric as a one-shot runner, the Goroutines model: start,
+// process messages until global quiescence, stop, return the metrics.
+// Delivery order (and with it a fault plan's per-link pattern) is the Go
+// scheduler's, so only outcome properties are comparable across runs.
+// Call it at most once, in place of Start, on a tracking fabric.
+func (f *Fabric) Run() *Metrics {
+	f.Start()
+	f.AwaitQuiescence(0)
+	f.Stop()
+	return f.Metrics()
 }
 
 // Quiesced reports whether no tracked message is currently in flight.

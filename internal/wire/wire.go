@@ -243,38 +243,38 @@ func UnmarshalView(kind byte, payload []byte) (simnet.Message, error) {
 }
 
 func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
-	d := decoder{buf: payload, view: view}
+	d := decoder{Cursor: NewCursor(payload), view: view}
 	var m simnet.Message
 	switch kind {
 	case kindPush:
 		m = core.MsgPush{S: d.str()}
 	case kindPoll:
 		s := d.str()
-		m = core.MsgPoll{S: s, R: d.u64()}
+		m = core.MsgPoll{S: s, R: d.U64()}
 	case kindPull:
 		s := d.str()
-		m = core.MsgPull{S: s, R: d.u64()}
+		m = core.MsgPull{S: s, R: d.U64()}
 	case kindFw1:
-		x := int(d.u32())
-		w := int(d.u32())
-		r := d.u64()
+		x := int(d.U32())
+		w := int(d.U32())
+		r := d.U64()
 		m = core.MsgFw1{X: x, W: w, R: r, S: d.str()}
 	case kindFw2:
-		x := int(d.u32())
-		r := d.u64()
+		x := int(d.U32())
+		r := d.U64()
 		m = core.MsgFw2{X: x, R: r, S: d.str()}
 	case kindAnswer:
 		s := d.str()
-		m = core.MsgAnswer{S: s, R: d.u64()}
+		m = core.MsgAnswer{S: s, R: d.U64()}
 	case kindElect:
-		bin := d.u32()
+		bin := d.U32()
 		m = ae.MsgElect{Bin: bin, Seg: d.str()}
 	case kindValue:
-		level := int32(d.u32())
-		index := int32(d.u32())
+		level := int32(d.U32())
+		index := int32(d.U32())
 		m = ae.MsgValue{Level: level, Index: index, S: d.str()}
 	case kindQuery:
-		if pad := d.u8(); d.err == nil && pad != 0 {
+		if pad := d.U8(); d.err == nil && pad != 0 {
 			d.err = fmt.Errorf("wire: query padding byte %#x", pad)
 		}
 		m = baseline.MsgQuery{}
@@ -283,13 +283,13 @@ func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
 	case kindBcast:
 		m = baseline.MsgBcast{S: d.str()}
 	case kindVote:
-		round := int32(d.u32())
+		round := int32(d.U32())
 		m = baseline.MsgVote{Round: round, S: d.str()}
 	case kindCatchupReq:
-		from := d.u64()
-		m = simnet.CatchupReq{From: from, Max: d.u32()}
+		from := d.U64()
+		m = simnet.CatchupReq{From: from, Max: d.U32()}
 	case kindCatchupResp:
-		count := int(d.u32())
+		count := int(d.U32())
 		var records [][]byte
 		if d.err == nil && count > 0 {
 			if count > len(payload) {
@@ -297,14 +297,14 @@ func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
 			}
 			records = make([][]byte, 0, count)
 			for i := 0; i < count; i++ {
-				records = append(records, d.bytes())
+				records = append(records, d.Bytes())
 			}
 		}
 		m = simnet.CatchupResp{Records: records}
 	case kindLogOpen:
-		seq := d.u64()
-		attempt := d.u32()
-		count := int(d.u32())
+		seq := d.U64()
+		attempt := d.U32()
+		count := int(d.U32())
 		var payloads [][]byte
 		if d.err == nil && count > 0 {
 			if count > len(payload) {
@@ -312,17 +312,17 @@ func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
 			}
 			payloads = make([][]byte, 0, count)
 			for i := 0; i < count; i++ {
-				payloads = append(payloads, d.bytes())
+				payloads = append(payloads, d.Bytes())
 			}
 		}
 		m = simnet.LogOpen{Seq: seq, Attempt: attempt, Payloads: payloads}
 	case kindPing:
-		m = simnet.Ping{Nonce: d.u64()}
+		m = simnet.Ping{Nonce: d.U64()}
 	case kindPong:
-		m = simnet.Pong{Nonce: d.u64()}
+		m = simnet.Pong{Nonce: d.U64()}
 	case kindInst:
-		inst := d.u32()
-		innerKind := d.u8()
+		inst := d.U32()
+		innerKind := d.U8()
 		if d.err != nil {
 			return nil, fmt.Errorf("wire: decode kind %#x: %w", kind, d.err)
 		}
@@ -335,11 +335,11 @@ func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
 		}
 		return simnet.InstMsg{Inst: inst, Inner: inner}, nil
 	case kindRelay:
-		origin := int(d.u32())
-		seq := d.u32()
-		dest := int(d.u32())
-		ttl := d.u8()
-		innerKind := d.u8()
+		origin := int(d.U32())
+		seq := d.U32()
+		dest := int(d.U32())
+		ttl := d.U8()
+		innerKind := d.U8()
 		if d.err != nil {
 			return nil, fmt.Errorf("wire: decode kind %#x: %w", kind, d.err)
 		}
@@ -505,8 +505,8 @@ func DecodeBatchAppend(dst []simnet.Envelope, frame []byte, view bool) ([]simnet
 	}
 	from := int(binary.LittleEndian.Uint32(frame[0:4]))
 	to := int(binary.LittleEndian.Uint32(frame[4:8]))
-	d := decoder{buf: frame, pos: EnvelopeOverhead}
-	count := int(d.u32())
+	d := decoder{Cursor: Cursor{buf: frame, pos: EnvelopeOverhead}}
+	count := int(d.U32())
 	if d.err != nil {
 		return dst, fmt.Errorf("wire: batch count: %w", d.err)
 	}
@@ -515,7 +515,7 @@ func DecodeBatchAppend(dst []simnet.Envelope, frame []byte, view bool) ([]simnet
 	}
 	mark := len(dst)
 	for i := 0; i < count; i++ {
-		rec := d.take(int(d.u32()))
+		rec := d.Take(int(d.U32()))
 		if d.err != nil {
 			return dst[:mark], fmt.Errorf("wire: batch record %d: %w", i, d.err)
 		}
@@ -560,7 +560,7 @@ func AppendBitString(buf []byte, s bitstring.String) []byte {
 // is a zero-copy view aliasing buf: callers that retain it past the
 // buffer's stable window must Clone it (DESIGN.md §10).
 func DecodeBitString(buf []byte) (bitstring.String, int, error) {
-	d := decoder{buf: buf, view: true}
+	d := decoder{Cursor: NewCursor(buf), view: true}
 	s := d.str()
 	if d.err != nil {
 		return bitstring.String{}, 0, d.err
@@ -568,16 +568,26 @@ func DecodeBitString(buf []byte) (bitstring.String, int, error) {
 	return s, d.pos, nil
 }
 
-// decoder is a cursor with sticky errors. In view mode decoded strings
-// alias buf instead of copying.
-type decoder struct {
-	buf  []byte
-	pos  int
-	view bool
-	err  error
+// Cursor is a read cursor with sticky errors over one frame payload: after
+// the first short read every accessor returns the zero value and Err
+// reports what was missing. It is the tree's one binary cursor — the mesh
+// codec here and the client/admin codec (internal/server) decode through
+// it.
+type Cursor struct {
+	buf []byte
+	pos int
+	err error
 }
 
-func (d *decoder) take(n int) []byte {
+// NewCursor returns a cursor at the start of buf.
+func NewCursor(buf []byte) Cursor { return Cursor{buf: buf} }
+
+// Err returns the first decode error; Rest the number of unread bytes.
+func (d *Cursor) Err() error { return d.err }
+func (d *Cursor) Rest() int  { return len(d.buf) - d.pos }
+
+// Take consumes n bytes and returns them as a view into the frame.
+func (d *Cursor) Take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
@@ -590,49 +600,56 @@ func (d *decoder) take(n int) []byte {
 	return out
 }
 
-func (d *decoder) u8() byte {
-	b := d.take(1)
+func (d *Cursor) U8() byte {
+	b := d.Take(1)
 	if b == nil {
 		return 0
 	}
 	return b[0]
 }
 
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
+func (d *Cursor) U32() uint32 {
+	b := d.Take(4)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
 }
 
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
+func (d *Cursor) U64() uint64 {
+	b := d.Take(8)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
 }
 
-// bytes decodes a u32-length-prefixed byte slice, copying it out of the
+// Bytes decodes a u32-length-prefixed byte slice, copying it out of the
 // frame buffer (transports reuse frame buffers across messages).
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	b := d.take(n)
+func (d *Cursor) Bytes() []byte {
+	n := int(d.U32())
+	b := d.Take(n)
 	if d.err != nil {
 		return nil
 	}
 	return append([]byte(nil), b...)
 }
 
+// decoder is a Cursor that also decodes bit strings. In view mode decoded
+// strings alias buf instead of copying.
+type decoder struct {
+	Cursor
+	view bool
+}
+
 func (d *decoder) str() bitstring.String {
-	header := d.take(2)
+	header := d.Take(2)
 	if d.err != nil {
 		return bitstring.String{}
 	}
 	nbits := int(binary.LittleEndian.Uint16(header))
 	need := (nbits + 7) / 8
-	packed := d.take(need)
+	packed := d.Take(need)
 	if d.err != nil {
 		return bitstring.String{}
 	}

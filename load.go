@@ -225,13 +225,12 @@ func RunLoad(ctx context.Context, cfg Config) (*LoadResult, error) {
 				harvest := func() {
 					kept := mine[:0]
 					for _, t := range mine {
-						if _, lat, ok := t.resolved(); ok {
+						lat, done, err := t.poll()
+						if !done {
+							kept = append(kept, t)
+						} else if err == nil { // one resolved with an error is dropped
 							lats = append(lats, float64(lat)/float64(time.Millisecond))
 							resolvedHits++
-						} else if t.failed() {
-							// resolved with an error: drop it
-						} else {
-							kept = append(kept, t)
 						}
 					}
 					mine = kept
@@ -312,7 +311,7 @@ func RunLoad(ctx context.Context, cfg Config) (*LoadResult, error) {
 	// Final sweep: tickets still outstanding when their client stopped
 	// resolved (or failed) during the draining Close above.
 	for _, t := range pending {
-		if _, lat, ok := t.resolved(); ok {
+		if lat, done, err := t.poll(); done && err == nil {
 			committed++
 			latencies = append(latencies, float64(lat)/float64(time.Millisecond))
 		}

@@ -111,11 +111,19 @@ func logEntry(e pipeline.Entry) LogEntry {
 
 // Ticket tracks one proposed payload through batching and commit.
 type Ticket struct {
-	submitted  time.Time
-	resolvedAt time.Time
-	done       chan struct{}
-	entry      LogEntry
-	err        error
+	done    chan struct{}
+	entry   pipeline.Entry
+	latency time.Duration // submit to commit
+	err     error
+}
+
+// ticketCompletion is a Ticket as the ingest stage sees it
+// (pipeline.Completion), kept off the public method set.
+type ticketCompletion Ticket
+
+func (t *ticketCompletion) Complete(e pipeline.Entry, latency time.Duration, err error) {
+	t.entry, t.latency, t.err = e, latency, err
+	close(t.done)
 }
 
 // Wait blocks until the payload's instance commits (or the log fails) and
@@ -123,40 +131,24 @@ type Ticket struct {
 func (t *Ticket) Wait(ctx context.Context) (LogEntry, error) {
 	select {
 	case <-t.done:
-		return t.entry, t.err
+		if t.err != nil {
+			return LogEntry{}, t.err
+		}
+		return logEntry(t.entry), nil
 	case <-ctx.Done():
 		return LogEntry{}, ctx.Err()
 	}
 }
 
-// resolved reports the commit non-blockingly: the entry, the submit-to-
-// commit latency, and whether the ticket resolved successfully.
-func (t *Ticket) resolved() (LogEntry, time.Duration, bool) {
+// poll reports non-blockingly whether the ticket has resolved and, if so,
+// its submit-to-commit latency or the error it resolved with.
+func (t *Ticket) poll() (latency time.Duration, done bool, err error) {
 	select {
 	case <-t.done:
+		return t.latency, true, t.err
 	default:
-		return LogEntry{}, 0, false
+		return 0, false, nil
 	}
-	if t.err != nil {
-		return LogEntry{}, 0, false
-	}
-	return t.entry, t.resolvedAt.Sub(t.submitted), true
-}
-
-// failed reports non-blockingly that the ticket resolved with an error.
-func (t *Ticket) failed() bool {
-	select {
-	case <-t.done:
-	default:
-		return false
-	}
-	return t.err != nil
-}
-
-// proposal is one queued client payload.
-type proposal struct {
-	payload []byte
-	ticket  *Ticket
 }
 
 // DecisionLog is a pipelined multi-instance decision log. Open one with
@@ -172,26 +164,15 @@ type DecisionLog struct {
 	cfg     Config
 	eng     *pipeline.Engine
 	runtime LogRuntime
-	batch   int
-	linger  time.Duration
 	// st is the durable commit store (WithLogStore); nil runs in-memory.
 	st *store.Store
 
-	ingest chan proposal
-	// closeCh tells the batcher (and blocked Propose calls) that Close
-	// started; the ingest channel itself is never closed, so a racing
-	// Propose can never panic on a closed send.
-	closeCh     chan struct{}
-	batcherDone chan struct{}
-	// shutdown releases the failure watcher once Close has resolved every
-	// ticket itself.
-	shutdown  chan struct{}
-	stopWatch func() bool
+	// ing is the ingest stage in front of the engine; Propose is its one
+	// source.
+	ing *pipeline.Ingest
+	src *pipeline.Source
 
-	mu        sync.Mutex
-	tickets   map[uint64][]*Ticket // per-seq tickets awaiting commit
-	closed    bool
-	proposers sync.WaitGroup // in-flight Propose calls (entered before closed flips)
+	stopWatch func() bool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -228,17 +209,7 @@ func OpenLog(ctx context.Context, cfg Config, opts ...Option) (*DecisionLog, err
 		linger = 2 * time.Millisecond
 	}
 
-	l := &DecisionLog{
-		cfg:         cfg,
-		runtime:     runtime,
-		batch:       batch,
-		linger:      linger,
-		ingest:      make(chan proposal, 4*batch),
-		closeCh:     make(chan struct{}),
-		batcherDone: make(chan struct{}),
-		shutdown:    make(chan struct{}),
-		tickets:     make(map[uint64][]*Ticket),
-	}
+	l := &DecisionLog{cfg: cfg, runtime: runtime}
 	if cfg.storeDir != "" {
 		st, err := store.Open(cfg.storeDir, store.Options{
 			SyncWindow:    cfg.storeSync,
@@ -295,17 +266,9 @@ func OpenLog(ctx context.Context, cfg Config, opts ...Option) (*DecisionLog, err
 	// Propagate cancellation into transport teardown: a cancelled
 	// long-lived run must not leave netrun accept/read goroutines behind.
 	l.stopWatch = context.AfterFunc(ctx, eng.Abort)
-	go l.batcher()
-	// Resolve outstanding tickets promptly when the engine fails (an
-	// instance timeout, a cancellation) instead of leaving Ticket.Wait
-	// blocked until Close.
-	go func() {
-		select {
-		case <-eng.Failed():
-			l.failTickets(eng.Err())
-		case <-l.shutdown:
-		}
-	}()
+	// Backpressure at four batches: Propose blocks past that.
+	l.ing = pipeline.NewIngest(eng, 4*batch, batch, linger)
+	l.src = l.ing.Attach()
 	return l, nil
 }
 
@@ -315,37 +278,20 @@ func (l *DecisionLog) Runtime() LogRuntime { return l.runtime }
 // Correct returns the number of correct nodes in the log's population.
 func (l *DecisionLog) Correct() int { return l.eng.Correct() }
 
-// Propose submits one client payload: it joins the batcher's pending set
-// and is folded into the next instance's value. Propose blocks for
-// backpressure when the ingest buffer is full (the pipeline is at Depth
-// and a full batch is already waiting). The returned Ticket resolves when
-// the payload's instance commits, or with an error when the log fails or
-// closes first.
+// Propose submits one client payload: it joins the ingest queue and is
+// folded into the next instance's value. Propose blocks for backpressure
+// when the queue is full (the pipeline is at Depth and four batches are
+// already waiting). The returned Ticket resolves when the payload's
+// instance commits, or with an error when the log fails or closes first.
 func (l *DecisionLog) Propose(ctx context.Context, payload []byte) (*Ticket, error) {
-	// Enter the proposer set under the lock: once Close flips the flag no
-	// new proposer starts, and Close waits out everyone already inside —
-	// so the batcher keeps consuming until every blocked send below has
-	// finished, and the ingest channel never needs closing.
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, l.appendErr()
+	t := &Ticket{done: make(chan struct{})}
+	if err := l.src.OfferWait(ctx, payload, (*ticketCompletion)(t)); err != nil {
+		if errors.Is(err, pipeline.ErrClosed) {
+			err = l.appendErr()
+		}
+		return nil, err
 	}
-	l.proposers.Add(1)
-	l.mu.Unlock()
-	defer l.proposers.Done()
-
-	t := &Ticket{submitted: time.Now(), done: make(chan struct{})}
-	select {
-	case l.ingest <- proposal{payload: payload, ticket: t}:
-		return t, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-l.closeCh:
-		return nil, l.appendErr()
-	case <-l.batcherDone:
-		return nil, l.appendErr()
-	}
+	return t, nil
 }
 
 // Append opens one instance with exactly the given batch, bypassing the
@@ -383,20 +329,14 @@ func (l *DecisionLog) Committed() []LogEntry {
 // Err returns the log's fatal error, if any.
 func (l *DecisionLog) Err() error { return l.eng.Err() }
 
-// Close flushes the batcher's pending payloads, waits for every open
-// instance to commit (bounded by the instance timeout), tears the
+// Close flushes the queued payloads into final instances, waits for every
+// open instance to commit (bounded by the instance timeout), tears the
 // transport down and returns the log's fatal error, if any.
 func (l *DecisionLog) Close() error {
 	l.closeOnce.Do(func() {
-		l.mu.Lock()
-		l.closed = true
-		l.mu.Unlock()
-		// No new proposers can start; wait out the in-flight ones (the
-		// batcher is still consuming, so blocked sends finish), then tell
-		// the batcher to drain what reached the buffer and stop.
-		l.proposers.Wait()
-		close(l.closeCh)
-		<-l.batcherDone
+		// Unbounded context: a head instance that never commits fails the
+		// engine at its instance timeout, which ends the wait.
+		l.ing.Close(context.Background())
 		l.closeErr = l.eng.Close()
 		if l.st != nil {
 			// The engine is drained: no commit can still be persisting.
@@ -406,11 +346,7 @@ func (l *DecisionLog) Close() error {
 				l.closeErr = serr
 			}
 		}
-		if l.stopWatch != nil {
-			l.stopWatch()
-		}
-		l.failTickets(l.closeErr)
-		close(l.shutdown)
+		l.stopWatch()
 	})
 	return l.closeErr
 }
@@ -444,7 +380,7 @@ func (l *DecisionLog) CatchupAddr() string { return l.eng.CatchupAddr() }
 func (l *DecisionLog) StoreDir() string { return l.cfg.storeDir }
 
 // NetStats snapshots the TCP transport's connection-supervision counters
-// (dials, redials, suspects, shed frames, chaos strikes). Safe to call
+// (dials, redials, suspects, dropped frames, chaos strikes). Safe to call
 // mid-run; the zero value on the fabric runtime.
 func (l *DecisionLog) NetStats() NetStats { return l.eng.NetStats() }
 
@@ -502,145 +438,16 @@ func (l *DecisionLog) appendErr() error {
 	return ErrLogClosed
 }
 
-// batcher folds queued proposals into instances: a batch opens when it
-// reaches the batch size or when the linger timer expires with at least
-// one payload pending. Slot backpressure happens inside Append.
-func (l *DecisionLog) batcher() {
-	defer close(l.batcherDone)
-	var (
-		payloads [][]byte
-		tickets  []*Ticket
-		timer    *time.Timer
-		timerC   <-chan time.Time
-	)
-	ship := func() {
-		if len(payloads) == 0 {
-			return
-		}
-		batch, batchTickets := payloads, tickets
-		payloads, tickets = nil, nil
-		if timerC != nil {
-			// The linger tick is unconsumed: if Stop loses the race with
-			// the firing, drain the tick so the next Reset does not fire
-			// instantly and cut a premature one-payload batch.
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timerC = nil
-		}
-		seq, err := l.eng.Append(context.Background(), batch)
-		if err != nil {
-			for _, t := range batchTickets {
-				t.err = err
-				close(t.done)
-			}
-			return
-		}
-		l.mu.Lock()
-		l.tickets[seq] = batchTickets
-		l.mu.Unlock()
-		// The instance may have committed between Append returning and the
-		// registration above, in which case onCommit found nothing to
-		// resolve; re-check so the tickets never dangle. resolveSeq pulls
-		// tickets out of the map under the lock, so the commit callback
-		// and this re-check resolve each ticket exactly once.
-		if e, ok := l.eng.CommittedSeq(seq); ok {
-			l.resolveSeq(seq, logEntry(e))
-		} else if err := l.eng.Err(); err != nil {
-			// Same window on the failure side: the engine may have failed
-			// between Append and registration, before the failure watcher
-			// could see these tickets.
-			l.failTickets(err)
-		}
-	}
-	collect := func(p proposal) {
-		payloads = append(payloads, p.payload)
-		tickets = append(tickets, p.ticket)
-		if len(payloads) >= l.batch {
-			ship()
-		} else if timerC == nil {
-			if timer == nil {
-				timer = time.NewTimer(l.linger)
-			} else {
-				timer.Reset(l.linger)
-			}
-			timerC = timer.C
-		}
-	}
-	for {
-		select {
-		case p := <-l.ingest:
-			collect(p)
-		case <-timerC:
-			timerC = nil
-			ship()
-		case <-l.closeCh:
-			// Close has waited out every in-flight Propose, so the buffer
-			// holds everything that will ever arrive: drain it, ship the
-			// final batch and stop.
-			for {
-				select {
-				case p := <-l.ingest:
-					collect(p)
-					continue
-				default:
-				}
-				break
-			}
-			ship()
-			return
-		}
-	}
-}
-
 // onCommit resolves the committed instance's tickets and streams the
 // commit through the configured Observer.
 func (l *DecisionLog) onCommit(e pipeline.Entry, _ bool) {
-	l.resolveSeq(e.Seq, logEntry(e))
+	l.ing.Commit(e)
 	if l.cfg.observer != nil {
 		size := 0
 		for _, p := range e.Payloads {
 			size += len(p)
 		}
 		l.cfg.observer(Event{Type: EventCommit, Time: int(e.Seq), From: -1, To: -1, Kind: "commit", Size: size})
-	}
-}
-
-// resolveSeq resolves the tickets registered for one committed seq,
-// exactly once: whoever pulls them out of the map under the lock (the
-// commit callback, or the batcher's post-registration re-check) owns
-// their resolution.
-func (l *DecisionLog) resolveSeq(seq uint64, entry LogEntry) {
-	l.mu.Lock()
-	tickets := l.tickets[seq]
-	delete(l.tickets, seq)
-	l.mu.Unlock()
-	now := time.Now()
-	for _, t := range tickets {
-		t.entry = entry
-		t.resolvedAt = now
-		close(t.done)
-	}
-}
-
-// failTickets resolves every unresolved ticket with err (nil: a clean
-// close that still left tickets means their instances never committed).
-func (l *DecisionLog) failTickets(err error) {
-	if err == nil {
-		err = fmt.Errorf("%w before the payload committed", ErrLogClosed)
-	}
-	l.mu.Lock()
-	pending := l.tickets
-	l.tickets = make(map[uint64][]*Ticket)
-	l.mu.Unlock()
-	for _, batch := range pending {
-		for _, t := range batch {
-			t.err = err
-			close(t.done)
-		}
 	}
 }
 

@@ -29,7 +29,7 @@ type ReconnectPolicy = netrun.ReconnectPolicy
 type HeartbeatPolicy = netrun.HeartbeatPolicy
 
 // NetStats aggregates a TCP run's connection-supervision counters:
-// dial/redial churn, failure-detector transitions, shed frames, chaos
+// dial/redial churn, failure-detector transitions, dropped frames, chaos
 // strikes. Surfaced by TCPResult.Net, LoadResult.Net, DecisionLog.NetStats
 // and Cluster metrics.
 type NetStats = simnet.NetStats
@@ -87,17 +87,6 @@ func WithReconnect(p ReconnectPolicy) Option {
 // 500ms, suspect after 2s; Disable turns it off).
 func WithHeartbeat(p HeartbeatPolicy) Option {
 	return optionFunc(func(c *Config) { c.net.Heartbeat = p })
-}
-
-// WithSendQueue bounds each directed connection's send queue to frames
-// entries (default 1024) and selects the overload policy: shedOldest true
-// drops the oldest queued frame when full (counted in NetStats.Shed),
-// false blocks the sender until the writer drains.
-func WithSendQueue(frames int, shedOldest bool) Option {
-	return optionFunc(func(c *Config) {
-		c.net.QueueLen = frames
-		c.net.ShedOldest = shedOldest
-	})
 }
 
 // WithChaos installs a live-socket chaos plan on the TCP runtime. It

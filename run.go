@@ -157,12 +157,12 @@ func execute(ctx context.Context, cfg Config, nodes []simnet.Node, corrupt []boo
 	case Goroutines:
 		// The goroutine runner has no safe preemption point; it runs to
 		// quiescence and cancellation is honoured on return.
-		r := simnet.NewGo(nodes)
-		r.Observe(obs)
+		f := simnet.NewFabric(nodes, simnet.CausalClock, true)
+		f.Observe(obs)
 		if !plan.IsZero() {
-			r.InjectFaults(plan)
+			f.SetFaults(plan)
 		}
-		m = r.Run()
+		m = f.Run()
 	default:
 		return nil, fmt.Errorf("fastba: unknown model %v", cfg.model)
 	}

@@ -66,7 +66,7 @@ func RunTCP(ctx context.Context, cfg Config, timeout time.Duration) (*TCPResult,
 		timeout = 60 * time.Second
 	}
 	sc, err := core.NewScenario(cfg.params, cfg.seed, core.ScenarioConfig{
-		CorruptFrac: cfg.corruptFrac,
+		CorruptFrac: cfg.coreCorruptFrac(),
 		KnowFrac:    cfg.knowFrac,
 		SharedJunk:  cfg.sharedJunk,
 		AdvBits:     1.0 / 3,

@@ -115,7 +115,7 @@ func TestTransportConformance(t *testing.T) {
 		}},
 		{"goroutines", func(t *testing.T, sc *core.Scenario) runOutcome {
 			nodes, correct := sc.Build(nil)
-			m := simnet.NewGo(nodes).Run()
+			m := simnet.NewFabric(nodes, simnet.CausalClock, true).Run()
 			return outcomeOf(sc, correct, m)
 		}},
 		{"tcp-cluster", func(t *testing.T, sc *core.Scenario) runOutcome {
@@ -208,9 +208,9 @@ func TestTransportConformanceFaults(t *testing.T) {
 		}},
 		{"goroutines", func(t *testing.T, sc *core.Scenario, plan simnet.FaultPlan) (*core.Scenario, []*core.Node) {
 			nodes, correct := sc.Build(nil)
-			r := simnet.NewGo(nodes)
-			r.InjectFaults(plan)
-			r.Run()
+			f := simnet.NewFabric(nodes, simnet.CausalClock, true)
+			f.SetFaults(plan)
+			f.Run()
 			return sc, correct
 		}},
 		{"tcp-cluster", func(t *testing.T, sc *core.Scenario, plan simnet.FaultPlan) (*core.Scenario, []*core.Node) {
@@ -374,9 +374,9 @@ func TestTransportConformanceScenario(t *testing.T) {
 		}},
 		{"goroutines", func(t *testing.T) runOutcome {
 			nodes, correct := build(t)
-			r := simnet.NewGo(nodes)
-			r.InjectFaults(plan)
-			return outcome(correct, r.Run())
+			f := simnet.NewFabric(nodes, simnet.CausalClock, true)
+			f.SetFaults(plan)
+			return outcome(correct, f.Run())
 		}},
 		{"tcp-cluster", func(t *testing.T) runOutcome {
 			nodes, correct := build(t)
@@ -448,5 +448,22 @@ func TestTransportConformanceRunTCP(t *testing.T) {
 	}
 	if res.LastDecision <= 0 {
 		t.Fatalf("TCP decision time not plumbed: LastDecision = %d", res.LastDecision)
+	}
+
+	// An adaptive adversary spends its corruption budget online — the relay
+	// silences its targets — so the core population stays uncorrupted on
+	// every runtime: the budget is spent once.
+	adaptive := NewConfig(24, WithSeed(11), WithCorruptFrac(0.1), WithAdversaryName("adaptive-oblivious"),
+		WithScenario(Scenario{Topology: TopologyWS, Degree: 8, Rewire: 0.2}))
+	sim, err = RunAER(adaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = RunTCP(context.Background(), adaptive, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Correct != sim.Correct {
+		t.Fatalf("adaptive adversary: RunTCP built %d correct nodes, RunAER %d", res.Correct, sim.Correct)
 	}
 }
