@@ -11,7 +11,7 @@
 // non-adaptive Byzantine adversary controlling t < (1/3−ε)n nodes — under
 // synchronous (rushing or non-rushing), asynchronous and goroutine-backed
 // runtimes, with per-node communication metering, and can execute the same
-// protocol nodes over real loopback TCP sockets (RunTCP).
+// protocol nodes over real loopback TCP sockets (the TCP model).
 //
 // Quick start — one run:
 //
@@ -44,7 +44,7 @@
 // per-delivery, per-round and per-decision events from any runtime.
 //
 // Everything is deterministic given the configuration's seed, except under
-// the Goroutines model and TCP, where scheduling is up to the runtime.
+// the Goroutines and TCP models, where scheduling is up to the runtime.
 package fastba
 
 import (
@@ -78,7 +78,18 @@ const (
 	// scheduling is up to the Go runtime, so only outcome properties are
 	// deterministic, not traces.
 	Goroutines
+	// TCP runs the same nodes over real loopback sockets: one listener per
+	// node, length-prefixed binary frames, a lazily dialed supervised mesh
+	// (WithReconnect, WithHeartbeat, WithChaos tune it). The kernel schedules
+	// delivery; bits are framed wire bytes, AERResult.Time is elapsed wall
+	// milliseconds and decision times are per-node delivery counts. Custom
+	// message types without a wire codec are dropped, and rushing
+	// behaviours degrade to their non-rushing form.
+	TCP
 )
+
+// models lists every Model value, in declaration order.
+var models = []Model{SyncNonRushing, SyncRushing, Async, AsyncAdversarial, Goroutines, TCP}
 
 // String implements fmt.Stringer.
 func (m Model) String() string {
@@ -93,6 +104,8 @@ func (m Model) String() string {
 		return "async-adversarial"
 	case Goroutines:
 		return "goroutines"
+	case TCP:
+		return "tcp"
 	default:
 		return fmt.Sprintf("Model(%d)", int(m))
 	}
@@ -100,13 +113,18 @@ func (m Model) String() string {
 
 // ParseModel maps a model's String name back to its value.
 func ParseModel(s string) (Model, error) {
-	for _, m := range []Model{SyncNonRushing, SyncRushing, Async, AsyncAdversarial, Goroutines} {
+	for _, m := range models {
 		if s == m.String() {
 			return m, nil
 		}
 	}
 	return 0, fmt.Errorf("fastba: unknown model %q", s)
 }
+
+// deterministic reports whether a run under the model replays bit for bit
+// from its seed. Goroutines and TCP leave delivery order to the Go scheduler
+// and the kernel, so only outcome properties are reproducible there.
+func (m Model) deterministic() bool { return m != Goroutines && m != TCP }
 
 // Adversary selects a built-in Byzantine strategy. Every value is also
 // registered under its String name, so WithAdversary(AdversaryFlood) and
@@ -179,11 +197,10 @@ type Config struct {
 
 	// Durable-store knobs (WithLogStore and friends) and the catch-up
 	// source a restarted log fetches its missing committed prefix from.
-	storeDir       string
-	storeSync      time.Duration
-	storeSnapEvery int
-	catchupAddr    string
-	catchupPeer    *DecisionLog
+	storeDir    string
+	storeSync   time.Duration
+	catchupAddr string
+	catchupPeer *DecisionLog
 
 	// TCP transport supervision knobs (net.go): dial/write deadlines,
 	// redial policy, heartbeat detector, send-queue bounds and the chaos
@@ -205,7 +222,7 @@ type optionFunc func(*Config)
 func (f optionFunc) apply(c *Config) { f(c) }
 
 // WithSeed sets the master seed (default 1). Runs are deterministic per
-// seed under every model except Goroutines.
+// seed under every model except Goroutines and TCP.
 func WithSeed(seed uint64) Option {
 	return optionFunc(func(c *Config) { c.seed = seed })
 }
@@ -282,7 +299,7 @@ func WithScheduler(mk SchedulerMaker) Option {
 
 // WithObserver streams execution events (deliveries, round advances,
 // decisions) from the run to o. It covers the protocol under study: AER
-// executions under every model and over TCP. Baseline comparison runs and
+// executions under every model. Baseline comparison runs and
 // the BA pipeline's almost-everywhere phase do not stream events (only
 // the BA run's AER phase does). The deterministic models invoke o live,
 // per delivery; the concurrent runtimes (Goroutines, TCP) buffer events
@@ -367,7 +384,7 @@ func (c Config) validate() error {
 	if c.n < 8 {
 		return fmt.Errorf("fastba: n = %d too small (need ≥ 8)", c.n)
 	}
-	if c.model < SyncNonRushing || c.model > Goroutines {
+	if c.model < SyncNonRushing || c.model > TCP {
 		return fmt.Errorf("fastba: unknown model %d", int(c.model))
 	}
 	if _, err := lookupAdversary(c.advName); err != nil {

@@ -287,9 +287,6 @@ const (
 	KindBA
 	// KindBaseline sweeps RunBaseline with Suite.Baseline.
 	KindBaseline
-	// KindTCP sweeps RunTCP: every run executes over real loopback
-	// sockets. Time statistics are wall-clock milliseconds.
-	KindTCP
 	// KindLog sweeps RunLoad: every run drives a pipelined DecisionLog
 	// under the cell's Workload (Sweep.Workloads) and reports committed
 	// throughput and commit-latency percentiles. Time statistics are
@@ -307,8 +304,6 @@ func (k RunKind) String() string {
 		return "ba"
 	case KindBaseline:
 		return "baseline"
-	case KindTCP:
-		return "tcp"
 	case KindLog:
 		return "log"
 	default:
@@ -331,15 +326,14 @@ type Suite struct {
 	// deterministic per seed regardless of scheduling, and aggregation is
 	// order-independent, so Reports do not depend on Workers.
 	Workers int
-	// TCPTimeout bounds each KindTCP run (default 60s).
-	TCPTimeout time.Duration
 	// OnResult, when set, streams every finished run's record as it
 	// completes (calls are serialized). Completion order is
 	// non-deterministic under parallelism; the Report is not.
 	OnResult func(RunRecord)
 	// CheckOracles evaluates the protocol-invariant safety oracles
 	// (agreement, validity, certificates — see the Oracle* constants) on
-	// every successful AER, BA and TCP run and records violations in
+	// every completed AER and BA run — a timed-out TCP run included, since
+	// safety binds partial outcomes too — and records violations in
 	// RunRecord.OracleViolations. Essential for sweeps with fault
 	// dimensions, where the Agreement flag alone cannot distinguish "the
 	// network destroyed liveness" from "safety broke". Termination is not
@@ -419,7 +413,7 @@ func (r RunRecord) DecidedFrac() float64 {
 // cancellation is observed.
 //
 // Reports are deterministic: for a fixed suite, every call returns the
-// same Report regardless of worker count or completion order (KindTCP wall
+// same Report regardless of worker count or completion order (TCP-model wall
 // times and Goroutines-model traces excepted).
 func RunSuite(ctx context.Context, s Suite) (*Report, error) {
 	if s.Kind == 0 {
@@ -537,39 +531,6 @@ func (s Suite) runOne(ctx context.Context, run plannedRun) RunRecord {
 		rec.MeanBitsPerNode = res.MeanBitsPerNode
 		rec.MaxBitsPerNode = res.MaxBitsPerNode
 		rec.TotalMessages = res.TotalMessages
-	case KindTCP:
-		res, err := RunTCP(ctx, run.cfg, s.TCPTimeout)
-		if err != nil {
-			rec.Err = err.Error()
-			return rec
-		}
-		rec.Agreement = res.Agreement
-		rec.Correct = res.Correct
-		rec.Decided = res.Decided
-		rec.DecidedGString = res.DecidedGString
-		rec.DecidedOther = res.DecidedOther
-		rec.MeanBitsPerNode = res.MeanBitsPerNode
-		rec.MaxBitsPerNode = res.MaxBitsPerNode
-		rec.Time = int(res.Wall.Milliseconds())
-		rec.LastDecision = res.LastDecision
-		rec.DistinctDecisions = res.DistinctDecisions
-		rec.CertDeficits = res.CertDeficits
-		if res.TimedOut {
-			rec.Err = "tcp run timed out before all correct nodes decided"
-		}
-		if s.CheckOracles && rec.Err == "" {
-			// Oracles consume the AER-shaped view of the TCP outcome.
-			view := &AERResult{
-				Correct: res.Correct, Decided: res.Decided,
-				DecidedGString: res.DecidedGString, DecidedOther: res.DecidedOther,
-				LastDecision:      res.LastDecision,
-				DistinctDecisions: res.DistinctDecisions,
-				CertDeficits:      res.CertDeficits,
-			}
-			o := NewOracles(run.cfg)
-			o.suiteMode = true
-			rec.OracleViolations = o.Report(view).Strings()
-		}
 	case KindLog:
 		res, err := RunLoad(ctx, run.cfg)
 		if err != nil {
@@ -616,4 +577,7 @@ func (rec *RunRecord) fillAER(res *AERResult) {
 	rec.DecisionTimes = res.DecisionTimes
 	rec.DistinctDecisions = res.DistinctDecisions
 	rec.CertDeficits = res.CertDeficits
+	if res.TimedOut {
+		rec.Err = "tcp run timed out before all correct nodes decided"
+	}
 }

@@ -255,7 +255,7 @@ func TestRunSuiteRenderAndKindStrings(t *testing.T) {
 	if !strings.Contains(out, "render (aer)") || !strings.Contains(out, "sync-nonrushing") {
 		t.Fatalf("render output missing pieces:\n%s", out)
 	}
-	for kind, want := range map[RunKind]string{KindAER: "aer", KindBA: "ba", KindBaseline: "baseline", KindTCP: "tcp"} {
+	for kind, want := range map[RunKind]string{KindAER: "aer", KindBA: "ba", KindBaseline: "baseline", KindLog: "log"} {
 		if kind.String() != want {
 			t.Fatalf("RunKind(%d).String() = %q", kind, kind.String())
 		}

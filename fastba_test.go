@@ -198,6 +198,58 @@ func TestStringers(t *testing.T) {
 	}
 }
 
+// TestModelTable: every Model value has a name ParseModel maps back, passes
+// validation, and answers the determinism guard the fuzzer relies on; the
+// values on either side of the range are rejected.
+func TestModelTable(t *testing.T) {
+	table := []struct {
+		model         Model
+		name          string
+		deterministic bool
+	}{
+		{SyncNonRushing, "sync-nonrushing", true},
+		{SyncRushing, "sync-rushing", true},
+		{Async, "async", true},
+		{AsyncAdversarial, "async-adversarial", true},
+		{Goroutines, "goroutines", false},
+		{TCP, "tcp", false},
+	}
+	if len(table) != len(models) {
+		t.Fatalf("table covers %d models, the package declares %d", len(table), len(models))
+	}
+	for i, tt := range table {
+		if models[i] != tt.model || tt.model.String() != tt.name {
+			t.Fatalf("model %d: %v named %q, want %q", i, models[i], tt.model.String(), tt.name)
+		}
+		if got, err := ParseModel(tt.name); err != nil || got != tt.model {
+			t.Fatalf("ParseModel(%q) = %v, %v", tt.name, got, err)
+		}
+		if err := NewConfig(16, WithModel(tt.model)).validate(); err != nil {
+			t.Fatalf("%v rejected by validation: %v", tt.model, err)
+		}
+		if tt.model.deterministic() != tt.deterministic {
+			t.Fatalf("%v.deterministic() = %v", tt.model, !tt.deterministic)
+		}
+		_, caseErr := FuzzCase{N: 16, Model: tt.name, Adversary: "none", KnowFrac: 1}.config()
+		campaignErr := (&FuzzConfig{Runs: 1, Models: []Model{tt.model}}).defaults()
+		if (caseErr == nil) != tt.deterministic || (campaignErr == nil) != tt.deterministic {
+			t.Fatalf("%v: fuzz case error %v, campaign error %v, deterministic %v", tt.model, caseErr, campaignErr, tt.deterministic)
+		}
+		if asyncOnly := tt.model == Async || tt.model == AsyncAdversarial; asyncOnly !=
+			(NewConfig(16, WithModel(tt.model), WithScheduler(func(int, uint64) Scheduler { return NewFIFOScheduler() })).validate() == nil) {
+			t.Fatalf("%v: WithScheduler acceptance is wrong", tt.model)
+		}
+	}
+	for _, bad := range []Model{0, TCP + 1} {
+		if err := NewConfig(16, WithModel(bad)).validate(); err == nil {
+			t.Fatalf("Model(%d) passed validation", int(bad))
+		}
+		if _, err := ParseModel(bad.String()); err == nil {
+			t.Fatalf("ParseModel accepted %q", bad.String())
+		}
+	}
+}
+
 func TestAdversaryNoneZeroesCorruption(t *testing.T) {
 	cfg := NewConfig(64, WithCorruptFrac(0.2), WithAdversary(AdversaryNone))
 	if cfg.corruptFrac != 0 {

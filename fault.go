@@ -46,7 +46,7 @@ type LinkFault = simnet.LinkFault
 // disconnect, not a process death. Real restart scenarios — the process
 // killed mid-run, its memory gone, its durable state reopened from disk
 // — are a property of the decision log, not of a single run's fault
-// plan: give the log a store (WithLogStore / OpenLogAt), hard-crash it
+// plan: give the log a store (WithLogStore), hard-crash it
 // (DecisionLog.Crash — no final fsync, kill -9 semantics), and reopen
 // it from the same directory. Workload.Restarts drives that cycle under
 // sustained load, LogFuzz.RestartAfter fuzzes it under fault plans, and
@@ -56,11 +56,11 @@ type LinkFault = simnet.LinkFault
 type Crash = simnet.Crash
 
 // WithFaults installs a fault plan on the run's delivery path. The plan
-// applies under every model and over TCP; invalid plans (probabilities
+// applies under every model; invalid plans (probabilities
 // outside [0, 1], malformed windows, unknown nodes) are rejected by
 // validation at run time. Time units for partition and crash windows
 // follow the runtime's clock: synchronous rounds, asynchronous causal
-// depth, or the sender's per-node delivery count over TCP.
+// depth, or the sender's per-node delivery count under TCP.
 func WithFaults(plan FaultPlan) Option {
 	return optionFunc(func(c *Config) { c.faults = plan })
 }

@@ -153,7 +153,7 @@ func (c FuzzCase) config() (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	if model == Goroutines {
+	if !model.deterministic() {
 		return Config{}, fmt.Errorf("fastba: fuzz cases require a deterministic model, have %v", model)
 	}
 	opts := []Option{
@@ -565,7 +565,7 @@ func (fc *FuzzConfig) defaults() error {
 		fc.Models = []Model{SyncNonRushing, SyncRushing, Async, AsyncAdversarial}
 	}
 	for _, m := range fc.Models {
-		if m == Goroutines {
+		if !m.deterministic() {
 			return fmt.Errorf("fastba: fuzz campaigns require deterministic models, have %v", m)
 		}
 	}

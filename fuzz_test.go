@@ -58,6 +58,76 @@ func TestOracleCatchesBrokenQuorum(t *testing.T) {
 	}
 }
 
+// TestOracleSingleDecisionLostStream: every runtime streams one decision
+// event per decider, so an attached observer that saw none while the end
+// state records deciders has lost them — a single-decision finding, not a
+// transport that "does not emit decisions".
+func TestOracleSingleDecisionLostStream(t *testing.T) {
+	cfg := NewConfig(16, WithSeed(1), WithAdversary(AdversaryNone), WithKnowFrac(1))
+	res, err := RunAER(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Decided == 0 {
+		t.Fatal("reference run decided nowhere")
+	}
+	o := NewOracles(cfg)
+	o.Observer() // attached, fed nothing
+	rep := o.Report(res)
+	found := false
+	for _, v := range rep.Violations {
+		found = found || v.Oracle == OracleSingleDecision
+	}
+	if !found {
+		t.Fatalf("a stream with 0 decision events against %d deciders passed single-decision: %s", res.Decided, rep)
+	}
+}
+
+// TestOracleSingleDecisionEveryModel: under each of the six models a run
+// streams exactly one EventDecision per decider, and the single-decision
+// oracle — attached, checked, no carve-out — is clean.
+func TestOracleSingleDecisionEveryModel(t *testing.T) {
+	for _, m := range models {
+		m := m
+		t.Run(m.String(), func(t *testing.T) {
+			base := NewConfig(24, WithSeed(4), WithModel(m), WithCorruptFrac(0.05), WithKnowFrac(0.92))
+			o := NewOracles(base)
+			check := o.Observer()
+			events := map[NodeID]int{}
+			cfg := base
+			WithObserver(func(ev Event) {
+				if ev.Type == EventDecision {
+					events[ev.To]++
+				}
+				check(ev)
+			}).apply(&cfg)
+			res, err := RunAER(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TimedOut || res.Decided == 0 {
+				t.Fatalf("degenerate run: %+v", res)
+			}
+			if len(events) != res.Decided {
+				t.Fatalf("%d nodes streamed a decision, the end state records %d deciders", len(events), res.Decided)
+			}
+			for id, k := range events {
+				if k != 1 {
+					t.Fatalf("node %d streamed %d decision events", id, k)
+				}
+			}
+			rep := o.Report(res)
+			checked := false
+			for _, name := range rep.Checked {
+				checked = checked || name == OracleSingleDecision
+			}
+			if !checked || !rep.OK() {
+				t.Fatalf("single-decision checked=%v, report: %s", checked, rep)
+			}
+		})
+	}
+}
+
 // TestFuzzDigestDeterministic locks the reproducibility contract: a fixed
 // campaign seed yields byte-identical run digests across two invocations,
 // case by case.

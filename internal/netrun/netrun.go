@@ -116,13 +116,8 @@ func (s *netStats) snapshot() simnet.NetStats {
 	}
 }
 
-// New builds a cluster with default Options: one loopback listener per
-// node. The caller must Close the cluster.
-func New(nodes []simnet.Node) (*Cluster, error) {
-	return NewWithOptions(nodes, Options{})
-}
-
-// NewWithOptions builds a cluster with explicit supervision options. The
+// NewWithOptions builds a cluster with explicit supervision options (the
+// zero Options selects the defaults: one loopback listener per node). The
 // caller must Close the cluster.
 func NewWithOptions(nodes []simnet.Node, opts Options) (*Cluster, error) {
 	if err := opts.Validate(); err != nil {

@@ -19,7 +19,7 @@ func TestAEROverTCP(t *testing.T) {
 	}
 	nodes, correct := sc.Build(nil)
 
-	cluster, err := New(nodes)
+	cluster, err := NewWithOptions(nodes, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSentBytesAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes, correct := sc.Build(nil)
-	cluster, err := New(nodes)
+	cluster, err := NewWithOptions(nodes, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSentBytesAccounted(t *testing.T) {
 
 func TestAddrsExposed(t *testing.T) {
 	nodes := []simnet.Node{noopNode{}, noopNode{}}
-	cluster, err := New(nodes)
+	cluster, err := NewWithOptions(nodes, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestAddrsExposed(t *testing.T) {
 }
 
 func TestRunUntilTimeout(t *testing.T) {
-	cluster, err := New([]simnet.Node{noopNode{}})
+	cluster, err := NewWithOptions([]simnet.Node{noopNode{}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunUntilTimeout(t *testing.T) {
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	cluster, err := New([]simnet.Node{noopNode{}})
+	cluster, err := NewWithOptions([]simnet.Node{noopNode{}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCloseIdempotent(t *testing.T) {
 
 func TestSendToInvalidNodeIgnored(t *testing.T) {
 	bad := &wildSender{}
-	cluster, err := New([]simnet.Node{bad})
+	cluster, err := NewWithOptions([]simnet.Node{bad}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

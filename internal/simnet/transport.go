@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the shared runtime core of the concurrent runners: the
-// goroutine runner (Fabric.Run over loopback) and the TCP cluster (internal/netrun, and
-// through it the public RunTCP) both execute nodes on a Fabric and differ
-// only in their Transport. Metering, observer fan-in, mailbox plumbing and
+// goroutine runner (Fabric.Run over loopback, the Goroutines model) and the
+// TCP cluster (internal/netrun, the TCP model) both execute nodes on a Fabric
+// and differ only in their Transport. Metering, observer fan-in, mailbox plumbing and
 // quiescence detection therefore live here, in one place.
 
 // Transport moves envelopes from a sending node towards the destination

@@ -234,14 +234,6 @@ func Unmarshal(kind byte, payload []byte) (simnet.Message, error) {
 	return unmarshal(kind, payload, false)
 }
 
-// UnmarshalView decodes a payload given its kind byte, zero-copy: decoded
-// bit strings are views aliasing payload (bitstring.View). The result is
-// only valid while payload's backing buffer is stable — see RefBuf for the
-// ownership protocol.
-func UnmarshalView(kind byte, payload []byte) (simnet.Message, error) {
-	return unmarshal(kind, payload, true)
-}
-
 func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
 	d := decoder{Cursor: NewCursor(payload), view: view}
 	var m simnet.Message

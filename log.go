@@ -211,10 +211,7 @@ func OpenLog(ctx context.Context, cfg Config, opts ...Option) (*DecisionLog, err
 
 	l := &DecisionLog{cfg: cfg, runtime: runtime}
 	if cfg.storeDir != "" {
-		st, err := store.Open(cfg.storeDir, store.Options{
-			SyncWindow:    cfg.storeSync,
-			SnapshotEvery: cfg.storeSnapEvery,
-		})
+		st, err := store.Open(cfg.storeDir, store.Options{SyncWindow: cfg.storeSync})
 		if err != nil {
 			return nil, err
 		}
@@ -354,7 +351,7 @@ func (l *DecisionLog) Close() error {
 // Crash hard-stops the log, simulating a process kill: the transport
 // aborts mid-flight and the store closes WITHOUT its final fsync —
 // whatever the OS already holds of the WAL is what a restart
-// (OpenLogAt on the same directory) recovers. Outstanding tickets
+// (OpenLog with WithLogStore on the same directory) recovers. Outstanding tickets
 // resolve with an error; the durable committed prefix may run ahead of
 // what this process surfaced (persist-before-surface), which the
 // log-durability oracle's prefix-extension rule accepts.
@@ -375,9 +372,6 @@ func (l *DecisionLog) Recovered() int { return l.eng.Recovered() }
 // value a restarting peer passes to WithCatchupPeer — or "" on the
 // fabric runtime (in-process peers use WithCatchupFrom instead).
 func (l *DecisionLog) CatchupAddr() string { return l.eng.CatchupAddr() }
-
-// StoreDir returns the durable store's directory ("" when in-memory).
-func (l *DecisionLog) StoreDir() string { return l.cfg.storeDir }
 
 // NetStats snapshots the TCP transport's connection-supervision counters
 // (dials, redials, suspects, dropped frames, chaos strikes). Safe to call
@@ -492,8 +486,11 @@ func WithLogInstanceTimeout(d time.Duration) Option {
 
 // WithLogStore makes the log durable: committed entries are persisted
 // to a segmented write-ahead log under dir — before they are surfaced
-// through WaitSeq or ticket resolution — and recovered on reopen
-// (OpenLogAt). The empty string returns to in-memory operation.
+// through WaitSeq or ticket resolution. On a fresh directory the log
+// starts empty; on an existing one it recovers the committed prefix (WAL
+// replay, torn-tail truncation, optional catch-up) and resumes appending
+// after it. The store compacts every 512 appended records. The empty
+// string returns to in-memory operation.
 func WithLogStore(dir string) Option {
 	return optionFunc(func(c *Config) { c.storeDir = dir })
 }
@@ -505,14 +502,6 @@ func WithLogStore(dir string) Option {
 // unaffected, because commits surface only after their append returns.
 func WithLogStoreSync(window time.Duration) Option {
 	return optionFunc(func(c *Config) { c.storeSync = window })
-}
-
-// WithLogSnapshotEvery sets the store's compaction cadence: after this
-// many appended records the committed prefix is rewritten as one
-// snapshot and the WAL segments it covers are deleted (default 512;
-// negative disables compaction).
-func WithLogSnapshotEvery(n int) Option {
-	return optionFunc(func(c *Config) { c.storeSnapEvery = n })
 }
 
 // WithCatchupPeer points a (re)starting durable log at a peer's TCP
@@ -529,13 +518,4 @@ func WithCatchupPeer(addr string) Option {
 // WithLogStore.
 func WithCatchupFrom(peer *DecisionLog) Option {
 	return optionFunc(func(c *Config) { c.catchupPeer = peer })
-}
-
-// OpenLogAt opens a durable decision log rooted at dir: OpenLog with
-// WithLogStore(dir) applied last. On a fresh directory it starts empty;
-// on an existing one it recovers the committed prefix (WAL replay,
-// torn-tail truncation, optional catch-up) and resumes appending after
-// it.
-func OpenLogAt(ctx context.Context, dir string, cfg Config, opts ...Option) (*DecisionLog, error) {
-	return OpenLog(ctx, cfg, append(append([]Option(nil), opts...), WithLogStore(dir))...)
 }

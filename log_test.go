@@ -372,19 +372,19 @@ func countGoroutines() int {
 	return runtime.NumGoroutine()
 }
 
-// TestRunTCPCancelNoLeak: a cancelled RunTCP tears the netrun cluster
-// down promptly — no accept loops, read loops or delivery goroutines
-// survive the return.
-func TestRunTCPCancelNoLeak(t *testing.T) {
+// TestTCPModelCancelNoLeak: a cancelled TCP-model run tears the netrun
+// cluster down promptly — no accept loops, read loops or delivery
+// goroutines survive the return.
+func TestTCPModelCancelNoLeak(t *testing.T) {
 	before := countGoroutines()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the run starts: the run must still clean up
-	if _, err := RunTCP(ctx, NewConfig(16, WithSeed(1)), 30*time.Second); err == nil {
-		t.Fatal("cancelled RunTCP returned no error")
+	if _, err := RunAERContext(ctx, NewConfig(16, WithSeed(1), WithModel(TCP))); err == nil {
+		t.Fatal("cancelled TCP run returned no error")
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
-	if _, err := RunTCP(ctx2, NewConfig(24, WithSeed(2)), 30*time.Second); err == nil {
+	if _, err := RunAERContext(ctx2, NewConfig(24, WithSeed(2), WithModel(TCP))); err == nil {
 		// A fast run may legitimately beat the 50ms deadline; accept both.
 		t.Log("tcp run finished before the cancellation deadline")
 	}

@@ -1,13 +1,11 @@
 package fastba
 
 import (
-	"time"
-
 	"github.com/fastba/fastba/internal/netrun"
 	"github.com/fastba/fastba/internal/simnet"
 )
 
-// Transport supervision for the TCP runtime (RunTCP and RuntimeTCP
+// Transport supervision for the TCP runtime (the TCP model and RuntimeTCP
 // decision logs). Every directed connection gets a supervisor: a bounded
 // send queue drained by a dedicated writer, jittered exponential-backoff
 // redial when the socket breaks, write deadlines on every frame, and a
@@ -30,7 +28,7 @@ type HeartbeatPolicy = netrun.HeartbeatPolicy
 
 // NetStats aggregates a TCP run's connection-supervision counters:
 // dial/redial churn, failure-detector transitions, dropped frames, chaos
-// strikes. Surfaced by TCPResult.Net, LoadResult.Net, DecisionLog.NetStats
+// strikes. Surfaced by AERResult.Net, LoadResult.Net, DecisionLog.NetStats
 // and Cluster metrics.
 type NetStats = simnet.NetStats
 
@@ -71,12 +69,6 @@ func ParseChaosKind(s string) (ChaosKind, error) {
 	return netrun.ParseChaosKind(s)
 }
 
-// WithDialTimeout bounds every TCP connect attempt — mesh links and
-// catch-up fetches (default 2s).
-func WithDialTimeout(d time.Duration) Option {
-	return optionFunc(func(c *Config) { c.net.DialTimeout = d })
-}
-
 // WithReconnect sets the redial policy for broken TCP connections
 // (default: base 25ms, cap 1s, 8 attempts before the link goes down).
 func WithReconnect(p ReconnectPolicy) Option {
@@ -90,7 +82,7 @@ func WithHeartbeat(p HeartbeatPolicy) Option {
 }
 
 // WithChaos installs a live-socket chaos plan on the TCP runtime. It
-// applies to RunTCP and to RuntimeTCP decision logs (OpenLog rejects it
+// applies to TCP-model runs and to RuntimeTCP decision logs (OpenLog rejects it
 // on the fabric runtime); safety oracles must hold under any plan, while
 // termination accounting treats chaos runs as lossy — frames buffered in
 // a severed socket die with it.

@@ -62,8 +62,8 @@ func (t EventType) String() string {
 // Event is one streaming observation from a running execution.
 type Event struct {
 	Type EventType
-	// Time is the synchronous round or asynchronous causal depth (0 for
-	// TCP runs, which have no logical clock).
+	// Time is the synchronous round or asynchronous causal depth; under
+	// the TCP model, the receiving node's delivery count.
 	Time int
 	// From and To address the delivery; for EventDecision, To is the
 	// deciding node and From is -1.

@@ -34,11 +34,10 @@ const (
 	// delivery-path checks).
 	OracleCertificates = "certificates"
 	// OracleSingleDecision: the decision-event stream is consistent with
-	// the end state — at most one decision event per node (decisions are
-	// irrevocable), never more event-emitting nodes than final deciders,
-	// and, once any decision is streamed, no decider missing from the
-	// stream. Needs the Oracles' Observer attached; simulation runtimes
-	// only (TCP runs stream deliveries but no decision events).
+	// the end state — exactly one decision event per decider (decisions are
+	// irrevocable): no node emits two, no node the end state says never
+	// decided emits one, and no decider is missing from the stream. Needs
+	// the Oracles' Observer attached; every model streams decision events.
 	OracleSingleDecision = "single-decision"
 	// OracleTermination: every correct node decides. Applies only to
 	// lossless fault plans; under lossy plans it is reported as skipped.
@@ -230,14 +229,12 @@ func (o *Oracles) Report(res *AERResult) OracleReport {
 	if o.attached {
 		checked[OracleSingleDecision] = true
 		rep.Violations = append(rep.Violations, streamed...)
-		// Stream/state consistency. More event-emitting nodes than final
-		// deciders is always wrong. Fewer is only judged when the stream
-		// carried at least one decision: a transport that never emits
-		// decision events (TCP) must not be misread as losing them.
+		// Stream/state consistency: every runtime emits one decision event
+		// per decider, so any difference is a finding.
 		if deciders > res.Decided {
 			check(OracleSingleDecision, true,
 				"decision events for %d nodes but the end state records only %d deciders", deciders, res.Decided)
-		} else if deciders > 0 && deciders < res.Decided {
+		} else if deciders < res.Decided {
 			check(OracleSingleDecision, true,
 				"only %d of %d deciders emitted a decision event — the stream lost decisions", deciders, res.Decided)
 		}

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/fastba/fastba"
 )
@@ -260,12 +259,13 @@ func TestPublicTrace(t *testing.T) {
 	}
 }
 
-func TestRunTCPPublic(t *testing.T) {
-	res, err := fastba.RunTCP(context.Background(), fastba.NewConfig(16,
+func TestTCPModelPublic(t *testing.T) {
+	res, err := fastba.RunAER(fastba.NewConfig(16,
+		fastba.WithModel(fastba.TCP),
 		fastba.WithSeed(5),
 		fastba.WithCorruptFrac(0.05),
 		fastba.WithKnowFrac(0.92),
-	), 30*time.Second)
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,16 +275,24 @@ func TestRunTCPPublic(t *testing.T) {
 	if res.MeanBitsPerNode <= 0 || res.MaxBitsPerNode < int64(res.MeanBitsPerNode) {
 		t.Fatalf("degenerate TCP metrics: %+v", res)
 	}
+	// The result is the ordinary AERResult: what the cluster's Fabric
+	// metered is all there, plus the supervision counters.
+	if res.TotalMessages <= 0 || res.MessagesByKind["push"] <= 0 || len(res.DecisionTimes) != res.Decided {
+		t.Fatalf("TCP result lacks the metered fields: %+v", res)
+	}
+	if res.Net.Dials <= 0 || res.Net.MessagesSent <= 0 {
+		t.Fatalf("TCP result carries no supervision counters: %+v", res.Net)
+	}
 }
 
-func TestRunSuiteTCPKind(t *testing.T) {
+func TestRunSuiteTCPModel(t *testing.T) {
 	rep, err := fastba.RunSuite(context.Background(), fastba.Suite{
-		Kind:       fastba.KindTCP,
-		TCPTimeout: 30 * time.Second,
-		Workers:    2,
+		Workers:      2,
+		CheckOracles: true,
 		Sweep: fastba.Sweep{
 			Ns:      []int{16},
 			Seeds:   fastba.Seeds(2),
+			Models:  []fastba.Model{fastba.TCP},
 			Options: []fastba.Option{fastba.WithCorruptFrac(0.05), fastba.WithKnowFrac(0.92)},
 		},
 	})
@@ -292,7 +300,10 @@ func TestRunSuiteTCPKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr := rep.Cells[0]
-	if cr.AgreeRuns != cr.Runs || cr.Failures != 0 {
+	if cr.Cell.Model != "tcp" {
+		t.Fatalf("TCP suite cell is labelled %q", cr.Cell.Model)
+	}
+	if cr.AgreeRuns != cr.Runs || cr.Failures != 0 || cr.OracleViolations != 0 {
 		t.Fatalf("TCP suite cell: %+v", cr)
 	}
 }

@@ -50,10 +50,6 @@ type Scheduler = simnet.Scheduler
 // asynchronous network.
 func NewFIFOScheduler() Scheduler { return simnet.NewFIFO() }
 
-// NewRandomScheduler returns a seeded random-order scheduler — the
-// delivery order behind the Async model.
-func NewRandomScheduler(seed uint64) Scheduler { return simnet.NewRandom(seed) }
-
 // SchedulerMaker builds a fresh Scheduler for one asynchronous run over n
 // nodes. It must derive any randomness from seed so runs stay
 // deterministic per configuration.

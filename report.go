@@ -51,7 +51,7 @@ type CellReport struct {
 	// correct nodes deciding gstring (0 on a validity violation).
 	WorstDecidedFrac float64 `json:"worstDecidedFrac"`
 	// Time, MeanBits, MaxBits and Deferred summarize the per-run metrics
-	// (time rounds/causal depth — wall milliseconds for KindTCP).
+	// (time rounds/causal depth — wall milliseconds in TCP-model cells).
 	Time     Stat `json:"time"`
 	MeanBits Stat `json:"meanBits"`
 	MaxBits  Stat `json:"maxBits"`
@@ -228,14 +228,10 @@ func (r *Report) Render(w io.Writer) {
 		r.renderLoad(w, title)
 		return
 	}
-	timeCol := "time μ/max"
-	if r.Kind == KindTCP.String() {
-		timeCol = "wall ms μ/max"
-	}
 	tb := metrics.NewTable(
 		fmt.Sprintf("%s (%s)", title, r.Kind),
 		"n", "model", "adversary", "corrupt", "know", "fault", "scenario", "variant", "runs", "agree",
-		timeCol, "bits/node μ", "max bits/node", "max/μ")
+		"time μ/max", "bits/node μ", "max bits/node", "max/μ")
 	for _, c := range r.Cells {
 		ratio := "-"
 		if c.MeanBits.Mean > 0 {

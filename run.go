@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"sync"
+	"time"
 
 	"github.com/fastba/fastba/internal/ae"
 	"github.com/fastba/fastba/internal/baseline"
 	"github.com/fastba/fastba/internal/core"
+	"github.com/fastba/fastba/internal/netrun"
 	"github.com/fastba/fastba/internal/scenario"
 	"github.com/fastba/fastba/internal/simnet"
 )
@@ -26,12 +29,18 @@ type AERResult struct {
 	DecidedGString int
 	DecidedOther   int
 	// Time is the number of synchronous rounds, or the maximum causal
-	// depth under asynchrony (the paper's time complexity measure).
+	// depth under asynchrony (the paper's time complexity measure). Under
+	// the TCP model it is the elapsed wall-clock milliseconds until the run
+	// completed, excluding the final drain.
 	Time int
-	// LastDecision is the time of the latest decision.
+	// LastDecision is the time of the latest decision. Under TCP a node's
+	// clock is the number of messages it has handled, so this is the
+	// delivery count of the latest decider — the network analogue of the
+	// round / causal-depth measure.
 	LastDecision int
 	// MeanBitsPerNode / MaxBitsPerNode are the communication metrics of
-	// Figure 1(a): amortized and worst-case per-node sent bits.
+	// Figure 1(a): amortized and worst-case per-node sent bits. Under TCP
+	// they count the wire-frame bits actually written.
 	MeanBitsPerNode float64
 	MaxBitsPerNode  int64
 	// TotalMessages counts delivered messages; MessagesByKind breaks the
@@ -58,6 +67,17 @@ type AERResult struct {
 	// falls short of the strict poll-list majority — the certificate
 	// oracle's input (must stay 0 under every fault schedule).
 	CertDeficits int
+	// TimedOut reports that a TCP run hit its 60s deadline before every
+	// correct node decided (cancel the context to stop earlier); the other
+	// fields describe the partial outcome. Under a plan that can destroy
+	// messages — lossy faults, chaos, an adaptive adversary — the run ends
+	// at network quiescence instead, so a partial outcome without TimedOut
+	// means the plan destroyed liveness: the expected hostile-network
+	// shape, which the safety oracles still police.
+	TimedOut bool
+	// Net carries a TCP run's connection-supervision counters: dial/redial
+	// churn, failure-detector transitions, chaos strikes. Zero elsewhere.
+	Net NetStats
 }
 
 // RunAER executes the core protocol on a synthetic almost-everywhere
@@ -107,11 +127,13 @@ func runAEROnScenario(ctx context.Context, cfg Config, sc *core.Scenario) (*AERR
 		return nil, err
 	}
 	nodes, correct := sc.Build(mkByz)
-	m, err := execute(ctx, cfg, nodes, sc.Corrupt, correct)
+	m, timedOut, err := execute(ctx, cfg, nodes, sc.Corrupt, correct)
 	if err != nil {
 		return nil, err
 	}
-	return summarize(sc, correct, m), nil
+	res := summarize(sc, correct, m)
+	res.TimedOut = timedOut
+	return res, nil
 }
 
 // byzMaker resolves the configured adversary through the registry to a
@@ -125,15 +147,15 @@ func byzMaker(cfg Config, sc *core.Scenario) (func(id int) simnet.Node, error) {
 	return func(id int) simnet.Node { return maker(env, id) }, nil
 }
 
-// execute runs the node vector under the configured model.
-func execute(ctx context.Context, cfg Config, nodes []simnet.Node, corrupt []bool, correct []*core.Node) (*simnet.Metrics, error) {
+// execute runs the node vector under the configured model. timedOut is
+// the TCP model's "stopped at the deadline, metrics are partial".
+func execute(ctx context.Context, cfg Config, nodes []simnet.Node, corrupt []bool, correct []*core.Node) (m *simnet.Metrics, timedOut bool, err error) {
 	nodes, plan, err := applyScenario(cfg, nodes)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	obs := streamObserver(cfg, correct)
 	stop := func() bool { return ctx.Err() != nil }
-	var m *simnet.Metrics
 	switch cfg.model {
 	case SyncNonRushing, SyncRushing:
 		// Rushing is a property of the Byzantine nodes (simnet.Rusher);
@@ -163,13 +185,112 @@ func execute(ctx context.Context, cfg Config, nodes []simnet.Node, corrupt []boo
 			f.SetFaults(plan)
 		}
 		m = f.Run()
+	case TCP:
+		m, timedOut, err = runCluster(ctx, cfg, nodes, plan, obs, correct)
+		if err != nil {
+			return nil, false, err
+		}
 	default:
-		return nil, fmt.Errorf("fastba: unknown model %v", cfg.model)
+		return nil, false, fmt.Errorf("fastba: unknown model %v", cfg.model)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return m, nil
+	return m, timedOut, nil
+}
+
+// tcpDeadline bounds a TCP-model run that never reaches its stop condition.
+const tcpDeadline = 60 * time.Second
+
+// runCluster is execute's TCP arm: the node vector on a netrun.Cluster —
+// the same Fabric the Goroutines model runs, with sockets as its Transport.
+// It returns the Fabric's metrics with the framed bytes actually written as
+// the per-node sent bytes and the elapsed wall milliseconds as Rounds.
+func runCluster(ctx context.Context, cfg Config, nodes []simnet.Node, plan FaultPlan, obs simnet.Observer, correct []*core.Node) (*simnet.Metrics, bool, error) {
+	netOpts := cfg.net
+	if observer := cfg.observer; observer != nil {
+		// Link state transitions stream live (unlike deliveries, which the
+		// concurrent runtimes buffer and fan in at quiescence): a suspect
+		// event is only useful while the run it describes is still going.
+		// The supervisor goroutines fire concurrently; serialize them.
+		var connMu sync.Mutex
+		netOpts.OnConnEvent = func(ev netrun.ConnEvent) {
+			var typ EventType
+			switch ev.Kind {
+			case netrun.ConnSuspected, netrun.ConnDown:
+				typ = EventPeerSuspect
+			case netrun.ConnRecovered:
+				typ = EventPeerAlive
+			case netrun.ConnRedialed:
+				typ = EventReconnect
+			default:
+				return
+			}
+			connMu.Lock()
+			defer connMu.Unlock()
+			observer(Event{Type: typ, From: ev.From, To: ev.To, Kind: ev.Kind.String()})
+		}
+	}
+	cluster, err := netrun.NewWithOptions(nodes, netOpts)
+	if err != nil {
+		return nil, false, err
+	}
+	defer cluster.Close()
+	// Propagate cancellation into cluster shutdown directly: closing the
+	// listeners and connections unblocks dials and read loops immediately,
+	// so a cancelled long-lived run tears its goroutines down promptly
+	// instead of waiting out RunUntil's next poll.
+	stopWatch := context.AfterFunc(ctx, cluster.Close)
+	defer stopWatch()
+	if !plan.IsZero() {
+		cluster.InjectFaults(plan)
+	}
+	if obs != nil {
+		cluster.Observe(obs)
+	}
+
+	start := time.Now()
+	cluster.Start()
+	allDecided := func() bool {
+		for _, node := range correct {
+			if node == nil {
+				continue
+			}
+			if _, ok := node.Decided(); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	// Under a plan that can destroy messages — a lossy fault plan, a chaos
+	// plan severing live sockets, an adaptive adversary silencing nodes —
+	// "all correct nodes decided" may never come true; network quiescence
+	// is then the other legitimate end of the run (every surviving message
+	// handled, nothing in flight).
+	stop := allDecided
+	adaptive := adaptiveKind(cfg.advName) != "" && cfg.corruptFrac > 0
+	if !plan.Lossless() || cfg.net.Chaos.Active() || adaptive {
+		stop = func() bool { return allDecided() || cluster.Quiesced() }
+	}
+	runErr := cluster.RunUntil(ctx, stop, tcpDeadline)
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	wall := time.Since(start) // completion time, excluding the drain below
+	// Drain the tail of the execution: deliveries (and the sends they
+	// trigger) may still be in flight when the last node decides, and the
+	// counters should cover them. Bounded in case a connection broke.
+	cluster.AwaitQuiescence(2 * time.Second)
+	// Close stops every worker and replays the buffered deliveries into the
+	// observer, so node state and metrics are final from here on.
+	cluster.Close()
+
+	m := cluster.Metrics()
+	for i, b := range cluster.SentBytes() {
+		m.PerNode[i].SentBytes = b
+	}
+	m.Rounds = int(wall.Milliseconds())
+	return m, runErr != nil, nil
 }
 
 // applyScenario lowers the configured scenario onto a run: it wraps the
@@ -287,6 +408,9 @@ func summarize(sc *core.Scenario, correct []*core.Node, m *simnet.Metrics) *AERR
 		SumCandidates:     o.SumCandidates,
 		DistinctDecisions: o.DistinctDecisions,
 		CertDeficits:      o.CertDeficits,
+	}
+	if m.Net != nil {
+		res.Net = *m.Net
 	}
 	var pushes, covered float64
 	for _, n := range correct {

@@ -1,8 +1,9 @@
 package fastba
 
 // Transport conformance suite: every runtime that executes protocol nodes —
-// the deterministic event-loop runners, the goroutine Fabric, the TCP
-// cluster (internal/netrun) and the public RunTCP — must produce identical
+// the deterministic event-loop runners, the goroutine Fabric and the TCP
+// cluster (internal/netrun), bare and through the public Model values —
+// must produce identical
 // decisions and identical per-kind message counts on a seeded fault-free
 // scenario.
 //
@@ -16,6 +17,7 @@ package fastba
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,7 +122,7 @@ func TestTransportConformance(t *testing.T) {
 		}},
 		{"tcp-cluster", func(t *testing.T, sc *core.Scenario) runOutcome {
 			nodes, correct := sc.Build(nil)
-			cluster, err := netrun.New(nodes)
+			cluster, err := netrun.NewWithOptions(nodes, netrun.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +217,7 @@ func TestTransportConformanceFaults(t *testing.T) {
 		}},
 		{"tcp-cluster", func(t *testing.T, sc *core.Scenario, plan simnet.FaultPlan) (*core.Scenario, []*core.Node) {
 			nodes, correct := sc.Build(nil)
-			cluster, err := netrun.New(nodes)
+			cluster, err := netrun.NewWithOptions(nodes, netrun.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,22 +285,22 @@ func TestTransportConformanceFaults(t *testing.T) {
 		}
 	})
 
-	// The public entry point agrees: RunTCP with a lossless plan decides
-	// everywhere; with a lossy plan it ends at quiescence with clean
-	// safety verdicts.
+	// The public entry point agrees: the TCP model with a lossless plan
+	// decides everywhere; with a lossy plan it ends at quiescence with
+	// clean safety verdicts.
 	t.Run("run-tcp", func(t *testing.T) {
-		lossless := NewConfig(16, WithSeed(11), WithAdversary(AdversaryNone), WithKnowFrac(1),
+		lossless := NewConfig(16, WithModel(TCP), WithSeed(11), WithAdversary(AdversaryNone), WithKnowFrac(1),
 			WithFaults(FaultPlan{Seed: 3, DupProb: 0.25, DelayProb: 0.3, MaxDelay: 3}))
-		res, err := RunTCP(context.Background(), lossless, 60*time.Second)
+		res, err := RunAER(lossless)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.TimedOut || !res.Agreement || res.DistinctDecisions != 1 || res.CertDeficits != 0 {
 			t.Fatalf("lossless TCP run: %+v", res)
 		}
-		lossy := NewConfig(16, WithSeed(11), WithAdversary(AdversaryNone), WithKnowFrac(1),
+		lossy := NewConfig(16, WithModel(TCP), WithSeed(11), WithAdversary(AdversaryNone), WithKnowFrac(1),
 			WithFaults(FaultPlan{Seed: 5, DropProb: 0.2}))
-		res, err = RunTCP(context.Background(), lossy, 60*time.Second)
+		res, err = RunAER(lossy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +382,7 @@ func TestTransportConformanceScenario(t *testing.T) {
 		}},
 		{"tcp-cluster", func(t *testing.T) runOutcome {
 			nodes, correct := build(t)
-			cluster, err := netrun.New(nodes)
+			cluster, err := netrun.NewWithOptions(nodes, netrun.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -427,16 +429,24 @@ func TestTransportConformanceScenario(t *testing.T) {
 	}
 }
 
-// TestTransportConformanceRunTCP closes the loop at the public API: RunTCP
-// executes the same configuration RunAER simulates, over real sockets, and
-// must reach the same decisions with a meaningful decision time.
-func TestTransportConformanceRunTCP(t *testing.T) {
+// conformanceModels are the public runtimes the order-independence argument
+// covers end to end: one event loop, the Fabric on loopback, the Fabric on
+// sockets.
+var conformanceModels = []Model{SyncNonRushing, Goroutines, TCP}
+
+// TestTransportConformanceTCPModel closes the loop at the public API: one
+// construction path, so RunAER under the TCP model executes the same
+// configuration it simulates, over real sockets, and must reach the same
+// decisions and per-kind message counts with a meaningful decision time.
+func TestTransportConformanceTCPModel(t *testing.T) {
 	cfg := NewConfig(16, WithSeed(11), WithAdversary(AdversaryNone), WithKnowFrac(1))
 	sim, err := RunAER(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTCP(context.Background(), cfg, 60*time.Second)
+	tcpCfg := cfg
+	WithModel(TCP).apply(&tcpCfg)
+	res, err := RunAER(tcpCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,6 +455,10 @@ func TestTransportConformanceRunTCP(t *testing.T) {
 	}
 	if res.Decided != sim.Decided || res.DecidedGString != sim.DecidedGString || res.GString != sim.GString {
 		t.Fatalf("TCP decisions diverge from simulation: %+v vs %+v", res, sim)
+	}
+	if !reflect.DeepEqual(res.MessagesByKind, sim.MessagesByKind) || res.TotalMessages != sim.TotalMessages {
+		t.Fatalf("TCP message counts diverge from simulation: %v (%d delivered) vs %v (%d delivered)",
+			res.MessagesByKind, res.TotalMessages, sim.MessagesByKind, sim.TotalMessages)
 	}
 	if res.LastDecision <= 0 {
 		t.Fatalf("TCP decision time not plumbed: LastDecision = %d", res.LastDecision)
@@ -459,11 +473,81 @@ func TestTransportConformanceRunTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = RunTCP(context.Background(), adaptive, 60*time.Second)
+	WithModel(TCP).apply(&adaptive)
+	res, err = RunAER(adaptive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Correct != sim.Correct {
-		t.Fatalf("adaptive adversary: RunTCP built %d correct nodes, RunAER %d", res.Correct, sim.Correct)
+		t.Fatalf("adaptive adversary: the TCP model built %d correct nodes, sync-nonrushing %d", res.Correct, sim.Correct)
+	}
+}
+
+// TestTransportConformanceSuiteModels: Sweep.Models crossing the event
+// loop, the goroutine Fabric and TCP is one report whose cells carry the
+// model they ran, and on the order-independent population every seed agrees
+// across the three on who decided what and on every per-kind message count.
+func TestTransportConformanceSuiteModels(t *testing.T) {
+	seeds := Seeds(3)
+	population := []Option{WithAdversary(AdversaryNone), WithKnowFrac(1)}
+	rep, err := RunSuite(context.Background(), Suite{
+		Workers:      2,
+		CheckOracles: true,
+		Sweep:        Sweep{Ns: []int{16}, Seeds: seeds, Models: conformanceModels, Options: population},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != len(conformanceModels) {
+		t.Fatalf("%d cells for %d models", len(rep.Cells), len(conformanceModels))
+	}
+	for i, m := range conformanceModels {
+		cr := rep.Cells[i]
+		if cr.Cell.Model != m.String() {
+			t.Fatalf("cell %d is labelled %q, ran %v", i, cr.Cell.Model, m)
+		}
+		if cr.AgreeRuns != len(seeds) || cr.Failures != 0 || cr.OracleViolations != 0 {
+			t.Fatalf("%v cell: %+v", m, cr)
+		}
+	}
+	for _, seed := range seeds {
+		var ref *AERResult
+		for i, m := range conformanceModels {
+			res, err := RunAER(NewConfig(16, append(population, WithSeed(seed), WithModel(m))...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := rep.Cells[i].Record(seed)
+			if rec.Decided != res.Decided || rec.DecidedGString != res.DecidedGString || rec.TotalMessages != res.TotalMessages {
+				t.Fatalf("seed %d %v: suite record %+v differs from the direct run %+v", seed, m, rec, res)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if res.Decided != ref.Decided || res.DecidedGString != ref.DecidedGString || res.GString != ref.GString {
+				t.Fatalf("seed %d: %v decided %d/%d on %s, %v %d/%d on %s", seed, m,
+					res.DecidedGString, res.Decided, res.GString, conformanceModels[0], ref.DecidedGString, ref.Decided, ref.GString)
+			}
+			if !reflect.DeepEqual(res.MessagesByKind, ref.MessagesByKind) {
+				t.Fatalf("seed %d: %v sent %v, %v sent %v", seed, m, res.MessagesByKind, conformanceModels[0], ref.MessagesByKind)
+			}
+		}
+	}
+}
+
+// TestTransportConformanceBAOverTCP: RunBA reaches sockets through the same
+// path — the committee phase is synchronous, the AER phase runs on the
+// cluster — and agrees.
+func TestTransportConformanceBAOverTCP(t *testing.T) {
+	res, err := RunBA(NewConfig(32, WithModel(TCP), WithSeed(3), WithCorruptFrac(0.05)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AER.Agreement || res.AER.TimedOut || res.GString == "" {
+		t.Fatalf("BA over TCP: %+v", res.AER)
+	}
+	if res.AER.Net.Dials <= 0 {
+		t.Fatalf("the AER phase did not run on sockets: %+v", res.AER.Net)
 	}
 }
