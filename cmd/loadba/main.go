@@ -12,13 +12,18 @@
 //	loadba -n 32 -depth 4 -rate 200 -payload 128 -duration 10s
 //	loadba -n 32 -duration 5s -dup 0.2 -delay 0.3 -maxdelay 3
 //	loadba -n 32 -duration 6s -store /tmp/balog -restart 2
+//	loadba -daemon -clients 8 -duration 6s -restart 1
 //
-// Exit status 0 means the run committed at least one entry and every
-// cross-instance oracle (gap-free sequence, per-instance agreement,
-// certificates, validity — and, on restart runs, durability: no
-// committed entry regressed across any crash/recover cycle) held; 1
-// means a violation, a stalled log or an empty one; 2 means the harness
-// itself failed.
+// With -daemon the same client loop drives real balogd processes instead
+// of an in-process log; -restart then SIGKILLs and restarts the last
+// daemon.
+//
+// Exit status 0 means the run committed at least one entry, performed
+// every requested restart, and every cross-instance oracle (gap-free
+// sequence, per-instance agreement, certificates, validity — and, on
+// restart and daemon runs, durability: no committed entry regressed
+// across any crash/recover cycle) held; 1 means a violation, a stalled
+// log or an empty one; 2 means the harness itself failed.
 package main
 
 import (
@@ -50,7 +55,8 @@ func run(args []string) (int, error) {
 	var (
 		n             = fs.Int("n", 64, "system size")
 		seed          = fs.Uint64("seed", 1, "master seed (corruption, knowledge, junk, client payloads)")
-		clients       = fs.Int("clients", 256, "concurrent proposer goroutines")
+		clients       = fs.Int("clients", 256, "concurrent client sessions")
+		pipeline      = fs.Int("pipeline", 1, "appends each client keeps in flight (daemon mode: > -queue forces ErrOverload)")
 		rate          = fs.Float64("rate", 0, "per-client proposal rate in payloads/second (0 = closed loop)")
 		payload       = fs.Int("payload", 32, "payload size in bytes")
 		duration      = fs.Duration("duration", 5*time.Second, "proposing phase duration")
@@ -68,7 +74,7 @@ func run(args []string) (int, error) {
 		maxDelay      = fs.Int("maxdelay", 0, "fault plan: maximum injected delay (logical time)")
 		planSeed      = fs.Uint64("faultseed", 1, "fault plan schedule seed")
 		store         = fs.String("store", "", "durable store directory: persist committed entries to a write-ahead log and recover them on reopen")
-		restart       = fs.Int("restart", 0, "crash-and-recover the log this many times during the run (requires -store)")
+		restart       = fs.Int("restart", 0, "crash-and-recover this many times during the run (in-process: requires -store; daemon mode: the last daemon)")
 		syncWin       = fs.Duration("syncwindow", 0, "store group-commit window (0 = fsync every append)")
 		chaos         = fs.String("chaos", "", "live-socket chaos mode: sweep (sever every link at least once) or random (requires -runtime tcp)")
 		chaosSeed     = fs.Uint64("chaosseed", 1, "chaos strike schedule seed")
@@ -80,9 +86,6 @@ func run(args []string) (int, error) {
 		daemons       = fs.Int("daemons", 4, "daemon mode: balogd processes to spawn")
 		perDaemon     = fs.Int("k", 2, "daemon mode: protocol nodes per daemon (population = daemons × k)")
 		queueMax      = fs.Int("queue", 0, "daemon mode: per-client admission queue bound (small values force overload shedding)")
-		pipeline      = fs.Int("pipeline", 1, "daemon mode: appends each client keeps in flight over its session (> queue forces ErrOverload)")
-		daemonKill    = fs.Bool("daemonkill", true, "daemon mode: SIGKILL one daemon a third into the run and restart it")
-		killDaemon    = fs.Int("killdaemon", 0, "daemon mode: which daemon to kill (default: the last; never 0, the leader)")
 		balogdBin     = fs.String("balogd", "", "daemon mode: prebuilt balogd binary (default: go build from the enclosing module)")
 		daemonDir     = fs.String("dir", "", "daemon mode: scratch directory for stores and logs (default: a temp dir)")
 		verbose       = fs.Bool("v", false, "daemon mode: print harness progress lines")
@@ -93,55 +96,14 @@ func run(args []string) (int, error) {
 		return 2, err
 	}
 
-	if *daemonMode {
-		w := fastba.DaemonWorkload{
-			Daemons:      *daemons,
-			PerDaemon:    *perDaemon,
-			Seed:         *seed,
-			Clients:      *clients,
-			Rate:         *rate,
-			PayloadBytes: *payload,
-			Pipeline:     *pipeline,
-			Duration:     *duration,
-			KillRestart:  *daemonKill,
-			KillDaemon:   *killDaemon,
-			Depth:        *depth,
-			BatchMax:     *batch,
-			QueueMax:     *queueMax,
-			BalogdPath:   *balogdBin,
-			Dir:          *daemonDir,
-		}
-		if *verbose {
-			w.Logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "loadba: "+format+"\n", args...)
-			}
-		}
-		res, err := fastba.RunDaemonLoad(context.Background(), w)
-		if err != nil {
-			return 2, err
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				return 2, err
-			}
-		} else {
-			renderDaemon(res)
-		}
-		switch {
-		case res.Err != "":
-			return 1, fmt.Errorf("daemon run failed: %s (scratch kept at %s)", res.Err, res.Dir)
-		case res.Committed == 0:
-			return 1, fmt.Errorf("no entries committed")
-		case !res.Oracles.OK():
-			return 1, fmt.Errorf("oracle violations: %s (scratch kept at %s)", res.Oracles, res.Dir)
-		case *daemonKill && !(res.Killed && res.Restarted):
-			return 1, fmt.Errorf("kill/restart schedule did not complete (killed=%v restarted=%v)", res.Killed, res.Restarted)
-		}
-		return 0, nil
+	w := fastba.Workload{
+		Clients:      *clients,
+		Pipeline:     *pipeline,
+		Rate:         *rate,
+		PayloadBytes: *payload,
+		Duration:     *duration,
+		Restarts:     *restart,
 	}
-
 	rt, err := fastba.ParseLogRuntime(*runtime)
 	if err != nil {
 		return 2, err
@@ -156,16 +118,7 @@ func run(args []string) (int, error) {
 		fastba.WithLogLinger(*linger),
 		fastba.WithLogCommitFraction(*frac),
 		fastba.WithLogInstanceTimeout(*timeout),
-		fastba.WithWorkload(fastba.Workload{
-			Clients:      *clients,
-			Rate:         *rate,
-			PayloadBytes: *payload,
-			Duration:     *duration,
-			Restarts:     *restart,
-		}),
-	}
-	if *restart > 0 && *store == "" {
-		return 2, fmt.Errorf("-restart requires -store (crash recovery needs a durable log)")
+		fastba.WithWorkload(w),
 	}
 	if *store != "" {
 		opts = append(opts, fastba.WithLogStore(*store), fastba.WithLogStoreSync(*syncWin))
@@ -210,11 +163,32 @@ func run(args []string) (int, error) {
 		opts = append(opts, fastba.WithChaos(plan))
 	}
 
+	cfg := fastba.NewConfig(*n, opts...)
+	load := func(ctx context.Context) (*fastba.LoadResult, error) { return fastba.RunLoad(ctx, cfg) }
+	if *daemonMode {
+		c := fastba.DaemonCluster{
+			Daemons:    *daemons,
+			PerDaemon:  *perDaemon,
+			Seed:       *seed,
+			Depth:      *depth,
+			BatchMax:   *batch,
+			QueueMax:   *queueMax,
+			BalogdPath: *balogdBin,
+			Dir:        *daemonDir,
+		}
+		if *verbose {
+			c.Logf = func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "loadba: "+format+"\n", args...)
+			}
+		}
+		load = func(ctx context.Context) (*fastba.LoadResult, error) { return fastba.RunDaemonLoad(ctx, w, c) }
+	}
+
 	stopProf, err := prof.Start()
 	if err != nil {
 		return 2, err
 	}
-	res, err := fastba.RunLoad(context.Background(), fastba.NewConfig(*n, opts...))
+	res, err := load(context.Background())
 	if perr := stopProf(); perr != nil && err == nil {
 		err = perr
 	}
@@ -232,26 +206,38 @@ func run(args []string) (int, error) {
 		render(res)
 	}
 
-	if res.Err != "" {
-		return 1, fmt.Errorf("log failed: %s", res.Err)
+	kept := ""
+	if res.Dir != "" {
+		kept = " (scratch kept at " + res.Dir + ")"
 	}
-	if res.Committed == 0 {
+	switch {
+	case res.Err != "":
+		return 1, fmt.Errorf("log failed: %s%s", res.Err, kept)
+	case res.Committed == 0:
 		return 1, fmt.Errorf("no entries committed")
-	}
-	if !res.Oracles.OK() {
-		return 1, fmt.Errorf("oracle violations: %s", res.Oracles)
+	case !res.Oracles.OK():
+		return 1, fmt.Errorf("oracle violations: %s%s", res.Oracles, kept)
+	case res.Restarts < w.Restarts:
+		return 1, fmt.Errorf("restart schedule incomplete: %d of %d restarts", res.Restarts, w.Restarts)
 	}
 	return 0, nil
 }
 
 func render(res *fastba.LoadResult) {
 	fmt.Printf("decision log: runtime=%s depth=%d workload=%s\n", res.Runtime, res.Depth, res.Workload.Label())
-	fmt.Printf("  committed  %d entries (%d of %d proposed payloads) in %v\n",
-		res.Committed, res.CommittedPayloads, res.Proposed, res.Elapsed.Round(time.Millisecond))
+	fmt.Printf("  committed  %d entries (%d of %d proposed payloads, max acked seq %d) in %v\n",
+		res.Committed, res.CommittedPayloads, res.Proposed, res.MaxAckedSeq, res.Elapsed.Round(time.Millisecond))
+	if res.Overloads > 0 || res.Lost > 0 {
+		fmt.Printf("  rejected   %d overload-shed, %d lost\n", res.Overloads, res.Lost)
+	}
 	fmt.Printf("  throughput %.1f entries/s, %.1f payloads/s\n", res.EntriesPerSec, res.PayloadsPerSec)
 	fmt.Printf("  latency    p50 %v, p99 %v\n", res.CommitP50.Round(time.Microsecond), res.CommitP99.Round(time.Microsecond))
 	if res.Restarts > 0 {
-		fmt.Printf("  durability %d crash/recover cycles, %d entries recovered from the store\n", res.Restarts, res.Recovered)
+		fmt.Printf("  durability %d crash/recover cycles", res.Restarts)
+		if res.Recovered > 0 {
+			fmt.Printf(", %d entries recovered from the store", res.Recovered)
+		}
+		fmt.Println()
 	}
 	if n := res.Net; n.Dials > 0 {
 		fmt.Printf("  net        %d dials, %d redials (%d failed), %d suspects, %d recoveries, %d dead links, %d dropped-down\n",
@@ -265,51 +251,26 @@ func render(res *fastba.LoadResult) {
 				n.ChaosStrikes, n.ChaosSkips, n.LinksSevered)
 		}
 	}
+	if len(res.Frontiers) > 0 {
+		fmt.Printf("  stores     frontiers %v, byte-identical common prefix %d\n", res.Frontiers, res.CommonPrefix)
+	}
+	if len(res.Scraped) > 0 {
+		fmt.Printf("  metrics    commits=%.0f appends=%.0f shed=%.0f (leader /metrics)\n",
+			res.Scraped["fastba_commits_total"], res.Scraped["fastba_appends_total"], res.Scraped["fastba_overload_shed_total"])
+	}
 	if len(res.Hist) > 0 {
 		fmt.Printf("  histogram  ")
-		for _, b := range res.Hist {
+		for i, b := range res.Hist {
 			if b.Count == 0 {
 				continue
 			}
 			if b.UpToMs > 0 {
 				fmt.Printf("≤%gms:%d ", b.UpToMs, b.Count)
 			} else {
-				fmt.Printf(">%gms:%d ", latencyEdgeMax(), b.Count)
+				fmt.Printf(">%gms:%d ", res.Hist[i-1].UpToMs, b.Count)
 			}
 		}
 		fmt.Println()
 	}
 	fmt.Printf("  oracles    %s\n", res.Oracles)
-}
-
-func renderDaemon(res *fastba.DaemonLoadResult) {
-	w := res.Workload
-	fmt.Printf("daemon cluster: %d × balogd (k=%d, n=%d), %d clients for %v\n",
-		w.Daemons, w.PerDaemon, res.Nodes, w.Clients, w.Duration)
-	fmt.Printf("  appends    %d acked of %d attempts (%d overload-shed, %d session-lost)\n",
-		res.Acked, res.Attempts, res.Overloads, res.Lost)
-	fmt.Printf("  committed  %d entries (max acked seq %d) in %v\n",
-		res.Committed, res.MaxAckedSeq, res.Elapsed.Round(time.Millisecond))
-	fmt.Printf("  latency    p50 %v, p99 %v\n", res.CommitP50.Round(time.Microsecond), res.CommitP99.Round(time.Microsecond))
-	if res.Killed || res.Restarted {
-		fmt.Printf("  chaos      daemon %d killed=%v restarted=%v\n", w.KillDaemon, res.Killed, res.Restarted)
-	}
-	fmt.Printf("  stores     frontiers %v, byte-identical common prefix %d\n", res.Frontiers, res.CommonPrefix)
-	if len(res.Scraped) > 0 {
-		fmt.Printf("  metrics    commits=%.0f appends=%.0f shed=%.0f (leader /metrics)\n",
-			res.Scraped["fastba_commits_total"], res.Scraped["fastba_appends_total"], res.Scraped["fastba_overload_shed_total"])
-	}
-	fmt.Printf("  oracles    %s\n", res.Oracles)
-}
-
-// latencyEdgeMax returns the largest bounded histogram edge.
-func latencyEdgeMax() float64 {
-	max := 0.0
-	// Mirror the package's bucket table by probing a synthetic histogram.
-	for _, b := range fastba.LatencyHistogramEdges() {
-		if b > max {
-			max = b
-		}
-	}
-	return max
 }

@@ -206,10 +206,6 @@ type Config struct {
 	// redial policy, heartbeat detector, send-queue bounds and the chaos
 	// plan. Zero values select the netrun defaults.
 	net netrun.Options
-
-	// metricsReg, when set (WithMetrics), receives the run's counter
-	// families: latency histograms, throughput counters, fastba_net_*.
-	metricsReg *MetricsRegistry
 }
 
 // Option customizes a Config (functional options).

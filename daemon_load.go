@@ -1,17 +1,17 @@
 package fastba
 
 // The multi-process load harness: spawn a cluster of real balogd OS
-// processes, drive the client SDK at them over real sockets, optionally
-// kill -9 one daemon mid-workload and restart it, and verify that every
-// daemon's durable store holds a byte-identical committed prefix. This is
-// the deployment-shaped counterpart of RunLoad — same percentiles, same
-// oracles, but nothing shares an address space: commits survive into WAL
-// files the harness reads back only after the processes have exited.
+// processes, drive the client SDK at them over real sockets with the same
+// client loop RunLoad uses, kill -9 and restart one daemon per
+// Workload.Restarts, and verify that every daemon's durable store holds a
+// byte-identical committed prefix. This is the deployment-shaped
+// counterpart of RunLoad — same loop, same result, same oracles, but
+// nothing shares an address space: commits survive into WAL files the
+// harness reads back only after the processes have exited.
 
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -23,154 +23,83 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"github.com/fastba/fastba/internal/metrics"
 	"github.com/fastba/fastba/internal/pipeline"
-	"github.com/fastba/fastba/internal/prng"
 	"github.com/fastba/fastba/internal/store"
 	"github.com/fastba/fastba/internal/wire"
 )
 
-// DaemonWorkload shapes one multi-process daemon-cluster load run.
-type DaemonWorkload struct {
+// DaemonCluster is the balogd command line of a RunDaemonLoad run and the
+// harness's scratch space.
+type DaemonCluster struct {
 	// Daemons is the number of balogd processes (default 4, minimum 2);
 	// PerDaemon is k, the protocol nodes each hosts (default 2). The
 	// population Daemons·k must be ≥ 8.
-	Daemons   int `json:"daemons"`
-	PerDaemon int `json:"perDaemon"`
+	Daemons   int
+	PerDaemon int
 	// Seed keys the cluster and the client payload streams (default 1).
-	Seed uint64 `json:"seed"`
-	// Clients is the number of concurrent SDK sessions (default 8); Rate
-	// each client's open-loop append rate in payloads/second (0 = closed
-	// loop); PayloadBytes sizes each payload (default 32).
-	Clients      int     `json:"clients"`
-	Rate         float64 `json:"rate,omitempty"`
-	PayloadBytes int     `json:"payloadBytes"`
-	// Pipeline is how many appends each client keeps in flight over its
-	// one session (default 1 — strictly closed-loop). The daemon's
-	// admission queue is per session, so a Pipeline larger than QueueMax
-	// is the configuration that forces ErrOverload.
-	Pipeline int `json:"pipeline,omitempty"`
-	// Duration bounds the append phase (default 5s).
-	Duration time.Duration `json:"durationNs"`
-	// KillRestart, when set, SIGKILLs daemon KillDaemon a third of the way
-	// into the run and restarts it (same store, same flags) at two thirds,
-	// so the run exercises catch-up repair and client resilience while the
-	// killed daemon's nodes are dark. KillDaemon defaults to the last
-	// daemon; it must not be 0 (the leader sequences appends).
-	KillRestart bool `json:"killRestart,omitempty"`
-	KillDaemon  int  `json:"killDaemon,omitempty"`
+	Seed uint64
 	// Depth, BatchMax and QueueMax pass through to balogd (-depth, -batch,
-	// -queue). A small QueueMax with many closed-loop clients is the
-	// overload-shedding configuration: admission control sheds appends and
-	// the SDK surfaces ErrOverload.
-	Depth    int `json:"depth,omitempty"`
-	BatchMax int `json:"batchMax,omitempty"`
-	QueueMax int `json:"queueMax,omitempty"`
-	// ReproposeAfter paces the leader's stalled-instance retries (default
-	// 250ms — snappier than the daemon's 2s default, because kill runs
-	// spend a third of their duration with a daemon dark).
-	ReproposeAfter time.Duration `json:"reproposeAfterNs,omitempty"`
+	// -queue); 0 keeps balogd's default. A QueueMax below
+	// Workload.Pipeline is the overload-shedding configuration: admission
+	// control sheds appends and the SDK surfaces ErrOverload.
+	Depth    int
+	BatchMax int
+	QueueMax int
 	// BalogdPath is a prebuilt balogd binary; empty builds one from the
 	// enclosing module into Dir.
-	BalogdPath string `json:"balogdPath,omitempty"`
+	BalogdPath string
 	// Dir is the scratch directory for stores, daemon logs and the built
 	// binary. Empty creates a temp dir, removed again when the run ends
 	// healthy (kept for inspection when anything failed).
-	Dir string `json:"dir,omitempty"`
-	// Metrics, when set, receives the run's client-side counter families
-	// (commit-latency histogram, ack/overload counters) under
-	// runtime="daemon" — the same surface RunLoad exports.
-	Metrics *MetricsRegistry `json:"-"`
+	Dir string
 	// Logf, when set, receives harness progress lines.
-	Logf func(format string, args ...any) `json:"-"`
+	Logf func(format string, args ...any)
 }
 
-func (w DaemonWorkload) withDefaults() DaemonWorkload {
-	if w.Daemons <= 0 {
-		w.Daemons = 4
+func (c DaemonCluster) withDefaults() DaemonCluster {
+	if c.Daemons <= 0 {
+		c.Daemons = 4
 	}
-	if w.PerDaemon <= 0 {
-		w.PerDaemon = 2
+	if c.PerDaemon <= 0 {
+		c.PerDaemon = 2
 	}
-	if w.Seed == 0 {
-		w.Seed = 1
+	if c.Seed == 0 {
+		c.Seed = 1
 	}
-	if w.Clients <= 0 {
-		w.Clients = 8
+	if c.Logf == nil {
+		c.Logf = func(string, ...any) {}
 	}
-	if w.PayloadBytes <= 0 {
-		w.PayloadBytes = 32
-	}
-	if w.Pipeline <= 0 {
-		w.Pipeline = 1
-	}
-	if w.Duration <= 0 {
-		w.Duration = 5 * time.Second
-	}
-	if w.KillRestart && w.KillDaemon <= 0 {
-		w.KillDaemon = w.Daemons - 1
-	}
-	if w.ReproposeAfter <= 0 {
-		w.ReproposeAfter = 250 * time.Millisecond
-	}
-	return w
+	return c
 }
 
-// DaemonLoadResult reports one multi-process daemon-cluster run.
-type DaemonLoadResult struct {
-	Workload DaemonWorkload `json:"workload"`
-	// Nodes is the protocol population (Daemons × PerDaemon).
-	Nodes int `json:"nodes"`
-	// Attempts counts Append calls; Acked of them returned a committed
-	// sequence number; Overloads were shed by admission control
-	// (ErrOverload); Lost hit a session error mid-request.
-	Attempts  int `json:"attempts"`
-	Acked     int `json:"acked"`
-	Overloads int `json:"overloads"`
-	Lost      int `json:"lost"`
-	// Committed is the leader store's committed entry count after
-	// shutdown; MaxAckedSeq the highest sequence number acked to a client.
-	Committed   int    `json:"committed"`
-	MaxAckedSeq uint64 `json:"maxAckedSeq"`
-	// Elapsed is the append phase plus drain; CommitP50/P99 are
-	// client-observed append-to-ack latency percentiles; Hist the full
-	// histogram over the shared bucket edges.
-	Elapsed   time.Duration `json:"elapsedNs"`
-	CommitP50 time.Duration `json:"commitP50Ns"`
-	CommitP99 time.Duration `json:"commitP99Ns"`
-	Hist      []HistBucket  `json:"hist,omitempty"`
-	// Killed and Restarted report the kill/restart schedule's execution.
-	Killed    bool `json:"killed,omitempty"`
-	Restarted bool `json:"restarted,omitempty"`
-	// Frontiers is each daemon's post-shutdown store frontier (committed
-	// entry count); CommonPrefix the length of the byte-identical common
-	// prefix across every daemon's store.
-	Frontiers    []uint64 `json:"frontiers"`
-	CommonPrefix int      `json:"commonPrefix"`
-	// Scraped holds leader /metrics families sampled before shutdown
-	// (fastba_commits_total, fastba_appends_total,
-	// fastba_overload_shed_total), proving the live endpoint served real
-	// counters.
-	Scraped map[string]float64 `json:"scraped,omitempty"`
-	// Oracles is the invariant verdict: the leader log's cross-instance
-	// oracles plus the multi-process agreement (byte-identical prefixes)
-	// and durability (every acked append is in the leader's durable log)
-	// checks.
-	Oracles OracleReport `json:"oracles"`
-	// Dir is where stores, logs and the binary live — kept on failure.
-	Dir string `json:"dir,omitempty"`
-	// Err carries the harness's fatal error, if any.
-	Err string `json:"err,omitempty"`
+// daemonReproposeAfter paces the leader's stalled-instance retries:
+// snappier than balogd's 2 s default, because a restart run spends part
+// of its duration with a daemon dark.
+const daemonReproposeAfter = 250 * time.Millisecond
+
+// convergeBudget bounds each of the post-drive waits: the appends still in
+// flight when the drive phase ends, and the followers' convergence.
+const convergeBudget = 30 * time.Second
+
+// restartSchedule returns, for each of restarts crash/recover cycles in a
+// run of length d, when the victim is killed and when it is restarted:
+// cycle i spans (2i+1)/(2R+1) to (2i+2)/(2R+1) of the run.
+func restartSchedule(d time.Duration, restarts int) [][2]time.Duration {
+	slot := d / time.Duration(2*restarts+1)
+	out := make([][2]time.Duration, restarts)
+	for i := range out {
+		out[i] = [2]time.Duration{time.Duration(2*i+1) * slot, time.Duration(2*i+2) * slot}
+	}
+	return out
 }
 
-// BuildBalogd builds the balogd binary into out. It locates the
+// buildBalogd builds the balogd binary into out. It locates the
 // enclosing Go module by walking up from the working directory, so it
 // works from any directory inside the repository.
-func BuildBalogd(ctx context.Context, out string) error {
+func buildBalogd(ctx context.Context, out string) error {
 	root, err := moduleRoot()
 	if err != nil {
 		return err
@@ -194,7 +123,7 @@ func moduleRoot() (string, error) {
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("fastba: no go.mod above the working directory (set DaemonWorkload.BalogdPath)")
+			return "", fmt.Errorf("fastba: no go.mod above the working directory (set DaemonCluster.BalogdPath)")
 		}
 		dir = parent
 	}
@@ -207,9 +136,9 @@ type daemonProc struct {
 	waitErr chan error
 }
 
-// daemonCluster manages the balogd process set of one run.
-type daemonCluster struct {
-	w       DaemonWorkload
+// daemonSet manages the balogd process set of one run.
+type daemonSet struct {
+	cfg     DaemonCluster
 	bin     string
 	dir     string
 	bases   []int // each daemon's base port; it owns [base, base+k+2]
@@ -219,16 +148,16 @@ type daemonCluster struct {
 	procs []*daemonProc
 }
 
-func (c *daemonCluster) storeDir(i int) string { return filepath.Join(c.dir, fmt.Sprintf("d%d", i)) }
-func (c *daemonCluster) clientAddr(i int) string {
-	return fmt.Sprintf("127.0.0.1:%d", c.bases[i]+c.w.PerDaemon+1)
+func (c *daemonSet) storeDir(i int) string { return filepath.Join(c.dir, fmt.Sprintf("d%d", i)) }
+func (c *daemonSet) clientAddr(i int) string {
+	return fmt.Sprintf("127.0.0.1:%d", c.bases[i]+c.cfg.PerDaemon+1)
 }
-func (c *daemonCluster) metricsAddr(i int) string {
-	return fmt.Sprintf("127.0.0.1:%d", c.bases[i]+c.w.PerDaemon+2)
+func (c *daemonSet) metricsAddr(i int) string {
+	return fmt.Sprintf("127.0.0.1:%d", c.bases[i]+c.cfg.PerDaemon+2)
 }
 
 // start launches daemon i and begins reaping it.
-func (c *daemonCluster) start(i int) error {
+func (c *daemonSet) start(i int) error {
 	logPath := filepath.Join(c.dir, fmt.Sprintf("balogd-%d.log", i))
 	logFile, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -237,19 +166,19 @@ func (c *daemonCluster) start(i int) error {
 	args := []string{
 		"-node", strconv.Itoa(i),
 		"-cluster", c.cluster,
-		"-k", strconv.Itoa(c.w.PerDaemon),
-		"-seed", strconv.FormatUint(c.w.Seed, 10),
+		"-k", strconv.Itoa(c.cfg.PerDaemon),
+		"-seed", strconv.FormatUint(c.cfg.Seed, 10),
 		"-store", c.storeDir(i),
-		"-repropose", c.w.ReproposeAfter.String(),
+		"-repropose", daemonReproposeAfter.String(),
 	}
-	if c.w.Depth > 0 {
-		args = append(args, "-depth", strconv.Itoa(c.w.Depth))
+	if c.cfg.Depth > 0 {
+		args = append(args, "-depth", strconv.Itoa(c.cfg.Depth))
 	}
-	if c.w.BatchMax > 0 {
-		args = append(args, "-batch", strconv.Itoa(c.w.BatchMax))
+	if c.cfg.BatchMax > 0 {
+		args = append(args, "-batch", strconv.Itoa(c.cfg.BatchMax))
 	}
-	if c.w.QueueMax > 0 {
-		args = append(args, "-queue", strconv.Itoa(c.w.QueueMax))
+	if c.cfg.QueueMax > 0 {
+		args = append(args, "-queue", strconv.Itoa(c.cfg.QueueMax))
 	}
 	cmd := exec.Command(c.bin, args...)
 	cmd.Stdout = logFile
@@ -269,7 +198,7 @@ func (c *daemonCluster) start(i int) error {
 	return nil
 }
 
-func (c *daemonCluster) proc(i int) *daemonProc {
+func (c *daemonSet) proc(i int) *daemonProc {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.procs[i]
@@ -277,7 +206,7 @@ func (c *daemonCluster) proc(i int) *daemonProc {
 
 // kill SIGKILLs daemon i and reaps it — the crash half of the
 // kill/restart schedule (kill -9 semantics: no flush, no goodbye).
-func (c *daemonCluster) kill(i int) {
+func (c *daemonSet) kill(i int) {
 	p := c.proc(i)
 	if p == nil {
 		return
@@ -293,7 +222,7 @@ func (c *daemonCluster) kill(i int) {
 // after grace) and returns its exit error. The proc slot is cleared once
 // the process is reaped, so the error-path killAll never re-waits a
 // drained waitErr channel.
-func (c *daemonCluster) stop(i int, grace time.Duration) error {
+func (c *daemonSet) stop(i int, grace time.Duration) error {
 	p := c.proc(i)
 	if p == nil {
 		return nil
@@ -311,7 +240,7 @@ func (c *daemonCluster) stop(i int, grace time.Duration) error {
 }
 
 // clear releases daemon i's proc slot if it still holds p.
-func (c *daemonCluster) clear(i int, p *daemonProc) {
+func (c *daemonSet) clear(i int, p *daemonProc) {
 	c.mu.Lock()
 	if c.procs[i] == p {
 		c.procs[i] = nil
@@ -320,7 +249,7 @@ func (c *daemonCluster) clear(i int, p *daemonProc) {
 }
 
 // stopAll gracefully terminates every live daemon concurrently.
-func (c *daemonCluster) stopAll(grace time.Duration) error {
+func (c *daemonSet) stopAll(grace time.Duration) error {
 	errs := make([]error, len(c.procs))
 	var wg sync.WaitGroup
 	for i := range c.procs {
@@ -340,7 +269,7 @@ func (c *daemonCluster) stopAll(grace time.Duration) error {
 }
 
 // killAll hard-kills whatever is still running (error-path cleanup).
-func (c *daemonCluster) killAll() {
+func (c *daemonSet) killAll() {
 	for i := range c.procs {
 		if p := c.proc(i); p != nil {
 			_ = p.cmd.Process.Kill()
@@ -350,7 +279,7 @@ func (c *daemonCluster) killAll() {
 }
 
 // logTail returns the last portion of daemon i's log, for error reports.
-func (c *daemonCluster) logTail(i int, max int) string {
+func (c *daemonSet) logTail(i int, max int) string {
 	b, err := os.ReadFile(filepath.Join(c.dir, fmt.Sprintf("balogd-%d.log", i)))
 	if err != nil {
 		return ""
@@ -408,7 +337,7 @@ func probeBlock(lo, daemons, span int) ([]int, bool) {
 	for d := 0; d < daemons; d++ {
 		bases[d] = lo + d*span
 		for p := 0; p < span; p++ {
-			ln, err := probeListen(lo + d*span + p)
+			ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", lo+d*span+p))
 			if err != nil {
 				return nil, false
 			}
@@ -419,33 +348,28 @@ func probeBlock(lo, daemons, span int) ([]int, bool) {
 }
 
 // RunDaemonLoad runs the multi-process load harness: build (or reuse)
-// the balogd binary, spawn Daemons real OS processes on loopback port
-// blocks, drive Clients concurrent SDK sessions at the leader for
-// Duration, execute the kill/restart schedule, wait for the survivors to
-// converge, shut everything down gracefully and audit the WAL files left
-// behind. The returned result carries client-observed latency
-// percentiles and the multi-process oracle verdict; the error return is
-// reserved for harness failures (a run with oracle violations returns
-// res, nil with the violations in res.Oracles).
-func RunDaemonLoad(ctx context.Context, w DaemonWorkload) (*DaemonLoadResult, error) {
-	w = w.withDefaults()
-	if w.Daemons < 2 {
+// the balogd binary, spawn c.Daemons real OS processes on loopback port
+// blocks, drive the client loop's w.Clients SDK sessions at the leader
+// for w.Duration, execute the restart schedule on the last daemon, wait
+// for the survivors to converge, shut everything down gracefully and
+// audit the WAL files left behind. The returned result carries
+// client-observed latency percentiles and the multi-process oracle
+// verdict; the error return is reserved for harness failures (a run with
+// oracle violations returns res, nil with the violations in res.Oracles).
+func RunDaemonLoad(ctx context.Context, w Workload, c DaemonCluster) (*LoadResult, error) {
+	w, c = w.withDefaults(), c.withDefaults()
+	if c.Daemons < 2 {
 		return nil, fmt.Errorf("fastba: daemon load needs ≥ 2 daemons")
 	}
-	if w.Daemons*w.PerDaemon < 8 {
-		return nil, fmt.Errorf("fastba: population %d×%d < 8", w.Daemons, w.PerDaemon)
+	if c.Daemons*c.PerDaemon < 8 {
+		return nil, fmt.Errorf("fastba: population %d×%d < 8", c.Daemons, c.PerDaemon)
 	}
-	if w.KillRestart && (w.KillDaemon <= 0 || w.KillDaemon >= w.Daemons) {
-		return nil, fmt.Errorf("fastba: kill daemon %d outside (0, %d) — daemon 0 leads and cannot be the kill target", w.KillDaemon, w.Daemons)
+	if w.Restarts < 0 {
+		return nil, fmt.Errorf("fastba: Workload.Restarts %d < 0", w.Restarts)
 	}
-	logf := w.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	res := &LoadResult{Workload: w, Runtime: "daemon", Depth: c.Depth}
 
-	res := &DaemonLoadResult{Workload: w, Nodes: w.Daemons * w.PerDaemon}
-
-	dir := w.Dir
+	dir := c.Dir
 	madeDir := false
 	if dir == "" {
 		var err error
@@ -457,16 +381,16 @@ func RunDaemonLoad(ctx context.Context, w DaemonWorkload) (*DaemonLoadResult, er
 	}
 	res.Dir = dir
 
-	bin := w.BalogdPath
+	bin := c.BalogdPath
 	if bin == "" {
 		bin = filepath.Join(dir, "balogd")
-		logf("building balogd → %s", bin)
-		if err := BuildBalogd(ctx, bin); err != nil {
+		c.Logf("building balogd → %s", bin)
+		if err := buildBalogd(ctx, bin); err != nil {
 			return nil, err
 		}
 	}
 
-	bases, err := allocPortBases(w.Daemons, w.PerDaemon+3)
+	bases, err := allocPortBases(c.Daemons, c.PerDaemon+3)
 	if err != nil {
 		return nil, err
 	}
@@ -474,166 +398,90 @@ func RunDaemonLoad(ctx context.Context, w DaemonWorkload) (*DaemonLoadResult, er
 	for _, b := range bases {
 		baseAddrs = append(baseAddrs, fmt.Sprintf("127.0.0.1:%d", b))
 	}
-	c := &daemonCluster{
-		w: w, bin: bin, dir: dir, bases: bases,
+	set := &daemonSet{
+		cfg: c, bin: bin, dir: dir, bases: bases,
 		cluster: strings.Join(baseAddrs, ","),
-		procs:   make([]*daemonProc, w.Daemons),
+		procs:   make([]*daemonProc, c.Daemons),
 	}
-	defer c.killAll()
+	defer set.killAll()
 
-	logf("starting %d daemons (k=%d, n=%d) on %s", w.Daemons, w.PerDaemon, res.Nodes, c.cluster)
-	for i := 0; i < w.Daemons; i++ {
-		if err := c.start(i); err != nil {
+	c.Logf("starting %d daemons (k=%d, n=%d) on %s", c.Daemons, c.PerDaemon, c.Daemons*c.PerDaemon, set.cluster)
+	for i := 0; i < c.Daemons; i++ {
+		if err := set.start(i); err != nil {
 			return nil, err
 		}
 	}
-	for i := 0; i < w.Daemons; i++ {
-		if err := waitHealthy(ctx, c, i, 20*time.Second); err != nil {
-			return nil, fmt.Errorf("daemon %d never became healthy: %w\n--- balogd-%d.log ---\n%s", i, err, i, c.logTail(i, 2000))
+	for i := 0; i < c.Daemons; i++ {
+		if err := waitHealthy(ctx, set.metricsAddr(i), 20*time.Second); err != nil {
+			return nil, fmt.Errorf("daemon %d never became healthy: %w\n--- balogd-%d.log ---\n%s", i, err, i, set.logTail(i, 2000))
 		}
 	}
 
-	// Drive phase: Clients SDK sessions at the leader, plus the
-	// kill/restart schedule on its own clock.
-	var (
-		attempts, acked, overloads, lost atomic.Int64
-		maxAcked                         atomic.Uint64
-		latMu                            sync.Mutex
-		latencies                        []float64
-	)
-	driveCtx, stopDrive := context.WithTimeout(ctx, w.Duration)
+	// Drive phase: the client loop at the leader, plus the restart
+	// schedule on its own clock. The victim is the last daemon — never
+	// daemon 0, which sequences appends.
+	drive, stopDrive := context.WithTimeout(ctx, w.Duration)
 	defer stopDrive()
-
-	var schedWG sync.WaitGroup
-	if w.KillRestart {
-		schedWG.Add(1)
-		go func() {
-			defer schedWG.Done()
-			third := w.Duration / 3
-			select {
-			case <-driveCtx.Done():
-				return
-			case <-time.After(third):
-			}
-			logf("killing daemon %d (SIGKILL)", w.KillDaemon)
-			c.kill(w.KillDaemon)
-			res.Killed = true
-			select {
-			case <-driveCtx.Done():
-			case <-time.After(third):
-			}
-			logf("restarting daemon %d", w.KillDaemon)
-			if err := c.start(w.KillDaemon); err == nil {
-				res.Restarted = true
-			}
-		}()
-	}
-
 	start := time.Now()
-	var clientWG sync.WaitGroup
-	for cl := 0; cl < w.Clients; cl++ {
-		clientWG.Add(1)
-		go func(cl int) {
-			defer clientWG.Done()
-			lc, err := DialLog(driveCtx, ClientConfig{Addr: c.clientAddr(0)})
-			if err != nil {
+	var schedWG sync.WaitGroup
+	schedWG.Add(1)
+	go func() {
+		defer schedWG.Done()
+		victim := c.Daemons - 1
+		for _, at := range restartSchedule(w.Duration, w.Restarts) {
+			sleepCtx(drive, time.Until(start.Add(at[0])))
+			if drive.Err() != nil {
 				return
 			}
-			defer lc.Close()
-			// Pipeline workers share the one session: appends interleave by
-			// request id over the same connection, which is exactly what
-			// fills a per-session admission queue past QueueMax.
-			var workerWG sync.WaitGroup
-			for wk := 0; wk < w.Pipeline; wk++ {
-				workerWG.Add(1)
-				go func(wk int) {
-					defer workerWG.Done()
-					src := prng.New(prng.DeriveKey(w.Seed, "daemonload/client", uint64(cl)<<16|uint64(wk)))
-					payload := make([]byte, w.PayloadBytes)
-					var pacer *time.Timer
-					if w.Rate > 0 {
-						pacer = time.NewTimer(time.Duration(float64(time.Second) / w.Rate))
-						defer pacer.Stop()
-					}
-					var lats []float64
-					for driveCtx.Err() == nil {
-						for i := range payload {
-							payload[i] = byte(src.Uint64())
-						}
-						attempts.Add(1)
-						t0 := time.Now()
-						seq, err := lc.Append(driveCtx, append([]byte(nil), payload...))
-						switch {
-						case err == nil:
-							acked.Add(1)
-							lats = append(lats, float64(time.Since(t0))/float64(time.Millisecond))
-							for {
-								cur := maxAcked.Load()
-								if seq <= cur || maxAcked.CompareAndSwap(cur, seq) {
-									break
-								}
-							}
-						case isOverload(err):
-							overloads.Add(1)
-							// Admission control never admitted the request,
-							// so a paced resend is safe — back off a beat to
-							// let the queue drain.
-							sleepCtx(driveCtx, 2*time.Millisecond)
-						case driveCtx.Err() != nil:
-							// run over
-						default:
-							lost.Add(1)
-							// Session errors self-heal on the next call
-							// (redial with backoff inside the SDK).
-						}
-						if pacer != nil {
-							select {
-							case <-driveCtx.Done():
-							case <-pacer.C:
-								pacer.Reset(time.Duration(float64(time.Second) / w.Rate))
-							}
-						}
-					}
-					latMu.Lock()
-					latencies = append(latencies, lats...)
-					latMu.Unlock()
-				}(wk)
+			c.Logf("killing daemon %d (SIGKILL)", victim)
+			set.kill(victim)
+			// A killed daemon is always restarted, even past the drive phase.
+			sleepCtx(drive, time.Until(start.Add(at[1])))
+			c.Logf("restarting daemon %d", victim)
+			if err := set.start(victim); err != nil {
+				c.Logf("restart of daemon %d failed: %v", victim, err)
+				return
 			}
-			workerWG.Wait()
-		}(cl)
-	}
-	clientWG.Wait()
+			res.Restarts++
+		}
+	}()
+	// Appends still in flight when the drive phase ends are waited out for
+	// at most convergeBudget: an ack that never arrives is cut off (run
+	// over) instead of hanging the harness.
+	drain, stopDrain := context.WithTimeout(ctx, w.Duration+convergeBudget)
+	defer stopDrain()
+	tally := driveLoad(drain, drive, w, c.Seed, 0, func(ctx context.Context, _ int) (appendFunc, func(), error) {
+		lc, err := DialLog(ctx, ClientConfig{Addr: set.clientAddr(0)})
+		if err != nil {
+			return nil, nil, err
+		}
+		return lc.Append, func() { lc.Close() }, nil
+	})
 	stopDrive()
 	schedWG.Wait()
-
-	res.Attempts = int(attempts.Load())
-	res.Acked = int(acked.Load())
-	res.Overloads = int(overloads.Load())
-	res.Lost = int(lost.Load())
-	res.MaxAckedSeq = maxAcked.Load()
-	logf("drive done: %d attempts, %d acked (max seq %d), %d overloads, %d lost",
-		res.Attempts, res.Acked, res.MaxAckedSeq, res.Overloads, res.Lost)
+	c.Logf("drive done: %d attempts, %d acked (max seq %d), %d overloads, %d lost",
+		tally.proposed, tally.acked, tally.maxAckedSeq, tally.overloads, tally.lost)
 
 	// Convergence: wait until every daemon's committed frontier reaches
 	// the leader's, so the restarted daemon has repaired its gap before
 	// the stores are compared. Scraping /metrics doubles as the liveness
 	// probe of the metrics endpoint.
-	if err := waitConverged(ctx, c, 30*time.Second); err != nil {
+	if err := waitConverged(ctx, set, convergeBudget); err != nil {
 		res.Err = err.Error()
 	}
-	res.Scraped = scrapeFamilies(c.metricsAddr(0),
+	res.Scraped = scrapeFamilies(ctx, set.metricsAddr(0),
 		"fastba_commits_total", "fastba_appends_total", "fastba_overload_shed_total")
 
-	if err := c.stopAll(20 * time.Second); err != nil && res.Err == "" {
+	if err := set.stopAll(20 * time.Second); err != nil && res.Err == "" {
 		res.Err = err.Error()
 	}
 	res.Elapsed = time.Since(start)
 
 	// Post-mortem: read every WAL back and audit. The stores are only
 	// readable now — while the daemons lived they owned these files.
-	logs := make([][]store.Record, w.Daemons)
-	for i := 0; i < w.Daemons; i++ {
-		st, err := store.Open(c.storeDir(i), store.Options{})
+	logs := make([][]store.Record, c.Daemons)
+	for i := 0; i < c.Daemons; i++ {
+		st, err := store.Open(set.storeDir(i), store.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("reopen store of daemon %d: %w", i, err)
 		}
@@ -643,15 +491,8 @@ func RunDaemonLoad(ctx context.Context, w DaemonWorkload) (*DaemonLoadResult, er
 	}
 	res.Committed = len(logs[0])
 	res.CommonPrefix = commonPrefixLen(logs)
+	res.settle(tally)
 	res.Oracles = daemonOracles(logs, res)
-
-	sort.Float64s(latencies)
-	if len(latencies) > 0 {
-		res.CommitP50 = time.Duration(metrics.Quantile(latencies, 0.5) * float64(time.Millisecond))
-		res.CommitP99 = time.Duration(metrics.Quantile(latencies, 0.99) * float64(time.Millisecond))
-		res.Hist = latencyHistogram(latencies)
-	}
-	exportDaemonLoadMetrics(w.Metrics, res, latencies)
 
 	if madeDir && res.Err == "" && res.Oracles.OK() {
 		os.RemoveAll(dir)
@@ -660,58 +501,65 @@ func RunDaemonLoad(ctx context.Context, w DaemonWorkload) (*DaemonLoadResult, er
 	return res, nil
 }
 
-// isOverload reports an admission-control shed, whether surfaced as the
-// typed sentinel or wrapped.
-func isOverload(err error) bool { return errors.Is(err, ErrOverload) }
+// probeTimeout bounds one HTTP request to a daemon's metrics endpoint: a
+// daemon that accepts a connection and never answers must not hold the
+// harness past its own deadline.
+const probeTimeout = 2 * time.Second
 
-// probeListen checks one loopback port is bindable right now.
-func probeListen(port int) (io.Closer, error) {
-	return net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
+// probe GETs url under ctx and probeTimeout and returns the status code
+// and (up to 1 MiB of) the body.
+func probe(ctx context.Context, url string) (int, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, nil, err
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	return resp.StatusCode, body, err
 }
 
-// waitHealthy polls daemon i's /healthz until it answers 200.
-func waitHealthy(ctx context.Context, c *daemonCluster, i int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	url := "http://" + c.metricsAddr(i) + "/healthz"
+// waitHealthy polls the daemon metrics endpoint at addr until /healthz
+// answers 200, for at most timeout.
+func waitHealthy(ctx context.Context, addr string, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	url := "http://" + addr + "/healthz"
 	var last error
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-			last = fmt.Errorf("healthz: %s", resp.Status)
-		} else {
+	for ctx.Err() == nil {
+		status, _, err := probe(ctx, url)
+		switch {
+		case err != nil:
 			last = err
+		case status == http.StatusOK:
+			return nil
+		default:
+			last = fmt.Errorf("healthz: %d %s", status, http.StatusText(status))
 		}
 		sleepCtx(ctx, 50*time.Millisecond)
 	}
-	if ctx.Err() != nil {
-		return ctx.Err()
+	if last == nil {
+		last = ctx.Err()
 	}
 	return last
 }
 
 // waitConverged polls every daemon's fastba_commit_seq until all match
-// the leader's frontier sampled in the same round.
-func waitConverged(ctx context.Context, c *daemonCluster, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+// the leader's frontier sampled in the same round, for at most timeout.
+func waitConverged(ctx context.Context, set *daemonSet, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
 	var lastState string
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		frontiers := make([]float64, len(c.procs))
+	for ctx.Err() == nil {
+		frontiers := make([]float64, len(set.procs))
 		converged := true
-		for i := range c.procs {
-			fams := scrapeFamilies(c.metricsAddr(i), "fastba_commit_seq")
+		for i := range set.procs {
+			fams := scrapeFamilies(ctx, set.metricsAddr(i), "fastba_commit_seq")
 			frontiers[i] = fams["fastba_commit_seq"]
 			if frontiers[i] != frontiers[0] {
 				converged = false
@@ -728,14 +576,9 @@ func waitConverged(ctx context.Context, c *daemonCluster, timeout time.Duration)
 
 // scrapeFamilies GETs a daemon's /metrics and sums each named family's
 // sample values across label sets. Missing families read as 0.
-func scrapeFamilies(addr string, names ...string) map[string]float64 {
+func scrapeFamilies(ctx context.Context, addr string, names ...string) map[string]float64 {
 	out := make(map[string]float64, len(names))
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return out
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	_, body, err := probe(ctx, "http://"+addr+"/metrics")
 	if err != nil {
 		return out
 	}
@@ -803,7 +646,7 @@ func commonPrefixLen(logs [][]store.Record) int {
 // cross-instance oracles, multi-process agreement (every common prefix
 // byte-identical) and durability (every acked append is in every
 // daemon's durable log).
-func daemonOracles(logs [][]store.Record, res *DaemonLoadResult) OracleReport {
+func daemonOracles(logs [][]store.Record, res *LoadResult) OracleReport {
 	entries := make([]LogEntry, len(logs[0]))
 	for i, r := range logs[0] {
 		entries[i] = logEntry(pipeline.EntryOf(r))
@@ -832,7 +675,7 @@ func daemonOracles(logs [][]store.Record, res *DaemonLoadResult) OracleReport {
 	// durable log must reach past every acked sequence number, and so
 	// must every follower after convergence (they repaired to the same
 	// frontier before shutdown).
-	if res.Acked > 0 {
+	if res.CommittedPayloads > 0 {
 		for i, l := range logs {
 			if uint64(len(l)) <= res.MaxAckedSeq {
 				violate(OracleLogDurability,
@@ -842,21 +685,4 @@ func daemonOracles(logs [][]store.Record, res *DaemonLoadResult) OracleReport {
 		}
 	}
 	return rep
-}
-
-// exportDaemonLoadMetrics publishes the run through the shared registry
-// surface under runtime="daemon" (see exportLoadMetrics).
-func exportDaemonLoadMetrics(reg *MetricsRegistry, res *DaemonLoadResult, latenciesMs []float64) {
-	if reg == nil {
-		return
-	}
-	label := []string{"runtime", "daemon"}
-	h := reg.Histogram("fastba_commit_latency_seconds", "Client-observed commit latency.", metrics.LatencyBucketsSeconds(), label...)
-	for _, ms := range latenciesMs {
-		h.Observe(ms / 1e3)
-	}
-	reg.Counter("fastba_load_proposed_total", "Payloads accepted from load clients.", label...).Add(int64(res.Attempts))
-	reg.Counter("fastba_load_committed_payloads_total", "Payloads that reached a committed entry.", label...).Add(int64(res.Acked))
-	reg.Counter("fastba_load_committed_entries_total", "Entries committed during load runs.", label...).Add(int64(res.Committed))
-	reg.Counter("fastba_overload_shed_total", "Client append requests shed by admission control.", label...).Add(int64(res.Overloads))
 }

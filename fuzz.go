@@ -210,146 +210,73 @@ func ReplayCase(c FuzzCase) (FuzzRun, error) {
 }
 
 // replayLogCase executes a pipelined decision-log case: Entries
-// deterministic batches appended over the fabric runtime at the case's
-// depth, under the case's fault plan and corruption, judged by the
-// cross-instance oracles plus a termination check (all planned entries
-// committed — applicable, like the single-shot termination oracle, only
-// to lossless plans). The committed log and the verdicts are digested;
-// both are pure functions of the case for lossless plans, because the
-// committed (seq, value) sequence does not depend on delivery order.
+// deterministic batches appended at the case's depth, under the case's
+// fault plan and corruption, judged by the cross-instance oracles plus a
+// termination check (all planned entries committed — applicable, like the
+// single-shot termination oracle, only to lossless plans). The committed
+// log and the verdicts are digested; both are pure functions of the case
+// for lossless plans, because the committed (seq, value) sequence does not
+// depend on delivery order. The families differ only in data:
+//
+//   - restart (RestartAfter > 0): the log runs with a write-ahead store in
+//     a temporary directory; the first RestartAfter entries are appended
+//     and awaited (pinning the committed — and therefore persisted —
+//     frontier deterministically), the log hard-crashes (no final fsync)
+//     and reopens from the store, the recovered prefix is judged by the
+//     log-durability oracle, and the remaining entries are appended to the
+//     recovered log. The digest basis is identical to the restart-free
+//     case's for lossless plans — recovery must be invisible in it.
+//   - chaos (Chaos != nil): the batches are appended over the TCP runtime
+//     while the chaos controller severs the cluster's real connections on
+//     the case's seeded schedule. The supervisors must heal the mesh and
+//     the safety oracles must hold on whatever committed; termination is
+//     skipped — frames buffered in a severed socket die with it, so
+//     entry counts are not reproducible and the digest basis is the strike
+//     schedule plus the verdicts (chaosDigest).
 func replayLogCase(c FuzzCase) (FuzzRun, error) {
 	lf := *c.Log
 	if lf.Entries <= 0 || lf.Depth <= 0 || lf.Batch <= 0 || lf.PayloadBytes <= 0 {
 		return FuzzRun{}, fmt.Errorf("fastba: malformed log fuzz case: %+v", lf)
 	}
+	var extra []Option
+	digest := logDigest
+	lossy := "" // why termination is skipped regardless of the plan
 	if c.Chaos != nil {
 		if lf.RestartAfter > 0 {
 			return FuzzRun{}, fmt.Errorf("fastba: log fuzz case mixes chaos with restart — one hostile dimension per case")
 		}
-		return replayChaosLogCase(c)
-	}
-	if lf.RestartAfter > 0 {
-		return replayLogRestartCase(c)
-	}
-	cfg, err := logFuzzConfig(c, lf)
-	if err != nil {
-		return FuzzRun{}, err
-	}
-	ctx := context.Background()
-	log, err := OpenLog(ctx, cfg)
-	if err != nil {
-		return FuzzRun{}, err
-	}
-	var appendErr error
-	for k := 0; k < lf.Entries; k++ {
-		if _, err := log.Append(ctx, logFuzzBatch(c.Seed, lf, k)); err != nil {
-			appendErr = err
-			break
-		}
-	}
-	closeErr := log.Close()
-	entries := log.Committed()
-	report := CheckLogInvariants(entries, cfg.knowFrac)
-	logTerminationCheck(&report, c, lf, entries, closeErr, appendErr)
-	return FuzzRun{Case: c, Digest: logDigest(entries, report), Report: report}, nil
-}
-
-// replayLogRestartCase executes a durable restart-under-faults log case:
-// the log runs with a write-ahead store in a temporary directory, the
-// first RestartAfter entries are appended and awaited (pinning the
-// committed — and therefore persisted — frontier deterministically),
-// the log hard-crashes (no final fsync) and reopens from the store, the
-// recovered prefix is judged by the log-durability oracle, and the
-// remaining entries are appended to the recovered log. The committed
-// (seq, value) sequence is byte-identical to the restart-free case's for
-// lossless plans — recovery must be invisible in the digest basis.
-func replayLogRestartCase(c FuzzCase) (FuzzRun, error) {
-	lf := *c.Log
-	if lf.RestartAfter >= lf.Entries {
-		return FuzzRun{}, fmt.Errorf("fastba: log fuzz case restarts after entry %d of %d — nothing left to append", lf.RestartAfter, lf.Entries)
-	}
-	dir, err := os.MkdirTemp("", "bastore-fuzz-*")
-	if err != nil {
-		return FuzzRun{}, err
-	}
-	defer os.RemoveAll(dir)
-	cfg, err := logFuzzConfig(c, lf, WithLogStore(dir))
-	if err != nil {
-		return FuzzRun{}, err
-	}
-	ctx := context.Background()
-	log, err := OpenLog(ctx, cfg)
-	if err != nil {
-		return FuzzRun{}, err
-	}
-	var appendErr error
-	var lastSeq uint64
-	for k := 0; k < lf.RestartAfter; k++ {
-		seq, err := log.Append(ctx, logFuzzBatch(c.Seed, lf, k))
+		plan, err := c.Chaos.plan()
 		if err != nil {
-			appendErr = err
-			break
+			return FuzzRun{}, err
 		}
-		lastSeq = seq
+		extra = append(extra,
+			WithLogRuntime(RuntimeTCP),
+			// Commit below full attendance: a node behind a blackholed link
+			// must not stall the head instance for the detector's whole window.
+			WithLogCommitFraction(0.7),
+			// Heal fast at fuzz scale — and never give up: every severed link
+			// must come back, or the case wedges until the instance timeout.
+			WithReconnect(ReconnectPolicy{Base: 2 * time.Millisecond, Cap: 50 * time.Millisecond, MaxAttempts: -1}),
+			WithHeartbeat(HeartbeatPolicy{Every: 20 * time.Millisecond, SuspectAfter: 80 * time.Millisecond}),
+			WithChaos(plan),
+		)
+		digest = func(_ []LogEntry, report OracleReport) string { return chaosDigest(c, plan, report) }
+		lossy = "chaos plan severs live sockets (lossy by construction)"
 	}
-	if appendErr == nil {
-		// Await the whole first phase so the crash frontier is exactly
-		// RestartAfter — the determinism the digest contract needs.
-		if _, err := log.WaitSeq(ctx, lastSeq); err != nil {
-			appendErr = err
+	crashAt := lf.Entries // no restart: one phase appends everything
+	if lf.RestartAfter > 0 {
+		if lf.RestartAfter >= lf.Entries {
+			return FuzzRun{}, fmt.Errorf("fastba: log fuzz case restarts after entry %d of %d — nothing left to append", lf.RestartAfter, lf.Entries)
 		}
-	}
-	before := log.Committed()
-	log.Crash()
-	log, err = OpenLog(ctx, cfg)
-	if err != nil {
-		return FuzzRun{}, fmt.Errorf("fastba: log fuzz reopen after crash: %w", err)
-	}
-	durability := CheckLogDurability(before, log.Committed())
-	if appendErr == nil {
-		for k := lf.RestartAfter; k < lf.Entries; k++ {
-			if _, err := log.Append(ctx, logFuzzBatch(c.Seed, lf, k)); err != nil {
-				appendErr = err
-				break
-			}
+		dir, err := os.MkdirTemp("", "bastore-fuzz-*")
+		if err != nil {
+			return FuzzRun{}, err
 		}
+		defer os.RemoveAll(dir)
+		extra = append(extra, WithLogStore(dir))
+		crashAt = lf.RestartAfter
 	}
-	closeErr := log.Close()
-	entries := log.Committed()
-	report := CheckLogInvariants(entries, cfg.knowFrac)
-	report.Checked = append(report.Checked, OracleLogDurability)
-	report.Violations = append(report.Violations, durability.Violations...)
-	logTerminationCheck(&report, c, lf, entries, closeErr, appendErr)
-	sort.Strings(report.Checked)
-	return FuzzRun{Case: c, Digest: logDigest(entries, report), Report: report}, nil
-}
-
-// replayChaosLogCase executes a chaos log case: the same deterministic
-// batches, appended over the TCP runtime while the chaos controller
-// severs the cluster's real connections on the case's seeded schedule.
-// The supervisors must heal the mesh (aggressive redial, fast heartbeat)
-// and the safety oracles must hold on whatever committed; termination is
-// skipped — frames buffered in a severed socket die with it, so entry
-// counts are not reproducible and stay out of the digest. What IS
-// reproducible — the strike schedule and the safety verdicts — is the
-// digest basis, locked by the determinism test and the corpus.
-func replayChaosLogCase(c FuzzCase) (FuzzRun, error) {
-	lf := *c.Log
-	plan, err := c.Chaos.plan()
-	if err != nil {
-		return FuzzRun{}, err
-	}
-	cfg, err := logFuzzConfig(c, lf,
-		WithLogRuntime(RuntimeTCP),
-		// Commit below full attendance: a node behind a blackholed link
-		// must not stall the head instance for the detector's whole window.
-		WithLogCommitFraction(0.7),
-		// Heal fast at fuzz scale — and never give up: every severed link
-		// must come back, or the case wedges until the instance timeout.
-		WithReconnect(ReconnectPolicy{Base: 2 * time.Millisecond, Cap: 50 * time.Millisecond, MaxAttempts: -1}),
-		WithHeartbeat(HeartbeatPolicy{Every: 20 * time.Millisecond, SuspectAfter: 80 * time.Millisecond}),
-		WithChaos(plan),
-	)
+	cfg, err := logFuzzConfig(c, lf, extra...)
 	if err != nil {
 		return FuzzRun{}, err
 	}
@@ -358,21 +285,75 @@ func replayChaosLogCase(c FuzzCase) (FuzzRun, error) {
 	if err != nil {
 		return FuzzRun{}, err
 	}
-	// Append and close errors are liveness outcomes, which chaos is
-	// allowed to destroy; the oracles judge whatever committed.
-	for k := 0; k < lf.Entries; k++ {
-		if _, err := log.Append(ctx, logFuzzBatch(c.Seed, lf, k)); err != nil {
-			break
+	lastSeq, appendErr := appendFuzzBatches(ctx, log, c.Seed, lf, 0, crashAt)
+	restarted := crashAt < lf.Entries
+	var durability []Violation
+	if restarted {
+		if appendErr == nil {
+			// Await the whole first phase so the crash frontier is exactly
+			// RestartAfter — the determinism the digest contract needs.
+			_, appendErr = log.WaitSeq(ctx, lastSeq)
+		}
+		before := log.Committed()
+		log.Crash()
+		if log, err = OpenLog(ctx, cfg); err != nil {
+			return FuzzRun{}, fmt.Errorf("fastba: log fuzz reopen after crash: %w", err)
+		}
+		durability = CheckLogDurability(before, log.Committed()).Violations
+		if appendErr == nil {
+			_, appendErr = appendFuzzBatches(ctx, log, c.Seed, lf, crashAt, lf.Entries)
 		}
 	}
-	log.Close()
+	// Close and append errors are liveness outcomes: the termination check
+	// reports them where it applies; the oracles judge whatever committed.
+	closeErr := log.Close()
 	entries := log.Committed()
 	report := CheckLogInvariants(entries, cfg.knowFrac)
+	if restarted {
+		report.Checked = append(report.Checked, OracleLogDurability)
+		report.Violations = append(report.Violations, durability...)
+	}
+	switch {
+	case lossy != "":
+		skipTermination(&report, lossy)
+	case !c.Plan.Lossless():
+		skipTermination(&report, "fault plan can destroy messages (drops, partitions or crashes)")
+	default:
+		report.Checked = append(report.Checked, OracleTermination)
+		if len(entries) < lf.Entries {
+			detail := fmt.Sprintf("%d of %d planned entries committed under a lossless plan", len(entries), lf.Entries)
+			if closeErr != nil {
+				detail += ": " + closeErr.Error()
+			} else if appendErr != nil {
+				detail += ": " + appendErr.Error()
+			}
+			report.Violations = append(report.Violations, Violation{Oracle: OracleTermination, Detail: detail})
+		}
+	}
+	sort.Strings(report.Checked)
+	return FuzzRun{Case: c, Digest: digest(entries, report), Report: report}, nil
+}
+
+// appendFuzzBatches appends batches [from, to) of a log case and returns
+// the last assigned sequence number, stopping at the first error.
+func appendFuzzBatches(ctx context.Context, log *DecisionLog, seed uint64, lf LogFuzz, from, to int) (uint64, error) {
+	var last uint64
+	for k := from; k < to; k++ {
+		seq, err := log.Append(ctx, logFuzzBatch(seed, lf, k))
+		if err != nil {
+			return last, err
+		}
+		last = seq
+	}
+	return last, nil
+}
+
+// skipTermination records why the termination oracle does not apply.
+func skipTermination(report *OracleReport, why string) {
 	if report.Skipped == nil {
 		report.Skipped = map[string]string{}
 	}
-	report.Skipped[OracleTermination] = "chaos plan severs live sockets (lossy by construction)"
-	return FuzzRun{Case: c, Digest: chaosDigest(c, plan, report), Report: report}, nil
+	report.Skipped[OracleTermination] = why
 }
 
 // chaosDigest summarizes a chaos log case: the deterministic strike
@@ -420,29 +401,6 @@ func logFuzzBatch(seed uint64, lf LogFuzz, k int) [][]byte {
 		batch[i] = p
 	}
 	return batch
-}
-
-// logTerminationCheck applies the log termination oracle (lossless plans
-// only) to a finished log-case report, keeping Checked sorted.
-func logTerminationCheck(report *OracleReport, c FuzzCase, lf LogFuzz, entries []LogEntry, closeErr, appendErr error) {
-	if c.Plan.Lossless() {
-		report.Checked = append(report.Checked, OracleTermination)
-		sort.Strings(report.Checked)
-		if len(entries) < lf.Entries {
-			detail := fmt.Sprintf("%d of %d planned entries committed under a lossless plan", len(entries), lf.Entries)
-			if closeErr != nil {
-				detail += ": " + closeErr.Error()
-			} else if appendErr != nil {
-				detail += ": " + appendErr.Error()
-			}
-			report.Violations = append(report.Violations, Violation{Oracle: OracleTermination, Detail: detail})
-		}
-	} else {
-		if report.Skipped == nil {
-			report.Skipped = map[string]string{}
-		}
-		report.Skipped[OracleTermination] = "fault plan can destroy messages (drops, partitions or crashes)"
-	}
 }
 
 // logDigest canonically summarizes a committed log and its verdicts.

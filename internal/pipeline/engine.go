@@ -338,7 +338,6 @@ func (e *Engine) StartFabric() {
 	if !e.cfg.Faults.IsZero() {
 		e.fab.SetFaults(e.cfg.Faults)
 	}
-	e.fab.ServeCatchup(e.CatchupRecords)
 	e.fab.Start()
 	e.Start(e.fab.InjectLocal)
 }
@@ -389,21 +388,18 @@ func (e *Engine) CatchupRecords(from uint64, max int) [][]byte {
 	return out
 }
 
-// Catchup fetches one chunk through the running fabric's catch-up
-// surface (the in-process analogue of netrun.FetchCatchup against
-// CatchupAddr). ok reports whether a fabric is serving — a stopped or
-// failed engine no longer is, exactly like a dead TCP listener.
+// Catchup serves one chunk to an in-process peer (the analogue of
+// netrun.FetchCatchup against CatchupAddr). ok reports whether the engine
+// is serving — a stopped or failed engine no longer is, exactly like a
+// dead TCP listener.
 func (e *Engine) Catchup(from uint64, max int) ([][]byte, bool) {
-	if e.fab == nil {
-		return nil, false
-	}
 	e.mu.Lock()
 	live := !e.closed && e.failed == nil
 	e.mu.Unlock()
 	if !live {
 		return nil, false
 	}
-	return e.fab.Catchup(from, max)
+	return e.CatchupRecords(from, max), true
 }
 
 // Append sequences the next instance with the given batch and opens it,

@@ -1,15 +1,13 @@
 package simnet
 
-import "sync"
-
 // Catch-up state transfer: a restarted decision-log node that recovered
 // its WAL but still misses part of the committed prefix fetches the gap
 // from a peer. The request/response pair travels as ordinary wire frames
 // (kindCatchupReq/kindCatchupResp in internal/wire), served by the TCP
-// cluster's dedicated catch-up listener and by the Fabric's registered
-// handler alike. Records are opaque encoded bytes (internal/store's
-// record encoding): the transfer layer moves the committed prefix
-// without knowing its schema.
+// cluster's dedicated catch-up listener; in-process peers call the
+// serving engine directly. Records are opaque encoded bytes
+// (internal/store's record encoding): the transfer layer moves the
+// committed prefix without knowing its schema.
 
 // CatchupReq asks a peer for its committed records starting at From.
 type CatchupReq struct {
@@ -49,30 +47,3 @@ func (m CatchupResp) Kind() string { return "catchup-resp" }
 // records [from, from+max), empty when the server holds nothing past
 // from. Handlers must be safe for concurrent use.
 type CatchupHandler func(from uint64, max int) [][]byte
-
-// catchup is the Fabric's registered catch-up surface.
-type catchup struct {
-	mu      sync.RWMutex
-	handler CatchupHandler
-}
-
-// ServeCatchup registers the fabric's catch-up handler: in-process peers
-// fetch the committed prefix through Catchup. Safe to call before or
-// after Start.
-func (f *Fabric) ServeCatchup(h CatchupHandler) {
-	f.catchup.mu.Lock()
-	f.catchup.handler = h
-	f.catchup.mu.Unlock()
-}
-
-// Catchup serves one chunk from the registered handler; ok reports
-// whether a handler is serving.
-func (f *Fabric) Catchup(from uint64, max int) ([][]byte, bool) {
-	f.catchup.mu.RLock()
-	h := f.catchup.handler
-	f.catchup.mu.RUnlock()
-	if h == nil {
-		return nil, false
-	}
-	return h(from, max), true
-}

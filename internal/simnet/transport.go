@@ -197,10 +197,6 @@ type Fabric struct {
 	// the concurrent runtimes vary between runs like delivery order does.
 	faults *Injector
 
-	// catchup is the registered catch-up surface (ServeCatchup/Catchup):
-	// the fabric's side of the committed-prefix state transfer.
-	catchup catchup
-
 	inflight atomic.Int64
 	obsSeq   atomic.Uint64
 	shards   []shard

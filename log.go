@@ -111,18 +111,17 @@ func logEntry(e pipeline.Entry) LogEntry {
 
 // Ticket tracks one proposed payload through batching and commit.
 type Ticket struct {
-	done    chan struct{}
-	entry   pipeline.Entry
-	latency time.Duration // submit to commit
-	err     error
+	done  chan struct{}
+	entry pipeline.Entry
+	err   error
 }
 
 // ticketCompletion is a Ticket as the ingest stage sees it
 // (pipeline.Completion), kept off the public method set.
 type ticketCompletion Ticket
 
-func (t *ticketCompletion) Complete(e pipeline.Entry, latency time.Duration, err error) {
-	t.entry, t.latency, t.err = e, latency, err
+func (t *ticketCompletion) Complete(e pipeline.Entry, _ time.Duration, err error) {
+	t.entry, t.err = e, err
 	close(t.done)
 }
 
@@ -137,17 +136,6 @@ func (t *Ticket) Wait(ctx context.Context) (LogEntry, error) {
 		return logEntry(t.entry), nil
 	case <-ctx.Done():
 		return LogEntry{}, ctx.Err()
-	}
-}
-
-// poll reports non-blockingly whether the ticket has resolved and, if so,
-// its submit-to-commit latency or the error it resolved with.
-func (t *Ticket) poll() (latency time.Duration, done bool, err error) {
-	select {
-	case <-t.done:
-		return t.latency, true, t.err
-	default:
-		return 0, false, nil
 	}
 }
 
@@ -378,13 +366,6 @@ func (l *DecisionLog) CatchupAddr() string { return l.eng.CatchupAddr() }
 // mid-run; the zero value on the fabric runtime.
 func (l *DecisionLog) NetStats() NetStats { return l.eng.NetStats() }
 
-// catchupRecords is the in-process catch-up surface behind
-// WithCatchupFrom: one chunk of encoded committed records, served
-// through the peer's running transport fabric.
-func (l *DecisionLog) catchupRecords(from uint64, max int) ([][]byte, bool) {
-	return l.eng.Catchup(from, max)
-}
-
 // catchUp fetches the committed records past the store's recovered
 // frontier from the configured peer — over TCP (WithCatchupPeer) or
 // in-process (WithCatchupFrom) — validates their contiguity, and
@@ -406,9 +387,9 @@ func catchUp(st *store.Store, cfg Config) error {
 		return ingest(encoded)
 	case cfg.catchupPeer != nil:
 		for {
-			chunk, ok := cfg.catchupPeer.catchupRecords(st.Frontier(), 256)
+			chunk, ok := cfg.catchupPeer.eng.Catchup(st.Frontier(), 256)
 			if !ok {
-				return fmt.Errorf("fastba: catch-up peer is not serving (no running fabric)")
+				return fmt.Errorf("fastba: catch-up peer is not serving (closed or failed)")
 			}
 			if len(chunk) == 0 {
 				return nil
@@ -513,9 +494,8 @@ func WithCatchupPeer(addr string) Option {
 }
 
 // WithCatchupFrom is the in-process form of WithCatchupPeer: the
-// missing committed prefix is fetched from a peer DecisionLog in this
-// process through its transport fabric's catch-up surface. Requires
-// WithLogStore.
+// missing committed prefix is fetched from a running peer DecisionLog in
+// this process. Requires WithLogStore.
 func WithCatchupFrom(peer *DecisionLog) Option {
 	return optionFunc(func(c *Config) { c.catchupPeer = peer })
 }
