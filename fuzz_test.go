@@ -2,6 +2,9 @@ package fastba
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -161,18 +164,154 @@ func TestFuzzDigestDeterministic(t *testing.T) {
 	}
 }
 
+// fuzzFixtures are the hand-built cases the shrink tests and the stream
+// golden share, one per case family. Every call returns fresh memory, so
+// a test that mutates candidates cannot leak into another test.
+func fuzzFixtures() map[string]FuzzCase {
+	return map[string]FuzzCase{
+		"every-fault": {
+			N: 24, Seed: 42, Model: "async", Adversary: "equivocate",
+			CorruptFrac: 0.1, KnowFrac: 0.85,
+			Plan: FaultPlan{
+				Seed: 9, DropProb: 0.1, DupProb: 0.1, DelayProb: 0.3, MaxDelay: 3,
+				Partitions: []Partition{{A: []NodeID{1, 2}, From: 2, Until: 5}},
+				Crashes:    []Crash{{Node: 3, At: 1, RecoverAt: 4}},
+			},
+		},
+		"plan": {
+			N: 16, Seed: 1, Model: "async", Adversary: "flood", CorruptFrac: 0.1, KnowFrac: 0.85,
+			Plan: FaultPlan{
+				Seed: 2, DropProb: 0.2, DupProb: 0.1, DelayProb: 0.3, MaxDelay: 4,
+				Partitions: []Partition{{A: []NodeID{0}, From: 1}, {A: []NodeID{1}, From: 2}},
+				Crashes:    []Crash{{Node: 1, At: 1}, {Node: 2, At: 2}},
+			},
+		},
+		"log": {
+			N: 16, Seed: 1, CorruptFrac: 0.1, KnowFrac: 1,
+			Plan: FaultPlan{Seed: 2, DupProb: 0.2},
+			Log:  &LogFuzz{Entries: 4, Depth: 4, Batch: 2, PayloadBytes: 16},
+		},
+		"scenario": {
+			N: 24, Seed: 1, Model: "async", Adversary: AdversaryAdaptiveDegree,
+			CorruptFrac: 0.1, KnowFrac: 1,
+			Plan: FaultPlan{Seed: 2},
+			Scenario: &Scenario{
+				Topology: TopologyWS, Degree: 6, Rewire: 0.3, ZipfS: 1.0,
+				Latency: LatencyLongTail, TailProb: 0.1, TailDelay: 4, Loss: 0.02, Seed: 5,
+			},
+		},
+		// The one fixture with a swept, kind-restricted chaos plan: no
+		// campaign samples Sweep or Kinds.
+		"chaos-sweep": {
+			N: 8, Seed: 3, CorruptFrac: 0.1, KnowFrac: 1,
+			Plan:  FaultPlan{Seed: 4, DupProb: 0.1},
+			Log:   &LogFuzz{Entries: 4, Depth: 2, Batch: 2, PayloadBytes: 16},
+			Chaos: &ChaosFuzz{Seed: 5, Strikes: 6, Kinds: []string{"blackhole", "close"}, Sweep: true},
+		},
+	}
+}
+
+// TestFuzzSampleStreamGolden pins the fuzzer's PRNG streams and its shrink
+// candidates without executing a case: the SHA-256 of the canonical JSON
+// of the first 2 000 sampled cases (and of their shrink candidates) under
+// five campaigns, and of shrinkCandidates for every corpus case and every
+// fixture. A refactor of the samplers or the shrinker must leave every
+// digest unchanged.
+//
+// Regenerate (only after an intentional stream change) with:
+//
+//	go test -run TestFuzzSampleStreamGolden -update .
+func TestFuzzSampleStreamGolden(t *testing.T) {
+	digest := func(write func(enc *json.Encoder)) string {
+		h := sha256.New()
+		write(json.NewEncoder(h))
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	encode := func(enc *json.Encoder, v any) {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]string{}
+	for _, cp := range []struct {
+		name string
+		fc   FuzzConfig
+	}{
+		{"default", FuzzConfig{}},
+		{"logfrac-0.25", FuzzConfig{LogFrac: 0.25}},
+		{"log-restart", FuzzConfig{LogFrac: 1, RestartFrac: 1}},
+		{"log-chaos", FuzzConfig{LogFrac: 1, ChaosFrac: 1}},
+		{"scenariofrac-0.5", FuzzConfig{ScenarioFrac: 0.5}},
+	} {
+		fc := cp.fc
+		fc.Seed, fc.Runs = 1, 2000
+		if err := fc.defaults(); err != nil {
+			t.Fatal(err)
+		}
+		cases := make([]FuzzCase, fc.Runs)
+		for i := range cases {
+			cases[i] = sampleCase(fc, i)
+		}
+		got["campaign/"+cp.name+"/cases"] = digest(func(enc *json.Encoder) {
+			for _, c := range cases {
+				encode(enc, c)
+			}
+		})
+		got["campaign/"+cp.name+"/shrink"] = digest(func(enc *json.Encoder) {
+			for _, c := range cases {
+				encode(enc, shrinkCandidates(c))
+			}
+		})
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz_corpus", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus: %d files, %v", len(paths), err)
+	}
+	for _, path := range paths {
+		c, err := LoadFuzzCase(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["corpus/"+filepath.Base(path)] = digest(func(enc *json.Encoder) { encode(enc, shrinkCandidates(c)) })
+	}
+	for name, c := range fuzzFixtures() {
+		got["fixture/"+name] = digest(func(enc *json.Encoder) { encode(enc, shrinkCandidates(c)) })
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, '\n')
+	path := filepath.Join("testdata", "fuzz_stream_golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	var want map[string]string
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(raw, &want)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, w := range want {
+		if got[key] != w {
+			t.Errorf("%s: digest %s, golden %s", key, got[key], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d digests computed, golden holds %d (run with -update after an intentional change)", len(got), len(want))
+	}
+}
+
 // TestReplayCaseDeterministic: the single-case form of the same contract,
 // for a case with every fault dimension active.
 func TestReplayCaseDeterministic(t *testing.T) {
-	c := FuzzCase{
-		N: 24, Seed: 42, Model: "async", Adversary: "equivocate",
-		CorruptFrac: 0.1, KnowFrac: 0.85,
-		Plan: FaultPlan{
-			Seed: 9, DropProb: 0.1, DupProb: 0.1, DelayProb: 0.3, MaxDelay: 3,
-			Partitions: []Partition{{A: []NodeID{1, 2}, From: 2, Until: 5}},
-			Crashes:    []Crash{{Node: 3, At: 1, RecoverAt: 4}},
-		},
-	}
+	c := fuzzFixtures()["every-fault"]
 	a, err := ReplayCase(c)
 	if err != nil {
 		t.Fatal(err)
@@ -249,11 +388,7 @@ func TestFuzzLogCampaign(t *testing.T) {
 // TestFuzzLogShrinkCandidates: log cases shrink along log dimensions
 // without aliasing the parent's Log.
 func TestFuzzLogShrinkCandidates(t *testing.T) {
-	c := FuzzCase{
-		N: 16, Seed: 1, CorruptFrac: 0.1, KnowFrac: 1,
-		Plan: FaultPlan{Seed: 2, DupProb: 0.2},
-		Log:  &LogFuzz{Entries: 4, Depth: 4, Batch: 2, PayloadBytes: 16},
-	}
+	c := fuzzFixtures()["log"]
 	cands := shrinkCandidates(c)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for a shrinkable log case")
@@ -315,15 +450,7 @@ func TestFuzzScenarioCampaign(t *testing.T) {
 // dropping the scenario also drops an adaptive adversary (which cannot run
 // without one).
 func TestFuzzScenarioShrinkCandidates(t *testing.T) {
-	c := FuzzCase{
-		N: 24, Seed: 1, Model: "async", Adversary: AdversaryAdaptiveDegree,
-		CorruptFrac: 0.1, KnowFrac: 1,
-		Plan: FaultPlan{Seed: 2},
-		Scenario: &Scenario{
-			Topology: TopologyWS, Degree: 6, Rewire: 0.3, ZipfS: 1.0,
-			Latency: LatencyLongTail, TailProb: 0.1, TailDelay: 4, Loss: 0.02, Seed: 5,
-		},
-	}
+	c := fuzzFixtures()["scenario"]
 	cands := shrinkCandidates(c)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for a shrinkable scenario case")
@@ -416,14 +543,7 @@ func TestFuzzFailurePersistRoundTrip(t *testing.T) {
 // TestShrinkCandidates: candidates are strictly simpler and never alias
 // the parent's plan slices.
 func TestShrinkCandidates(t *testing.T) {
-	c := FuzzCase{
-		N: 16, Seed: 1, Model: "async", Adversary: "flood", CorruptFrac: 0.1, KnowFrac: 0.85,
-		Plan: FaultPlan{
-			Seed: 2, DropProb: 0.2, DupProb: 0.1, DelayProb: 0.3, MaxDelay: 4,
-			Partitions: []Partition{{A: []NodeID{0}, From: 1}, {A: []NodeID{1}, From: 2}},
-			Crashes:    []Crash{{Node: 1, At: 1}, {Node: 2, At: 2}},
-		},
-	}
+	c := fuzzFixtures()["plan"]
 	cands := shrinkCandidates(c)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for a maximally faulty case")
