@@ -128,14 +128,9 @@ func run(args []string) (int, error) {
 	}
 
 	if *selftest {
-		if err := oracleSelftest(); err != nil {
+		if err := runSelftests(); err != nil {
 			return 1, err
 		}
-		fmt.Println("selftest: broken quorum threshold caught by the agreement oracle")
-		if err := scenarioSelftest(); err != nil {
-			return 1, err
-		}
-		fmt.Println("selftest: adaptive adversary on a broken threshold caught under a scenario")
 	}
 
 	if failures > 0 {
@@ -163,66 +158,57 @@ func replayCorpus(dir string, verbose bool) (n, bad int, err error) {
 	return len(runs), len(failing), nil
 }
 
-// oracleSelftest validates the oracle wiring end to end: a run whose
-// decision rule is mutated to accept a single poll answer (instead of the
-// strict majority of Algorithm 1) must split the system in a way the
-// agreement oracle detects. If the oracles went blind, the whole fuzzing
-// harness would silently pass everything — this guards the guard.
-func oracleSelftest() error {
-	// knowFrac 0.60 lets the shared junk belief assemble push-quorum
-	// majorities, so with the broken threshold some nodes deterministically
-	// decide the junk value — splitting the system (agreement) — while
-	// every first-answer decision also lacks its majority certificate.
-	cfg := fastba.NewConfig(32,
-		fastba.WithSeed(1),
-		fastba.WithKnowFrac(0.60),
-		fastba.WithAdversary(fastba.AdversaryNone),
-		fastba.WithDecideThreshold(1),
-	)
-	res, err := fastba.RunAER(cfg)
-	if err != nil {
-		return fmt.Errorf("selftest run: %w", err)
-	}
-	rep := fastba.CheckInvariants(cfg, res)
-	caught := map[string]bool{}
-	for _, v := range rep.Violations {
-		caught[v.Oracle] = true
-	}
-	if !caught[fastba.OracleAgreement] || !caught[fastba.OracleCertificates] {
-		return fmt.Errorf("selftest: oracles missed the broken quorum threshold (report: %s)", rep)
-	}
-	return nil
-}
-
-// scenarioSelftest repeats the guard-the-guard check through the scenario
-// layer: the same broken decide threshold, but now on a Watts–Strogatz
-// topology with the gossip relay engaged and an adaptive traffic-ranking
-// adversary silencing the most-messaged nodes. The oracles watch decisions
-// through the relay path, so if the scenario wrapper ever swallowed or
-// reordered protocol deliveries in a way that masked a split, this would
-// go green — it must not.
-func scenarioSelftest() error {
-	cfg := fastba.NewConfig(32,
-		fastba.WithSeed(1),
-		fastba.WithKnowFrac(0.60),
-		fastba.WithScenario(fastba.Scenario{
-			Topology: fastba.TopologyWS, Degree: 6, Rewire: 0.2, ZipfS: 1.0, Seed: 3,
-		}),
-		fastba.WithAdversaryName(fastba.AdversaryAdaptiveTraffic),
-		fastba.WithCorruptFrac(0.1),
-		fastba.WithDecideThreshold(1),
-	)
-	res, err := fastba.RunAER(cfg)
-	if err != nil {
-		return fmt.Errorf("scenario selftest run: %w", err)
-	}
-	rep := fastba.CheckInvariants(cfg, res)
-	caught := map[string]bool{}
-	for _, v := range rep.Violations {
-		caught[v.Oracle] = true
-	}
-	if !caught[fastba.OracleAgreement] && !caught[fastba.OracleCertificates] {
-		return fmt.Errorf("scenario selftest: oracles missed the broken threshold under an adaptive adversary (report: %s)", rep)
+// runSelftests guards the guard: each row runs the protocol with its
+// decision rule mutated to accept a single poll answer (instead of the
+// strict majority of Algorithm 1) and requires the oracles to catch it. If
+// the oracles went blind, the whole fuzzing harness would silently pass
+// everything. knowFrac 0.60 lets the shared junk belief assemble
+// push-quorum majorities, so on these seeds the broken threshold
+// deterministically fires every oracle a row names.
+func runSelftests() error {
+	for _, st := range []struct {
+		name, caught string
+		opts         []fastba.Option
+		must         []string // oracles that must fire
+	}{{
+		// Every first-answer decision splits the system (agreement) and
+		// lacks its majority certificate.
+		name:   "selftest",
+		caught: "broken quorum threshold caught by the agreement oracle",
+		opts:   []fastba.Option{fastba.WithAdversary(fastba.AdversaryNone)},
+		must:   []string{fastba.OracleAgreement, fastba.OracleCertificates},
+	}, {
+		// The same check through the scenario layer: a Watts–Strogatz
+		// topology with the gossip relay and an adaptive traffic-ranking
+		// adversary. The oracles watch decisions through the relay path, so
+		// a scenario wrapper that swallowed or reordered deliveries in a way
+		// that masked the certificate-less decisions would go green here.
+		name:   "scenario selftest",
+		caught: "adaptive adversary on a broken threshold caught under a scenario",
+		opts: []fastba.Option{
+			fastba.WithScenario(fastba.Scenario{Topology: fastba.TopologyWS, Degree: 6, Rewire: 0.2, ZipfS: 1.0, Seed: 3}),
+			fastba.WithAdversaryName(fastba.AdversaryAdaptiveTraffic),
+			fastba.WithCorruptFrac(0.1),
+		},
+		must: []string{fastba.OracleCertificates},
+	}} {
+		opts := append([]fastba.Option{fastba.WithSeed(1), fastba.WithKnowFrac(0.60), fastba.WithDecideThreshold(1)}, st.opts...)
+		cfg := fastba.NewConfig(32, opts...)
+		res, err := fastba.RunAER(cfg)
+		if err != nil {
+			return fmt.Errorf("%s run: %w", st.name, err)
+		}
+		rep := fastba.CheckInvariants(cfg, res)
+		caught := map[string]bool{}
+		for _, v := range rep.Violations {
+			caught[v.Oracle] = true
+		}
+		for _, o := range st.must {
+			if !caught[o] {
+				return fmt.Errorf("%s: the %s oracle missed the broken threshold (report: %s)", st.name, o, rep)
+			}
+		}
+		fmt.Println("selftest: " + st.caught)
 	}
 	return nil
 }

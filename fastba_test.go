@@ -230,7 +230,7 @@ func TestModelTable(t *testing.T) {
 		if tt.model.deterministic() != tt.deterministic {
 			t.Fatalf("%v.deterministic() = %v", tt.model, !tt.deterministic)
 		}
-		_, caseErr := FuzzCase{N: 16, Model: tt.name, Adversary: "none", KnowFrac: 1}.config()
+		_, caseErr := FuzzCase{N: 16, Model: tt.name, Adversary: "none", KnowFrac: 1}.options()
 		campaignErr := (&FuzzConfig{Runs: 1, Models: []Model{tt.model}}).defaults()
 		if (caseErr == nil) != tt.deterministic || (campaignErr == nil) != tt.deterministic {
 			t.Fatalf("%v: fuzz case error %v, campaign error %v, deterministic %v", tt.model, caseErr, campaignErr, tt.deterministic)

@@ -5,30 +5,22 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/fastba/fastba/internal/prng"
 )
 
-// The scenario fuzzer: SimFuzz samples random hostile scenarios —
-// a FaultPlan crossed with a system size, timing model, Byzantine
-// strategy and population shape — runs each one, and checks the
-// protocol-invariant oracles on the outcome. Campaigns are fully
-// deterministic: case i of a campaign is a pure function of
-// (FuzzConfig.Seed, i), every sampled case runs under a deterministic
-// runner, and each run is summarized into a canonical digest — so a
-// failing case replays bit-for-bit from its FuzzCase alone, and a fixed
-// campaign seed reproduces identical digests across invocations (the
-// regression tests lock this).
-//
-// When a case violates an oracle, the fuzzer shrinks it — greedily
-// clearing and simplifying fault-plan dimensions while the violation
-// persists — and persists the shrunk reproducer as JSON, ready for
-// testdata/fuzz_corpus. The corpus is replayed by cmd/fuzzba (and CI) as
-// a regression suite: every committed case must pass its oracles.
+// The scenario fuzzer. SimFuzz samples hostile cases — a FaultPlan crossed
+// with a system size, timing model, Byzantine strategy and population
+// shape, or a short pipelined log — and runs each under the oracles. Case i
+// is a pure function of (FuzzConfig.Seed, i) on a deterministic runner, so
+// a failing case replays bit-for-bit from its FuzzCase alone; it is shrunk
+// and persisted as JSON for testdata/fuzz_corpus, the regression suite.
 
 // FuzzCase is one fully-specified, reproducible fuzz scenario. It is the
 // JSON corpus format of cmd/fuzzba.
@@ -38,11 +30,10 @@ type FuzzCase struct {
 	// Seed is the run's master seed.
 	Seed uint64 `json:"seed"`
 	// Model is the timing model's String name. Deterministic models only:
-	// the fuzzer needs bit-for-bit replays. Ignored for pipelined-log
-	// cases (Log != nil), which run on the fabric runtime.
+	// the fuzzer needs bit-for-bit replays. Single-shot cases only.
 	Model string `json:"model,omitempty"`
-	// Adversary is the Byzantine strategy's registry name. Pipelined-log
-	// cases support only the log's fail-silent corruption model.
+	// Adversary is the Byzantine strategy's registry name. Single-shot
+	// cases only: log cases run fail-silent corruption.
 	Adversary string `json:"adversary,omitempty"`
 	// CorruptFrac and KnowFrac shape the population.
 	CorruptFrac float64 `json:"corruptFrac"`
@@ -50,22 +41,15 @@ type FuzzCase struct {
 	// Plan is the fault schedule under test.
 	Plan FaultPlan `json:"plan"`
 	// Scenario, when set, runs the case over a network scenario (see
-	// WithScenario): topology + latency/loss model + gossip relay, with
-	// the adaptive adversaries admissible as Adversary. Single-shot cases
-	// only.
+	// WithScenario), which admits the adaptive adversaries. Single-shot only.
 	Scenario *Scenario `json:"scenario,omitempty"`
-	// Log, when set, makes this a pipelined decision-log case: a short
-	// log with deterministic batches replayed under the plan, judged by
-	// the cross-instance oracles.
+	// Log, when set, makes this a pipelined decision-log case (see
+	// replayLogCase).
 	Log *LogFuzz `json:"log,omitempty"`
-	// Chaos, when set (log cases only), runs the log over the TCP runtime
-	// with a live-socket chaos plan severing its real connections. Safety
-	// oracles must hold; termination is skipped (chaos is lossy), and the
-	// digest basis is the deterministic strike schedule plus the verdicts —
-	// never entry counts, which real sockets under chaos do not reproduce.
+	// Chaos, when set (log cases only), runs the log over TCP while a
+	// seeded chaos plan severs its real connections.
 	Chaos *ChaosFuzz `json:"chaos,omitempty"`
-	// Note is free-form provenance ("sampled by campaign seed 7, case 42";
-	// "shrunk from ...").
+	// Note is free-form provenance ("sampled: campaign seed 7, case 42").
 	Note string `json:"note,omitempty"`
 }
 
@@ -75,16 +59,11 @@ type LogFuzz struct {
 	Entries int `json:"entries"`
 	// Depth is the instance pipelining depth.
 	Depth int `json:"depth"`
-	// Batch is the payload count per batch; PayloadBytes sizes each
-	// payload.
+	// Batch is the payload count per batch; PayloadBytes sizes each one.
 	Batch        int `json:"batch"`
 	PayloadBytes int `json:"payloadBytes"`
-	// RestartAfter, when positive (and < Entries), makes this a durable
-	// restart-under-faults case: the log runs with a store, the first
-	// RestartAfter entries are appended and awaited, the log hard-crashes
-	// and reopens from its store directory (checked by the log-durability
-	// oracle), and the remaining entries are appended to the recovered
-	// log.
+	// RestartAfter, when positive (and < Entries), crashes the durable log
+	// after that many entries and appends the rest to the recovered one.
 	RestartAfter int `json:"restartAfter,omitempty"`
 }
 
@@ -96,30 +75,12 @@ type ChaosFuzz struct {
 	// Strikes bounds landed strikes; 0 with Sweep runs until every link
 	// has been severed once.
 	Strikes int `json:"strikes,omitempty"`
-	// IntervalMs is the strike cadence in milliseconds (0: the plan
-	// default).
+	// IntervalMs is the strike cadence in milliseconds (0: plan default).
 	IntervalMs int `json:"intervalMs,omitempty"`
-	// Kinds restricts the strike kinds ("close", "halfclose",
-	// "blackhole"); empty allows all.
+	// Kinds restricts the strike kinds (close, halfclose, blackhole; empty: all).
 	Kinds []string `json:"kinds,omitempty"`
 	// Sweep prioritizes live not-yet-severed links until full coverage.
 	Sweep bool `json:"sweep,omitempty"`
-}
-
-// plan materializes the corpus form into a runnable ChaosPlan.
-func (cf ChaosFuzz) plan() (ChaosPlan, error) {
-	p := ChaosPlan{Seed: cf.Seed, Strikes: cf.Strikes, Sweep: cf.Sweep}
-	if cf.IntervalMs > 0 {
-		p.Interval = time.Duration(cf.IntervalMs) * time.Millisecond
-	}
-	for _, name := range cf.Kinds {
-		k, err := ParseChaosKind(name)
-		if err != nil {
-			return ChaosPlan{}, err
-		}
-		p.Kinds = append(p.Kinds, k)
-	}
-	return p, nil
 }
 
 // String renders a compact case label.
@@ -128,54 +89,112 @@ func (c FuzzCase) String() string {
 	if fault == "" {
 		fault = "none"
 	}
+	family := c.Model + "/" + c.Adversary
 	if c.Log != nil {
-		shape := fmt.Sprintf("e=%d,d=%d,b=%d", c.Log.Entries, c.Log.Depth, c.Log.Batch)
+		family = fmt.Sprintf("log[e=%d,d=%d,b=%d", c.Log.Entries, c.Log.Depth, c.Log.Batch)
 		if c.Log.RestartAfter > 0 {
-			shape += fmt.Sprintf(",r@%d", c.Log.RestartAfter)
+			family += fmt.Sprintf(",r@%d", c.Log.RestartAfter)
 		}
 		if c.Chaos != nil {
-			shape += fmt.Sprintf(",chaos=%d", c.Chaos.Seed)
+			family += fmt.Sprintf(",chaos=%d", c.Chaos.Seed)
 		}
-		return fmt.Sprintf("n=%d seed=%d log[%s] corrupt=%.2f know=%.2f faults=%s",
-			c.N, c.Seed, shape, c.CorruptFrac, c.KnowFrac, fault)
+		family += "]"
 	}
-	label := fmt.Sprintf("n=%d seed=%d %s/%s corrupt=%.2f know=%.2f faults=%s",
-		c.N, c.Seed, c.Model, c.Adversary, c.CorruptFrac, c.KnowFrac, fault)
+	label := fmt.Sprintf("n=%d seed=%d %s corrupt=%.2f know=%.2f faults=%s", c.N, c.Seed, family, c.CorruptFrac, c.KnowFrac, fault)
 	if c.Scenario != nil {
 		label += " scenario=" + c.Scenario.Label()
 	}
 	return label
 }
 
-// config materializes the case into a validated-on-use Config.
-func (c FuzzCase) config() (Config, error) {
-	model, err := ParseModel(c.Model)
-	if err != nil {
-		return Config{}, err
+// clone is the one deep copy of a case: the result shares no memory with c.
+func (c FuzzCase) clone() FuzzCase {
+	c.Plan.Partitions = slices.Clone(c.Plan.Partitions)
+	for i := range c.Plan.Partitions {
+		c.Plan.Partitions[i].A = slices.Clone(c.Plan.Partitions[i].A)
 	}
-	if !model.deterministic() {
-		return Config{}, fmt.Errorf("fastba: fuzz cases require a deterministic model, have %v", model)
+	c.Plan.Crashes = slices.Clone(c.Plan.Crashes)
+	c.Plan.Links = slices.Clone(c.Plan.Links)
+	c.Scenario, c.Log, c.Chaos = copyOf(c.Scenario), copyOf(c.Log), copyOf(c.Chaos)
+	if c.Chaos != nil {
+		c.Chaos.Kinds = slices.Clone(c.Chaos.Kinds)
 	}
-	opts := []Option{
-		WithSeed(c.Seed),
-		WithModel(model),
-		WithAdversaryName(c.Adversary),
-		WithCorruptFrac(c.CorruptFrac),
-		WithKnowFrac(c.KnowFrac),
-		WithFaults(c.Plan),
+	return c
+}
+
+// copyOf returns a pointer to a shallow copy of *p, or nil.
+func copyOf[T any](p *T) *T {
+	if p == nil {
+		return nil
 	}
-	if c.Scenario != nil {
-		opts = append(opts, WithScenario(*c.Scenario))
+	v := *p
+	return &v
+}
+
+// options is the one validator of a case: it checks every cross-dimension
+// rule and returns the options its single-shot run or pipelined log uses.
+func (c FuzzCase) options() ([]Option, error) {
+	opts := []Option{WithSeed(c.Seed), WithCorruptFrac(c.CorruptFrac), WithKnowFrac(c.KnowFrac), WithFaults(c.Plan)}
+	if c.Log == nil {
+		if c.Chaos != nil {
+			return nil, fmt.Errorf("fastba: chaos fuzz dimension requires a log case (single-shot runs have no long-lived connections)")
+		}
+		model, err := ParseModel(c.Model)
+		if err != nil {
+			return nil, err
+		}
+		if !model.deterministic() {
+			return nil, fmt.Errorf("fastba: fuzz cases require a deterministic model, have %v", model)
+		}
+		opts = append(opts, WithModel(model), WithAdversaryName(c.Adversary))
+		if c.Scenario != nil {
+			opts = append(opts, WithScenario(*c.Scenario))
+		}
+		return opts, nil
 	}
-	return NewConfig(c.N, opts...), nil
+	lf := *c.Log
+	switch {
+	case c.Scenario != nil || c.Model != "" || c.Adversary != "":
+		return nil, fmt.Errorf("fastba: log fuzz case sets a scenario, model or adversary — the log family runs none of them")
+	case lf.Entries <= 0 || lf.Depth <= 0 || lf.Batch <= 0 || lf.PayloadBytes <= 0:
+		return nil, fmt.Errorf("fastba: malformed log fuzz case: %+v", lf)
+	case lf.RestartAfter >= lf.Entries:
+		return nil, fmt.Errorf("fastba: log fuzz case restarts after entry %d of %d — nothing left to append", lf.RestartAfter, lf.Entries)
+	case c.Chaos != nil && lf.RestartAfter > 0:
+		return nil, fmt.Errorf("fastba: log fuzz case mixes chaos with restart — one hostile dimension per case")
+	}
+	opts = append(opts, WithLogDepth(lf.Depth), WithLogInstanceTimeout(30*time.Second))
+	if c.Chaos == nil {
+		return opts, nil
+	}
+	plan := ChaosPlan{Seed: c.Chaos.Seed, Strikes: c.Chaos.Strikes, Sweep: c.Chaos.Sweep}
+	if c.Chaos.IntervalMs > 0 {
+		plan.Interval = time.Duration(c.Chaos.IntervalMs) * time.Millisecond
+	}
+	for _, name := range c.Chaos.Kinds {
+		k, err := ParseChaosKind(name)
+		if err != nil {
+			return nil, err
+		}
+		plan.Kinds = append(plan.Kinds, k)
+	}
+	return append(opts,
+		WithLogRuntime(RuntimeTCP),
+		// Commit below full attendance: a node behind a blackholed link
+		// must not stall the head instance for the detector's whole window.
+		WithLogCommitFraction(0.7),
+		// Heal fast at fuzz scale — and never give up: every severed link
+		// must come back, or the case wedges until the instance timeout.
+		WithReconnect(ReconnectPolicy{Base: 2 * time.Millisecond, Cap: 50 * time.Millisecond, MaxAttempts: -1}),
+		WithHeartbeat(HeartbeatPolicy{Every: 20 * time.Millisecond, SuspectAfter: 80 * time.Millisecond}),
+		WithChaos(plan),
+	), nil
 }
 
 // FuzzRun is the outcome of one executed case.
 type FuzzRun struct {
 	Case FuzzCase `json:"case"`
-	// Digest canonically summarizes the run (decisions, traffic, oracle
-	// verdicts). Equal cases produce equal digests — the reproducibility
-	// contract the regression tests lock.
+	// Digest canonically summarizes the run: equal cases, equal digests.
 	Digest string `json:"digest"`
 	// Report is the oracle verdict.
 	Report OracleReport `json:"report"`
@@ -183,22 +202,17 @@ type FuzzRun struct {
 	Result *AERResult `json:"-"`
 }
 
-// ReplayCase executes one fuzz case — oracles wired into the run through
-// the Observer stream plus the end-state check — and returns the digested
-// outcome. It is the unit the fuzzer, the corpus replayer and the
-// shrinker all share. Pipelined-log cases replay through the decision log
-// instead of a single-shot run.
+// ReplayCase executes one fuzz case with the oracles attached and returns
+// the digested outcome: the unit the fuzzer, corpus and shrinker share.
 func ReplayCase(c FuzzCase) (FuzzRun, error) {
-	if c.Chaos != nil && c.Log == nil {
-		return FuzzRun{}, fmt.Errorf("fastba: chaos fuzz dimension requires a log case (single-shot runs have no long-lived connections)")
-	}
-	if c.Log != nil {
-		return replayLogCase(c)
-	}
-	cfg, err := c.config()
+	opts, err := c.options()
 	if err != nil {
 		return FuzzRun{}, err
 	}
+	if c.Log != nil {
+		return replayLogCase(c, opts)
+	}
+	cfg := NewConfig(c.N, opts...)
 	oracles := NewOracles(cfg)
 	cfg.observer = oracles.Observer()
 	res, err := RunAER(cfg)
@@ -209,75 +223,34 @@ func ReplayCase(c FuzzCase) (FuzzRun, error) {
 	return FuzzRun{Case: c, Digest: runDigest(res, report), Report: report, Result: res}, nil
 }
 
-// replayLogCase executes a pipelined decision-log case: Entries
-// deterministic batches appended at the case's depth, under the case's
-// fault plan and corruption, judged by the cross-instance oracles plus a
-// termination check (all planned entries committed — applicable, like the
-// single-shot termination oracle, only to lossless plans). The committed
-// log and the verdicts are digested; both are pure functions of the case
-// for lossless plans, because the committed (seq, value) sequence does not
-// depend on delivery order. The families differ only in data:
+// replayLogCase appends Entries deterministic batches at the case's depth
+// and judges the log with the cross-instance oracles plus a termination
+// check (lossless plans only; there the committed sequence, and so the
+// digest, is a pure function of the case). The families differ in data:
 //
-//   - restart (RestartAfter > 0): the log runs with a write-ahead store in
-//     a temporary directory; the first RestartAfter entries are appended
-//     and awaited (pinning the committed — and therefore persisted —
-//     frontier deterministically), the log hard-crashes (no final fsync)
-//     and reopens from the store, the recovered prefix is judged by the
-//     log-durability oracle, and the remaining entries are appended to the
-//     recovered log. The digest basis is identical to the restart-free
-//     case's for lossless plans — recovery must be invisible in it.
-//   - chaos (Chaos != nil): the batches are appended over the TCP runtime
-//     while the chaos controller severs the cluster's real connections on
-//     the case's seeded schedule. The supervisors must heal the mesh and
-//     the safety oracles must hold on whatever committed; termination is
-//     skipped — frames buffered in a severed socket die with it, so
-//     entry counts are not reproducible and the digest basis is the strike
-//     schedule plus the verdicts (chaosDigest).
-func replayLogCase(c FuzzCase) (FuzzRun, error) {
+//   - restart: the log runs on a store in a temporary directory. The first
+//     RestartAfter entries are appended and awaited, pinning the persisted
+//     frontier; the log hard-crashes and reopens, the durability oracle
+//     judges the recovered prefix, and the rest is appended. Recovery must
+//     not show in the digest.
+//   - chaos: the log runs over TCP while the chaos controller severs its
+//     real connections on the case's seeded schedule. Safety must hold on
+//     whatever committed; frames die with a severed socket, so termination
+//     is skipped and the digest covers the strike schedule, not the entries.
+func replayLogCase(c FuzzCase, opts []Option) (FuzzRun, error) {
 	lf := *c.Log
-	if lf.Entries <= 0 || lf.Depth <= 0 || lf.Batch <= 0 || lf.PayloadBytes <= 0 {
-		return FuzzRun{}, fmt.Errorf("fastba: malformed log fuzz case: %+v", lf)
-	}
-	var extra []Option
-	digest := logDigest
-	lossy := "" // why termination is skipped regardless of the plan
-	if c.Chaos != nil {
-		if lf.RestartAfter > 0 {
-			return FuzzRun{}, fmt.Errorf("fastba: log fuzz case mixes chaos with restart — one hostile dimension per case")
-		}
-		plan, err := c.Chaos.plan()
-		if err != nil {
-			return FuzzRun{}, err
-		}
-		extra = append(extra,
-			WithLogRuntime(RuntimeTCP),
-			// Commit below full attendance: a node behind a blackholed link
-			// must not stall the head instance for the detector's whole window.
-			WithLogCommitFraction(0.7),
-			// Heal fast at fuzz scale — and never give up: every severed link
-			// must come back, or the case wedges until the instance timeout.
-			WithReconnect(ReconnectPolicy{Base: 2 * time.Millisecond, Cap: 50 * time.Millisecond, MaxAttempts: -1}),
-			WithHeartbeat(HeartbeatPolicy{Every: 20 * time.Millisecond, SuspectAfter: 80 * time.Millisecond}),
-			WithChaos(plan),
-		)
-		digest = func(_ []LogEntry, report OracleReport) string { return chaosDigest(c, plan, report) }
-		lossy = "chaos plan severs live sockets (lossy by construction)"
-	}
 	crashAt := lf.Entries // no restart: one phase appends everything
 	if lf.RestartAfter > 0 {
-		if lf.RestartAfter >= lf.Entries {
-			return FuzzRun{}, fmt.Errorf("fastba: log fuzz case restarts after entry %d of %d — nothing left to append", lf.RestartAfter, lf.Entries)
-		}
 		dir, err := os.MkdirTemp("", "bastore-fuzz-*")
 		if err != nil {
 			return FuzzRun{}, err
 		}
 		defer os.RemoveAll(dir)
-		extra = append(extra, WithLogStore(dir))
+		opts = append(opts, WithLogStore(dir))
 		crashAt = lf.RestartAfter
 	}
-	cfg, err := logFuzzConfig(c, lf, extra...)
-	if err != nil {
+	cfg := NewConfig(c.N, opts...)
+	if err := cfg.validate(); err != nil {
 		return FuzzRun{}, err
 	}
 	ctx := context.Background()
@@ -285,7 +258,23 @@ func replayLogCase(c FuzzCase) (FuzzRun, error) {
 	if err != nil {
 		return FuzzRun{}, err
 	}
-	lastSeq, appendErr := appendFuzzBatches(ctx, log, c.Seed, lf, 0, crashAt)
+	// appendBatches appends batches [from, to) and returns the last seq.
+	// Batch k is a pure function of (seed, k) on every runtime.
+	appendBatches := func(from, to int) (seq uint64, err error) {
+		for k := from; k < to && err == nil; k++ {
+			batch := make([][]byte, lf.Batch)
+			for i := range batch {
+				src := prng.New(prng.DeriveKey(c.Seed, "fuzz/log/payload", uint64(k)<<16|uint64(i)))
+				batch[i] = make([]byte, lf.PayloadBytes)
+				for j := range batch[i] {
+					batch[i][j] = byte(src.Uint64())
+				}
+			}
+			seq, err = log.Append(ctx, batch)
+		}
+		return seq, err
+	}
+	lastSeq, appendErr := appendBatches(0, crashAt)
 	restarted := crashAt < lf.Entries
 	var durability []Violation
 	if restarted {
@@ -301,7 +290,7 @@ func replayLogCase(c FuzzCase) (FuzzRun, error) {
 		}
 		durability = CheckLogDurability(before, log.Committed()).Violations
 		if appendErr == nil {
-			_, appendErr = appendFuzzBatches(ctx, log, c.Seed, lf, crashAt, lf.Entries)
+			_, appendErr = appendBatches(crashAt, lf.Entries)
 		}
 	}
 	// Close and append errors are liveness outcomes: the termination check
@@ -314,8 +303,8 @@ func replayLogCase(c FuzzCase) (FuzzRun, error) {
 		report.Violations = append(report.Violations, durability...)
 	}
 	switch {
-	case lossy != "":
-		skipTermination(&report, lossy)
+	case c.Chaos != nil:
+		skipTermination(&report, "chaos plan severs live sockets (lossy by construction)")
 	case !c.Plan.Lossless():
 		skipTermination(&report, "fault plan can destroy messages (drops, partitions or crashes)")
 	default:
@@ -331,21 +320,23 @@ func replayLogCase(c FuzzCase) (FuzzRun, error) {
 		}
 	}
 	sort.Strings(report.Checked)
-	return FuzzRun{Case: c, Digest: digest(entries, report), Report: report}, nil
-}
-
-// appendFuzzBatches appends batches [from, to) of a log case and returns
-// the last assigned sequence number, stopping at the first error.
-func appendFuzzBatches(ctx context.Context, log *DecisionLog, seed uint64, lf LogFuzz, from, to int) (uint64, error) {
-	var last uint64
-	for k := from; k < to; k++ {
-		seq, err := log.Append(ctx, logFuzzBatch(seed, lf, k))
-		if err != nil {
-			return last, err
+	// Only order-independent fields enter the digest: never latencies or
+	// delivery counts, which the concurrent runtimes do not reproduce.
+	return FuzzRun{Case: c, Report: report, Digest: digest(report, func(h io.Writer) {
+		if c.Chaos != nil {
+			plan := cfg.net.Chaos
+			fmt.Fprintf(h, "chaos seed=%d sweep=%t strikes=%d\n", plan.Seed, plan.Sweep, plan.Strikes)
+			for _, s := range ChaosSchedule(plan, c.N) {
+				fmt.Fprintf(h, "strike kind=%s from=%d to=%d\n", s.Kind, s.From, s.To)
+			}
+			return
 		}
-		last = seq
-	}
-	return last, nil
+		fmt.Fprintf(h, "committed=%d\n", len(entries))
+		for _, e := range entries {
+			fmt.Fprintf(h, "seq=%d value=%s payloads=%d distinct=%d certdef=%d proposal=%t\n",
+				e.Seq, e.Value, e.PayloadCount, e.DistinctValues, e.CertDeficits, e.MatchesProposal)
+		}
+	})}, nil
 }
 
 // skipTermination records why the termination oracle does not apply.
@@ -356,116 +347,55 @@ func skipTermination(report *OracleReport, why string) {
 	report.Skipped[OracleTermination] = why
 }
 
-// chaosDigest summarizes a chaos log case: the deterministic strike
-// schedule and the oracle verdicts. Committed entry counts are excluded
-// by design — real sockets under chaos do not reproduce them — so equal
-// digests across replays mean "same schedule, same safety verdict".
-func chaosDigest(c FuzzCase, plan ChaosPlan, report OracleReport) string {
+// digest hashes a canonical summary: write's lines, then the verdicts.
+func digest(report OracleReport, write func(h io.Writer)) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "chaos seed=%d sweep=%t strikes=%d\n", plan.Seed, plan.Sweep, plan.Strikes)
-	for _, s := range ChaosSchedule(plan, c.N) {
-		fmt.Fprintf(h, "strike kind=%s from=%d to=%d\n", s.Kind, s.From, s.To)
-	}
+	write(h)
 	fmt.Fprintf(h, "oracles checked=%v violations=%v\n", report.Checked, report.Strings())
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// logFuzzConfig builds the validated Config a pipelined-log case runs
-// under.
-func logFuzzConfig(c FuzzCase, lf LogFuzz, extra ...Option) (Config, error) {
-	opts := append([]Option{
-		WithSeed(c.Seed),
-		WithCorruptFrac(c.CorruptFrac),
-		WithKnowFrac(c.KnowFrac),
-		WithFaults(c.Plan),
-		WithLogDepth(lf.Depth),
-		WithLogInstanceTimeout(30 * time.Second),
-	}, extra...)
-	cfg := NewConfig(c.N, opts...)
-	if err := cfg.validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// logFuzzBatch derives batch k of a log case — a pure function of
-// (seed, k), identical across restarts and runtimes.
-func logFuzzBatch(seed uint64, lf LogFuzz, k int) [][]byte {
-	batch := make([][]byte, lf.Batch)
-	for i := range batch {
-		src := prng.New(prng.DeriveKey(seed, "fuzz/log/payload", uint64(k)<<16|uint64(i)))
-		p := make([]byte, lf.PayloadBytes)
-		for j := range p {
-			p[j] = byte(src.Uint64())
-		}
-		batch[i] = p
-	}
-	return batch
-}
-
-// logDigest canonically summarizes a committed log and its verdicts.
-// Only order-independent fields enter: the committed (seq, value, payload
-// count) sequence and the oracle verdicts — never latencies or delivery
-// counts, which the concurrent runtime does not reproduce.
-func logDigest(entries []LogEntry, report OracleReport) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "committed=%d\n", len(entries))
-	for _, e := range entries {
-		fmt.Fprintf(h, "seq=%d value=%s payloads=%d distinct=%d certdef=%d proposal=%t\n",
-			e.Seq, e.Value, e.PayloadCount, e.DistinctValues, e.CertDeficits, e.MatchesProposal)
-	}
-	fmt.Fprintf(h, "oracles checked=%v violations=%v\n", report.Checked, report.Strings())
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// runDigest renders the canonical summary of a run and hashes it. Every
-// field written here is deterministic under the deterministic runners.
+// runDigest canonically summarizes a single-shot run. Every field written
+// here is deterministic under the deterministic runners.
 func runDigest(res *AERResult, report OracleReport) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "gstring=%s correct=%d decided=%d onG=%d other=%d distinct=%d certdef=%d\n",
-		res.GString, res.Correct, res.Decided, res.DecidedGString, res.DecidedOther,
-		res.DistinctDecisions, res.CertDeficits)
-	fmt.Fprintf(h, "time=%d last=%d msgs=%d meanBits=%.6f maxBits=%d deferred=%d\n",
-		res.Time, res.LastDecision, res.TotalMessages, res.MeanBitsPerNode,
-		res.MaxBitsPerNode, res.AnswersDeferred)
-	kinds := make([]string, 0, len(res.MessagesByKind))
-	for k := range res.MessagesByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(h, "kind %s=%d\n", k, res.MessagesByKind[k])
-	}
-	fmt.Fprintf(h, "decisions=%v\n", res.DecisionTimes)
-	fmt.Fprintf(h, "oracles checked=%v violations=%v\n", report.Checked, report.Strings())
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return digest(report, func(h io.Writer) {
+		fmt.Fprintf(h, "gstring=%s correct=%d decided=%d onG=%d other=%d distinct=%d certdef=%d\n",
+			res.GString, res.Correct, res.Decided, res.DecidedGString, res.DecidedOther,
+			res.DistinctDecisions, res.CertDeficits)
+		fmt.Fprintf(h, "time=%d last=%d msgs=%d meanBits=%.6f maxBits=%d deferred=%d\n",
+			res.Time, res.LastDecision, res.TotalMessages, res.MeanBitsPerNode,
+			res.MaxBitsPerNode, res.AnswersDeferred)
+		kinds := make([]string, 0, len(res.MessagesByKind))
+		for k := range res.MessagesByKind {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		for _, k := range kinds {
+			fmt.Fprintf(h, "kind %s=%d\n", k, res.MessagesByKind[k])
+		}
+		fmt.Fprintf(h, "decisions=%v\n", res.DecisionTimes)
+	})
 }
 
-// FuzzFailure is a persisted oracle violation: the shrunk reproducer, the
-// originally sampled case it came from, and the findings.
+// FuzzFailure is a persisted oracle violation: the shrunk reproducer
+// (Case), the case as sampled (Original), and the shrunk case's oracle
+// findings and run digest.
 type FuzzFailure struct {
-	// Case is the shrunk (minimal found) reproducer.
-	Case FuzzCase `json:"case"`
-	// Original is the case as sampled, before shrinking.
-	Original FuzzCase `json:"original"`
-	// Violations are the shrunk case's oracle findings.
+	Case       FuzzCase    `json:"case"`
+	Original   FuzzCase    `json:"original"`
 	Violations []Violation `json:"violations"`
-	// Digest is the shrunk case's run digest.
-	Digest string `json:"digest"`
+	Digest     string      `json:"digest"`
 }
 
-// FuzzConfig parameterizes a SimFuzz campaign. The zero value of every
-// field has a usable default; at least one of Runs and Budget must bound
-// the campaign.
+// FuzzConfig parameterizes a SimFuzz campaign. Every zero field has a
+// usable default, but Runs or Budget must bound the campaign.
 type FuzzConfig struct {
 	// Seed keys the campaign: case i is a pure function of (Seed, i).
 	Seed uint64
-	// Runs bounds the number of sampled cases (0 = unbounded, Budget
-	// bounds instead).
-	Runs int
-	// Budget bounds the campaign's wall-clock time (0 = unbounded, Runs
-	// bounds instead). Cases run in deterministic order, so a larger
+	// Runs bounds the number of sampled cases and Budget the wall-clock
+	// time (0 = unbounded). Cases run in deterministic order, so a larger
 	// budget strictly extends a smaller one's coverage.
+	Runs   int
 	Budget time.Duration
 	// Ns are the candidate system sizes (default 16, 24, 32).
 	Ns []int
@@ -477,32 +407,25 @@ type FuzzConfig struct {
 	Adversaries []string
 	// KnowFracs are the candidate knowledge fractions (default 0.85, 1.0).
 	KnowFracs []float64
-	// CorruptFracs are the candidate corruption fractions (default 0,
-	// 0.10, 0.20).
+	// CorruptFracs are the candidate corruption fractions (default 0, 0.1, 0.2).
 	CorruptFracs []float64
-	// LogFrac is the fraction of sampled cases drawn from the
-	// pipelined-log family (default 0 — off, keeping legacy campaign
-	// digests stable): short decision logs (2–5 entries, depth 1–4) on
-	// the fabric runtime with fail-silent corruption and lossless fault
-	// plans (duplication/delay — the envelope in which the committed log
-	// is a pure function of the case), judged by the cross-instance
-	// oracles.
+
+	// The four family fractions default to 0 — off. A family that is off
+	// consumes no PRNG draw, so existing campaign digests stay stable.
+	//
+	// LogFrac is the fraction of cases drawn from the pipelined-log family:
+	// short logs on the fabric runtime with fail-silent corruption and
+	// lossless plans, judged by the cross-instance oracles.
 	LogFrac float64
-	// RestartFrac is the fraction of log-family cases that run durable
-	// with a mid-log crash and restart (LogFuzz.RestartAfter; default 0 —
-	// off, keeping existing campaign digests stable). Only meaningful
-	// when LogFrac > 0.
+	// RestartFrac is the fraction of log-family cases that crash and
+	// restart a durable log mid-run (LogFuzz.RestartAfter).
 	RestartFrac float64
 	// ChaosFrac is the fraction of non-restart log-family cases that run
-	// over the TCP runtime under a seeded live-socket chaos plan (default
-	// 0 — off, keeping existing campaign digests stable). Only meaningful
-	// when LogFrac > 0.
+	// over TCP under a seeded live-socket chaos plan.
 	ChaosFrac float64
 	// ScenarioFrac is the fraction of single-shot cases that run over a
-	// sampled network scenario — seeded topology (ring/WS, optional Zipf
-	// load), latency/loss model, gossip relay, and occasionally an
-	// adaptive adversary (default 0 — off, keeping existing campaign
-	// digests stable).
+	// sampled network scenario: topology, latency/loss model, gossip relay,
+	// and occasionally an adaptive adversary.
 	ScenarioFrac float64
 	// PersistDir, when set, receives one JSON FuzzFailure file per failing
 	// case (after shrinking), named fail_<digest prefix>.json.
@@ -528,10 +451,8 @@ func (fc *FuzzConfig) defaults() error {
 		}
 	}
 	if len(fc.Adversaries) == 0 {
-		fc.Adversaries = []string{
-			"none", "silent", "flood", "equivocate", "corner", "corner-rushing",
-			"flood-then-silent", "equivocate-then-silent",
-		}
+		fc.Adversaries = []string{"none", "silent", "flood", "equivocate", "corner", "corner-rushing",
+			"flood-then-silent", "equivocate-then-silent"}
 	}
 	if len(fc.KnowFracs) == 0 {
 		fc.KnowFracs = []float64{0.85, 1.0}
@@ -539,17 +460,13 @@ func (fc *FuzzConfig) defaults() error {
 	if len(fc.CorruptFracs) == 0 {
 		fc.CorruptFracs = []float64{0, 0.10, 0.20}
 	}
-	if fc.LogFrac < 0 || fc.LogFrac > 1 {
-		return fmt.Errorf("fastba: fuzz LogFrac %v outside [0, 1]", fc.LogFrac)
-	}
-	if fc.RestartFrac < 0 || fc.RestartFrac > 1 {
-		return fmt.Errorf("fastba: fuzz RestartFrac %v outside [0, 1]", fc.RestartFrac)
-	}
-	if fc.ChaosFrac < 0 || fc.ChaosFrac > 1 {
-		return fmt.Errorf("fastba: fuzz ChaosFrac %v outside [0, 1]", fc.ChaosFrac)
-	}
-	if fc.ScenarioFrac < 0 || fc.ScenarioFrac > 1 {
-		return fmt.Errorf("fastba: fuzz ScenarioFrac %v outside [0, 1]", fc.ScenarioFrac)
+	for _, f := range []struct {
+		name string
+		frac float64
+	}{{"LogFrac", fc.LogFrac}, {"RestartFrac", fc.RestartFrac}, {"ChaosFrac", fc.ChaosFrac}, {"ScenarioFrac", fc.ScenarioFrac}} {
+		if !(f.frac >= 0 && f.frac <= 1) {
+			return fmt.Errorf("fastba: fuzz %s %v outside [0, 1]", f.name, f.frac)
+		}
 	}
 	return nil
 }
@@ -560,13 +477,9 @@ type FuzzResult struct {
 	Executed int `json:"executed"`
 	// Failures holds one shrunk reproducer per oracle-violating case.
 	Failures []FuzzFailure `json:"failures,omitempty"`
-	// ProbabilisticMisses counts termination-only findings whose
-	// fault-free twin (same case, zero plan) also fails to fully decide:
-	// the protocol's guarantees are w.h.p., so at fuzzing sizes some seeds
-	// legitimately leave nodes undecided even on a clean network. Those
-	// are not fault-injection findings and are not treated as failures —
-	// only faults that destroy liveness a clean run had are. Safety
-	// violations are never downgraded this way.
+	// ProbabilisticMisses counts termination-only findings whose fault-free
+	// twin (same case, zero plan) also leaves stragglers: w.h.p. misses,
+	// not failures. Safety violations are never downgraded this way.
 	ProbabilisticMisses int `json:"probabilisticMisses,omitempty"`
 	// Persisted lists the failure files written to PersistDir.
 	Persisted []string `json:"persisted,omitempty"`
@@ -575,29 +488,17 @@ type FuzzResult struct {
 // OK reports whether the campaign found no violation.
 func (r *FuzzResult) OK() bool { return len(r.Failures) == 0 }
 
-// SimFuzz runs a fuzz campaign: sample case i from (Seed, i), execute it
-// under its deterministic runner with the oracles attached, and on any
-// violation shrink the case to a minimal reproducer and (when PersistDir
-// is set) persist it. The campaign stops at the Runs bound, the Budget
-// bound, or ctx cancellation — whichever comes first; the error reports
-// infrastructure problems (invalid campaign, unwritable PersistDir), not
-// oracle findings, which land in FuzzResult.Failures.
+// SimFuzz runs a campaign: sample case i from (Seed, i), replay it, and
+// shrink (and, with PersistDir, persist) every violating case, until the
+// Runs or Budget bound or ctx ends it. The error reports infrastructure
+// problems; oracle findings land in FuzzResult.Failures.
 func SimFuzz(ctx context.Context, fc FuzzConfig) (*FuzzResult, error) {
 	if err := fc.defaults(); err != nil {
 		return nil, err
 	}
 	res := &FuzzResult{}
-	var deadline time.Time
-	if fc.Budget > 0 {
-		deadline = time.Now().Add(fc.Budget)
-	}
-	for i := 0; ; i++ {
-		if fc.Runs > 0 && i >= fc.Runs {
-			break
-		}
-		if fc.Budget > 0 && !time.Now().Before(deadline) {
-			break
-		}
+	deadline := time.Now().Add(fc.Budget)
+	for i := 0; (fc.Runs <= 0 || i < fc.Runs) && (fc.Budget <= 0 || time.Now().Before(deadline)); i++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -623,12 +524,7 @@ func SimFuzz(ctx context.Context, fc FuzzConfig) (*FuzzResult, error) {
 			}
 		}
 		shrunk, shrunkRun := shrinkCase(c, run)
-		failure := FuzzFailure{
-			Case:       shrunk,
-			Original:   c,
-			Violations: shrunkRun.Report.Violations,
-			Digest:     shrunkRun.Digest,
-		}
+		failure := FuzzFailure{Case: shrunk, Original: c, Violations: shrunkRun.Report.Violations, Digest: shrunkRun.Digest}
 		res.Failures = append(res.Failures, failure)
 		if fc.PersistDir != "" {
 			path, err := persistFailure(fc.PersistDir, failure)
@@ -641,124 +537,77 @@ func SimFuzz(ctx context.Context, fc FuzzConfig) (*FuzzResult, error) {
 	return res, nil
 }
 
-// terminationOnly reports whether every violation in the report is a
-// termination finding.
+// terminationOnly reports whether the report has only termination findings.
 func terminationOnly(rep OracleReport) bool {
-	if len(rep.Violations) == 0 {
-		return false
-	}
-	for _, v := range rep.Violations {
-		if v.Oracle != OracleTermination {
-			return false
-		}
-	}
-	return true
+	return len(rep.Violations) > 0 &&
+		!slices.ContainsFunc(rep.Violations, func(v Violation) bool { return v.Oracle != OracleTermination })
 }
 
-// sampleCase derives case i of the campaign — a pure function of
-// (fc.Seed, i), independent of every other case.
+// on flips a coin that lands true with probability frac. A frac of 0
+// consumes no draw: a family turned off leaves the stream untouched.
+func on(src *prng.Source, frac float64) bool {
+	return frac > 0 && src.Float64() < frac
+}
+
+// sampleCase derives case i of the campaign, a pure function of (fc.Seed, i).
 func sampleCase(fc FuzzConfig, i int) FuzzCase {
 	src := prng.New(prng.DeriveKey(fc.Seed, "simfuzz/case", uint64(i)))
 	n := fc.Ns[src.Intn(len(fc.Ns))]
-	if fc.LogFrac > 0 && src.Float64() < fc.LogFrac {
-		return sampleLogCase(fc, src, n, i)
+	c, family := FuzzCase{}, ""
+	switch {
+	case on(src, fc.LogFrac):
+		c, family = sampleLogCase(fc, src, n)
+	case on(src, fc.ScenarioFrac):
+		c, family = sampleScenarioCase(fc, src, n), " (scenario family)"
+	default:
+		c = FuzzCase{
+			N:           n,
+			Seed:        src.Uint64()>>1 | 1, // non-zero run seed
+			Model:       fc.Models[src.Intn(len(fc.Models))].String(),
+			Adversary:   fc.Adversaries[src.Intn(len(fc.Adversaries))],
+			CorruptFrac: fc.CorruptFracs[src.Intn(len(fc.CorruptFracs))],
+			KnowFrac:    fc.KnowFracs[src.Intn(len(fc.KnowFracs))],
+			Plan:        samplePlan(src, n, singleShotPlan),
+		}
 	}
-	// The ScenarioFrac draw only happens when the family is enabled, so
-	// ScenarioFrac 0 campaigns consume exactly the historical PRNG stream
-	// and keep sampling the same cases.
-	if fc.ScenarioFrac > 0 && src.Float64() < fc.ScenarioFrac {
-		return sampleScenarioCase(fc, src, n, i)
-	}
-	c := FuzzCase{
-		N:           n,
-		Seed:        src.Uint64()>>1 | 1, // non-zero run seed
-		Model:       fc.Models[src.Intn(len(fc.Models))].String(),
-		Adversary:   fc.Adversaries[src.Intn(len(fc.Adversaries))],
-		CorruptFrac: fc.CorruptFracs[src.Intn(len(fc.CorruptFracs))],
-		KnowFrac:    fc.KnowFracs[src.Intn(len(fc.KnowFracs))],
-		Plan:        samplePlan(src, n),
-		Note:        fmt.Sprintf("sampled: campaign seed %d, case %d", fc.Seed, i),
-	}
+	c.Note = fmt.Sprintf("sampled: campaign seed %d, case %d%s", fc.Seed, i, family)
 	return c
 }
 
-// sampleLogCase draws a pipelined-log case: short logs at depth 1–4 with
-// small deterministic batches, fail-silent corruption, full knowledge and
-// a lossless plan — the envelope in which replay digests are exact.
-func sampleLogCase(fc FuzzConfig, src *prng.Source, n, i int) FuzzCase {
-	plan := FaultPlan{Seed: src.Uint64()}
-	if src.Float64() < 0.6 {
-		plan.DupProb = src.Float64() * 0.3
-	}
-	if src.Float64() < 0.6 {
-		plan.DelayProb = src.Float64() * 0.5
-		plan.MaxDelay = 1 + src.Intn(6)
-	}
-	corrupt := 0.0
+// sampleLogCase draws a short pipelined log with fail-silent corruption,
+// full knowledge and a lossless plan — the envelope in which replay
+// digests are exact — and the family's note suffix.
+func sampleLogCase(fc FuzzConfig, src *prng.Source, n int) (FuzzCase, string) {
+	c := FuzzCase{N: n, KnowFrac: 1, Plan: samplePlan(src, n, logPlan)}
 	if src.Bool() {
-		corrupt = 0.1
+		c.CorruptFrac = 0.1
 	}
-	seed := src.Uint64()>>1 | 1
-	lf := &LogFuzz{
-		Entries:      2 + src.Intn(4),
-		Depth:        1 + src.Intn(4),
-		Batch:        1 + src.Intn(3),
-		PayloadBytes: 8 << src.Intn(4),
+	c.Seed = src.Uint64()>>1 | 1
+	c.Log = &LogFuzz{Entries: 2 + src.Intn(4), Depth: 1 + src.Intn(4), Batch: 1 + src.Intn(3), PayloadBytes: 8 << src.Intn(4)}
+	if on(src, fc.RestartFrac) {
+		c.Log.RestartAfter = 1 + src.Intn(c.Log.Entries-1)
+		return c, " (log restart family)"
 	}
-	note := fmt.Sprintf("sampled: campaign seed %d, case %d (log family)", fc.Seed, i)
-	// The RestartFrac draw only happens when the family is enabled, so
-	// RestartFrac 0 campaigns consume exactly the historical PRNG stream
-	// and keep sampling the same cases.
-	if fc.RestartFrac > 0 && src.Float64() < fc.RestartFrac {
-		lf.RestartAfter = 1 + src.Intn(lf.Entries-1)
-		note = fmt.Sprintf("sampled: campaign seed %d, case %d (log restart family)", fc.Seed, i)
+	// Chaos and restart stay disjoint — one hostile dimension per case
+	// keeps shrinking meaningful.
+	if on(src, fc.ChaosFrac) {
+		c.Chaos = &ChaosFuzz{Seed: src.Uint64(), Strikes: 1 + src.Intn(8), IntervalMs: 5 + src.Intn(16)}
+		return c, " (log chaos family)"
 	}
-	// Same guard for the chaos draw: ChaosFrac 0 campaigns keep the
-	// historical stream untouched. Chaos and restart stay disjoint — one
-	// hostile dimension per case keeps shrinking meaningful.
-	var chaos *ChaosFuzz
-	if fc.ChaosFrac > 0 && lf.RestartAfter == 0 && src.Float64() < fc.ChaosFrac {
-		chaos = &ChaosFuzz{
-			Seed:       src.Uint64(),
-			Strikes:    1 + src.Intn(8),
-			IntervalMs: 5 + src.Intn(16),
-		}
-		note = fmt.Sprintf("sampled: campaign seed %d, case %d (log chaos family)", fc.Seed, i)
-	}
-	return FuzzCase{
-		N:           n,
-		Seed:        seed,
-		CorruptFrac: corrupt,
-		KnowFrac:    1,
-		Plan:        plan,
-		Log:         lf,
-		Chaos:       chaos,
-		Note:        note,
-	}
+	return c, " (log family)"
 }
 
-// sampleScenarioCase draws a single-shot case over a network scenario:
-// a ring or Watts–Strogatz topology (optionally Zipf-loaded), a latency
-// and/or loss model, the gossip relay, and — for a third of the cases —
-// an adaptive adversary triggered early in the run. Fault plans stay in
-// the lossless family (duplication/delay); loss enters through the
-// scenario's own link model, where the oracles know to skip termination.
-func sampleScenarioCase(fc FuzzConfig, src *prng.Source, n, i int) FuzzCase {
-	plan := FaultPlan{Seed: src.Uint64()}
-	if src.Float64() < 0.5 {
-		plan.DupProb = src.Float64() * 0.3
-	}
-	if src.Float64() < 0.5 {
-		plan.DelayProb = src.Float64() * 0.5
-		plan.MaxDelay = 1 + src.Intn(4)
-	}
-	sc := Scenario{}
+// sampleScenarioCase draws a single-shot case over a network scenario: a
+// ring or Watts–Strogatz topology, latency and loss models, the gossip
+// relay, and for a third of the cases an adaptive adversary. The plan stays
+// lossless; loss enters through the scenario's link model only.
+func sampleScenarioCase(fc FuzzConfig, src *prng.Source, n int) FuzzCase {
+	plan := samplePlan(src, n, scenarioPlan)
+	sc := Scenario{Topology: TopologyRing}
 	if src.Bool() {
 		sc.Topology = TopologyWS
 		sc.Degree = 4 + 2*src.Intn(2)
 		sc.Rewire = src.Float64() * 0.5
-	} else {
-		sc.Topology = TopologyRing
 	}
 	if src.Bool() {
 		sc.ZipfS = 0.5 + src.Float64()
@@ -777,16 +626,14 @@ func sampleScenarioCase(fc FuzzConfig, src *prng.Source, n, i int) FuzzCase {
 		sc.TailProb = src.Float64() * 0.2
 		sc.TailDelay = 2 + src.Intn(6)
 	}
-	if src.Float64() < 0.3 {
+	if on(src, 0.3) {
 		sc.Loss = src.Float64() * 0.05
 	}
 	sc.Fanout = 2 + src.Intn(2)
 	adversary := fc.Adversaries[src.Intn(len(fc.Adversaries))]
 	corrupt := fc.CorruptFracs[src.Intn(len(fc.CorruptFracs))]
-	if src.Float64() < 1.0/3 {
-		adversary = []string{
-			AdversaryAdaptiveDegree, AdversaryAdaptiveTraffic, AdversaryAdaptiveOblivious,
-		}[src.Intn(3)]
+	if on(src, 1.0/3) {
+		adversary = []string{AdversaryAdaptiveDegree, AdversaryAdaptiveTraffic, AdversaryAdaptiveOblivious}[src.Intn(3)]
 		corrupt = 0.1
 		sc.TriggerAt = src.Intn(5)
 	}
@@ -799,33 +646,45 @@ func sampleScenarioCase(fc FuzzConfig, src *prng.Source, n, i int) FuzzCase {
 		KnowFrac:    fc.KnowFracs[src.Intn(len(fc.KnowFracs))],
 		Plan:        plan,
 		Scenario:    &sc,
-		Note:        fmt.Sprintf("sampled: campaign seed %d, case %d (scenario family)", fc.Seed, i),
 	}
 }
 
-// samplePlan draws a random fault plan. Roughly a third of the plans are
-// lossless (delay/duplicate/reorder only) so the termination oracle gets
-// real coverage; the rest mix message loss, partitions and crashes.
-func samplePlan(src *prng.Source, n int) FaultPlan {
+// planShape is one family's fault-plan distribution: the chance of a dup
+// and of a delay knob, the delay bound, and the share of lossless plans (1:
+// all, without a draw); the rest add loss, partitions and crashes.
+type planShape struct {
+	dup, delay float64
+	maxDelay   int
+	lossless   float64
+}
+
+var (
+	// About a third of single-shot plans are lossless, so the termination
+	// oracle gets real coverage.
+	singleShotPlan = planShape{dup: 0.5, delay: 0.6, maxDelay: 6, lossless: 1.0 / 3}
+	logPlan        = planShape{dup: 0.6, delay: 0.6, maxDelay: 6, lossless: 1}
+	scenarioPlan   = planShape{dup: 0.5, delay: 0.5, maxDelay: 4, lossless: 1}
+)
+
+// samplePlan draws a random fault plan of the given shape.
+func samplePlan(src *prng.Source, n int, shape planShape) FaultPlan {
 	p := FaultPlan{Seed: src.Uint64()}
-	if src.Float64() < 0.5 {
+	if on(src, shape.dup) {
 		p.DupProb = src.Float64() * 0.3
 	}
-	if src.Float64() < 0.6 {
+	if on(src, shape.delay) {
 		p.DelayProb = src.Float64() * 0.5
-		p.MaxDelay = 1 + src.Intn(6)
+		p.MaxDelay = 1 + src.Intn(shape.maxDelay)
 	}
-	if lossless := src.Float64() < 1.0/3; lossless {
+	if shape.lossless == 1 || on(src, shape.lossless) {
 		return p
 	}
-	if src.Float64() < 0.6 {
+	if on(src, 0.6) {
 		p.DropProb = src.Float64() * 0.25
 	}
 	for k := src.Intn(3); k > 0; k-- { // 0..2 partitions
 		side := 1 + src.Intn(n/2)
-		perm := src.Perm(n)
-		a := make([]NodeID, side)
-		copy(a, perm[:side])
+		a := src.Perm(n)[:side:side]
 		from := src.Intn(8)
 		until := 0
 		if src.Bool() {
@@ -844,221 +703,115 @@ func samplePlan(src *prng.Source, n int) FaultPlan {
 	return p
 }
 
-// shrinkCase greedily simplifies a violating case while the violation
-// persists: clear whole fault dimensions, then drop individual partitions
-// and crashes, then shorten delays. Each candidate replays the run;
-// replay errors just reject the candidate. Returns the smallest still-
-// violating case found and its run.
+// shrinkCase greedily simplifies a violating case: each round restarts
+// from the first candidate that still violates (a replay error rejects a
+// candidate). Returns the smallest still-violating case found and its run.
 func shrinkCase(c FuzzCase, run FuzzRun) (FuzzCase, FuzzRun) {
 	best, bestRun := c, run
-	improved := true
-	for rounds := 0; improved && rounds < 8; rounds++ {
+	for rounds, improved := 0, true; improved && rounds < 8; rounds++ {
 		improved = false
 		for _, candidate := range shrinkCandidates(best) {
-			crun, err := ReplayCase(candidate)
-			if err != nil || crun.Report.OK() {
-				continue
+			if crun, err := ReplayCase(candidate); err == nil && !crun.Report.OK() {
+				best, bestRun, improved = candidate, crun, true
+				break // restart candidate generation from the smaller case
 			}
-			best, bestRun = candidate, crun
-			improved = true
-			break // restart candidate generation from the smaller case
 		}
 	}
 	best.Note = fmt.Sprintf("shrunk from: %s", c.Note)
 	return best, bestRun
 }
 
+// shrinkEdit is one simplification: whether it applies, and the change.
+type shrinkEdit struct {
+	applies bool
+	edit    func(v *FuzzCase)
+}
+
 // shrinkCandidates proposes strictly simpler variants of a case, most
-// aggressive first.
+// aggressive first: every edit that applies, each on its own c.clone().
 func shrinkCandidates(c FuzzCase) []FuzzCase {
-	var out []FuzzCase
-	add := func(mut func(*FaultPlan)) {
-		v := c
-		v.Plan = clonePlan(c.Plan)
-		v.Log = cloneLog(c.Log)
-		mut(&v.Plan)
-		out = append(out, v)
+	lf, cf, sc, p := orZero(c.Log), orZero(c.Chaos), orZero(c.Scenario), c.Plan
+	// entries shortens the log, clamping RestartAfter below it (0: no restart).
+	entries := func(e int) func(*FuzzCase) {
+		return func(v *FuzzCase) { v.Log.Entries, v.Log.RestartAfter = e, min(v.Log.RestartAfter, e-1) }
 	}
-	// Log-dimension shrinks first: a shorter, shallower, thinner log is
-	// strictly simpler than any fault-plan change.
-	if c.Log != nil {
-		addLog := func(mut func(*LogFuzz)) {
-			v := c
-			v.Plan = clonePlan(c.Plan)
-			v.Log = cloneLog(c.Log)
-			mut(v.Log)
-			out = append(out, v)
-		}
-		// clampRestart keeps RestartAfter < Entries when Entries shrinks
-		// (0 degrades the candidate to the restart-free family, which is
-		// strictly simpler).
-		clampRestart := func(l *LogFuzz) {
-			if l.RestartAfter >= l.Entries {
-				l.RestartAfter = l.Entries - 1
-			}
-		}
-		if c.Log.RestartAfter > 0 {
-			addLog(func(l *LogFuzz) { l.RestartAfter = 0 })
-		}
-		if c.Log.Entries > 1 {
-			addLog(func(l *LogFuzz) { l.Entries = 1; clampRestart(l) })
-			if c.Log.Entries > 2 {
-				addLog(func(l *LogFuzz) { l.Entries /= 2; clampRestart(l) })
-			}
-		}
-		if c.Log.Depth > 1 {
-			addLog(func(l *LogFuzz) { l.Depth = 1 })
-		}
-		if c.Log.Batch > 1 {
-			addLog(func(l *LogFuzz) { l.Batch = 1 })
-		}
-	}
-	// Chaos-dimension shrinks: no chaos at all (degrading to the fabric
-	// family) is strictly simpler; then fewer strikes, then the least
-	// exotic strike kind only.
-	if c.Chaos != nil {
-		addChaos := func(mut func(*FuzzCase)) {
-			v := c
-			v.Plan = clonePlan(c.Plan)
-			v.Log = cloneLog(c.Log)
-			v.Chaos = cloneChaos(c.Chaos)
-			mut(&v)
-			out = append(out, v)
-		}
-		addChaos(func(v *FuzzCase) { v.Chaos = nil })
-		if c.Chaos.Sweep {
-			addChaos(func(v *FuzzCase) { v.Chaos.Sweep = false; v.Chaos.Strikes = 4 })
-		}
-		if c.Chaos.Strikes > 1 {
-			addChaos(func(v *FuzzCase) { v.Chaos.Strikes /= 2 })
-		}
-		if len(c.Chaos.Kinds) != 1 || c.Chaos.Kinds[0] != "close" {
-			addChaos(func(v *FuzzCase) { v.Chaos.Kinds = []string{"close"} })
-		}
-	}
-	// Scenario-dimension shrinks: no scenario at all is strictly simpler
-	// (an adaptive adversary must shrink with it — it is invalid without
-	// one); then a direct full mesh, a lossless link model, no latency
-	// model, no rewiring, no Zipf skew.
-	if c.Scenario != nil {
-		addScen := func(mut func(*FuzzCase)) {
-			v := c
-			v.Plan = clonePlan(c.Plan)
-			v.Log = cloneLog(c.Log)
-			sc := *c.Scenario
-			v.Scenario = &sc
-			mut(&v)
-			out = append(out, v)
-		}
-		addScen(func(v *FuzzCase) {
+	edits := []shrinkEdit{
+		// A shorter, shallower, thinner log beats any fault-plan change.
+		{lf.RestartAfter > 0, func(v *FuzzCase) { v.Log.RestartAfter = 0 }},
+		{lf.Entries > 1, entries(1)},
+		{lf.Entries > 2, entries(lf.Entries / 2)},
+		{lf.Depth > 1, func(v *FuzzCase) { v.Log.Depth = 1 }},
+		{lf.Batch > 1, func(v *FuzzCase) { v.Log.Batch = 1 }},
+		// Chaos: none (the fabric family), fewer strikes, the plainest kind.
+		{c.Chaos != nil, func(v *FuzzCase) { v.Chaos = nil }},
+		{cf.Sweep, func(v *FuzzCase) { v.Chaos.Sweep, v.Chaos.Strikes = false, 4 }},
+		{cf.Strikes > 1, func(v *FuzzCase) { v.Chaos.Strikes /= 2 }},
+		{c.Chaos != nil && !slices.Equal(cf.Kinds, []string{"close"}), func(v *FuzzCase) { v.Chaos.Kinds = []string{"close"} }},
+		// Scenario: none at all (taking an adaptive adversary with it), then
+		// a full mesh, no loss, no latency model, no rewiring, no Zipf skew.
+		{c.Scenario != nil, func(v *FuzzCase) {
 			v.Scenario = nil
 			if adaptiveKind(v.Adversary) != "" {
 				v.Adversary = "silent"
 			}
-		})
-		if c.Scenario.Topology != "" && c.Scenario.Topology != TopologyFull {
-			addScen(func(v *FuzzCase) { v.Scenario.Topology = TopologyFull; v.Scenario.Degree = 0; v.Scenario.Rewire = 0 })
-		}
-		if c.Scenario.Loss > 0 {
-			addScen(func(v *FuzzCase) { v.Scenario.Loss = 0 })
-		}
-		if c.Scenario.Latency != "" {
-			addScen(func(v *FuzzCase) {
-				v.Scenario.Latency = ""
-				v.Scenario.BaseDelay, v.Scenario.MaxDelay = 0, 0
-				v.Scenario.TailProb, v.Scenario.TailDelay = 0, 0
-			})
-		}
-		if c.Scenario.Rewire > 0 {
-			addScen(func(v *FuzzCase) { v.Scenario.Rewire = 0 })
-		}
-		if c.Scenario.ZipfS > 0 {
-			addScen(func(v *FuzzCase) { v.Scenario.ZipfS = 0 })
-		}
+		}},
+		{sc.Topology != "" && sc.Topology != TopologyFull, func(v *FuzzCase) {
+			v.Scenario.Topology, v.Scenario.Degree, v.Scenario.Rewire = TopologyFull, 0, 0
+		}},
+		{sc.Loss > 0, func(v *FuzzCase) { v.Scenario.Loss = 0 }},
+		{sc.Latency != "", func(v *FuzzCase) {
+			s := v.Scenario
+			s.Latency, s.BaseDelay, s.MaxDelay, s.TailProb, s.TailDelay = "", 0, 0, 0, 0
+		}},
+		{sc.Rewire > 0, func(v *FuzzCase) { v.Scenario.Rewire = 0 }},
+		{sc.ZipfS > 0, func(v *FuzzCase) { v.Scenario.ZipfS = 0 }},
+		// Fault plan: clear whole dimensions, then drop single partitions
+		// and crashes, then halve the drop rate and the delay bound.
+		{p.DropProb > 0, func(v *FuzzCase) { v.Plan.DropProb = 0 }},
+		{p.DupProb > 0, func(v *FuzzCase) { v.Plan.DupProb = 0 }},
+		{p.DelayProb > 0, func(v *FuzzCase) { v.Plan.DelayProb, v.Plan.MaxDelay = 0, 0 }},
+		{len(p.Partitions) > 0, func(v *FuzzCase) { v.Plan.Partitions = nil }},
+		{len(p.Crashes) > 0, func(v *FuzzCase) { v.Plan.Crashes = nil }},
 	}
-	if c.Plan.DropProb > 0 {
-		add(func(p *FaultPlan) { p.DropProb = 0 })
-	}
-	if c.Plan.DupProb > 0 {
-		add(func(p *FaultPlan) { p.DupProb = 0 })
-	}
-	if c.Plan.DelayProb > 0 {
-		add(func(p *FaultPlan) { p.DelayProb = 0; p.MaxDelay = 0 })
-	}
-	if len(c.Plan.Partitions) > 0 {
-		add(func(p *FaultPlan) { p.Partitions = nil })
-	}
-	if len(c.Plan.Crashes) > 0 {
-		add(func(p *FaultPlan) { p.Crashes = nil })
-	}
-	for i := range c.Plan.Partitions {
+	for i := range p.Partitions {
 		i := i
-		if len(c.Plan.Partitions) > 1 {
-			add(func(p *FaultPlan) { p.Partitions = append(p.Partitions[:i:i], p.Partitions[i+1:]...) })
-		}
+		edits = append(edits, shrinkEdit{len(p.Partitions) > 1, func(v *FuzzCase) { v.Plan.Partitions = slices.Delete(v.Plan.Partitions, i, i+1) }})
 	}
-	for i := range c.Plan.Crashes {
+	for i := range p.Crashes {
 		i := i
-		if len(c.Plan.Crashes) > 1 {
-			add(func(p *FaultPlan) { p.Crashes = append(p.Crashes[:i:i], p.Crashes[i+1:]...) })
+		edits = append(edits, shrinkEdit{len(p.Crashes) > 1, func(v *FuzzCase) { v.Plan.Crashes = slices.Delete(v.Plan.Crashes, i, i+1) }})
+	}
+	edits = append(edits,
+		shrinkEdit{p.DropProb > 0.02, func(v *FuzzCase) { v.Plan.DropProb /= 2 }},
+		shrinkEdit{p.MaxDelay > 1, func(v *FuzzCase) { v.Plan.MaxDelay /= 2 }},
+		// Beyond the plan: the fault-free variant separates "faults did it"
+		// from "violates on a clean network too", and the weakest adversary
+		// isolates faults from Byzantine behaviour. ("none" is excluded: it
+		// forces zero corruption, so "silent" would be MORE hostile.)
+		shrinkEdit{!p.IsZero(), func(v *FuzzCase) { v.Plan = FaultPlan{} }},
+		shrinkEdit{c.Log == nil && c.Adversary != "silent" && c.Adversary != "none" && c.CorruptFrac > 0,
+			func(v *FuzzCase) { v.Adversary = "silent" }},
+		// Log cases are fail-silent already: their adversary shrink is no corruption.
+		shrinkEdit{c.Log != nil && c.CorruptFrac > 0, func(v *FuzzCase) { v.CorruptFrac = 0 }},
+	)
+	var out []FuzzCase
+	for _, e := range edits {
+		if e.applies {
+			v := c.clone()
+			e.edit(&v)
+			out = append(out, v)
 		}
-	}
-	if c.Plan.DropProb > 0.02 {
-		add(func(p *FaultPlan) { p.DropProb /= 2 })
-	}
-	if c.Plan.MaxDelay > 1 {
-		add(func(p *FaultPlan) { p.MaxDelay /= 2 })
-	}
-	// Beyond the plan: a fault-free variant separates "faults did it"
-	// from "the scenario violates even on a clean network" (e.g. a
-	// protocol mutation), and the weakest adversary isolates faults from
-	// Byzantine behaviour.
-	if !c.Plan.IsZero() {
-		v := c
-		v.Plan = FaultPlan{}
-		out = append(out, v)
-	}
-	// ("none" is excluded: it forces zero corruption, so replacing it with
-	// "silent" would re-activate the corrupt fraction — a strictly MORE
-	// hostile case, not a simpler one.)
-	if c.Log == nil && c.Adversary != "silent" && c.Adversary != "none" && c.CorruptFrac > 0 {
-		v := c
-		v.Adversary = "silent"
-		out = append(out, v)
-	}
-	// Log cases are already fail-silent; dropping corruption entirely is
-	// their adversary shrink.
-	if c.Log != nil && c.CorruptFrac > 0 {
-		v := c
-		v.Plan = clonePlan(c.Plan)
-		v.Log = cloneLog(c.Log)
-		v.CorruptFrac = 0
-		out = append(out, v)
 	}
 	return out
 }
 
-func clonePlan(p FaultPlan) FaultPlan {
-	p.Partitions = append([]Partition(nil), p.Partitions...)
-	p.Crashes = append([]Crash(nil), p.Crashes...)
-	return p
-}
-
-func cloneLog(l *LogFuzz) *LogFuzz {
-	if l == nil {
-		return nil
+// orZero dereferences p, or returns the zero T for nil.
+func orZero[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
 	}
-	v := *l
-	return &v
-}
-
-func cloneChaos(cf *ChaosFuzz) *ChaosFuzz {
-	if cf == nil {
-		return nil
-	}
-	v := *cf
-	v.Kinds = append([]string(nil), cf.Kinds...)
-	return &v
+	return *p
 }
 
 // persistFailure writes one failure as indented JSON into dir, named by
@@ -1085,17 +838,17 @@ func LoadFuzzCase(path string) (FuzzCase, error) {
 	if err != nil {
 		return FuzzCase{}, err
 	}
-	var failure struct {
-		Case *FuzzCase `json:"case"`
+	var file struct {
+		FuzzCase
+		Case *FuzzCase `json:"case"` // set in a FuzzFailure file
 	}
-	if err := json.Unmarshal(data, &failure); err == nil && failure.Case != nil {
-		return *failure.Case, nil
-	}
-	var c FuzzCase
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := json.Unmarshal(data, &file); err != nil {
 		return FuzzCase{}, fmt.Errorf("fastba: corpus file %s: %w", path, err)
 	}
-	return c, nil
+	if file.Case != nil {
+		return *file.Case, nil
+	}
+	return file.FuzzCase, nil
 }
 
 // ReplayCorpus replays every *.json case under dir (sorted by name) and
@@ -1123,11 +876,7 @@ func ReplayCorpus(dir string) ([]FuzzRun, []FuzzFailure, error) {
 		}
 		runs = append(runs, run)
 		if !run.Report.OK() {
-			failures = append(failures, FuzzFailure{
-				Case: c, Original: c,
-				Violations: run.Report.Violations,
-				Digest:     run.Digest,
-			})
+			failures = append(failures, FuzzFailure{Case: c, Original: c, Violations: run.Report.Violations, Digest: run.Digest})
 		}
 	}
 	return runs, failures, nil

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -561,6 +562,96 @@ func TestShrinkCandidates(t *testing.T) {
 				t.Fatal("candidate aliases the parent plan")
 			}
 			break
+		}
+	}
+}
+
+// TestShrinkCandidatesShareNoMemory: a clone, and every shrink candidate,
+// can be overwritten through every slice and pointer it holds without the
+// parent changing — for each fixture, one with per-link faults, and the
+// sampled cases of every family.
+func TestShrinkCandidatesShareNoMemory(t *testing.T) {
+	poison := func(v *FuzzCase) {
+		for i := range v.Plan.Partitions {
+			v.Plan.Partitions[i].From = -1
+			for j := range v.Plan.Partitions[i].A {
+				v.Plan.Partitions[i].A[j] = -1
+			}
+		}
+		for i := range v.Plan.Crashes {
+			v.Plan.Crashes[i].At = -1
+		}
+		for i := range v.Plan.Links {
+			v.Plan.Links[i].Delay = -1
+		}
+		if v.Scenario != nil {
+			v.Scenario.Degree = -1
+		}
+		if v.Log != nil {
+			v.Log.Entries = -1
+		}
+		if v.Chaos != nil {
+			v.Chaos.Strikes = -1
+			for i := range v.Chaos.Kinds {
+				v.Chaos.Kinds[i] = "poison"
+			}
+		}
+	}
+	var cases []FuzzCase
+	for _, c := range fuzzFixtures() {
+		cases = append(cases, c)
+	}
+	links := fuzzFixtures()["plan"]
+	links.Plan.Links = []LinkFault{{From: 0, To: 1, Delay: 2}, {From: 1, To: 0, Loss: 0.1}}
+	cases = append(cases, links)
+	fc := FuzzConfig{Seed: 1, Runs: 1, LogFrac: 0.3, RestartFrac: 0.5, ChaosFrac: 0.5, ScenarioFrac: 0.5}
+	if err := fc.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, sampleCase(fc, i))
+	}
+	for _, c := range cases {
+		before, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range append(shrinkCandidates(c), c.clone()) {
+			poison(&v)
+			if after, _ := json.Marshal(c); string(after) != string(before) {
+				t.Fatalf("candidate %d of %s shares memory with its parent:\n%s\nbecame\n%s", i, c, before, after)
+			}
+		}
+	}
+}
+
+// TestReplayCaseRejectsSingleShotFieldsOnLogCases: a log case runs none of
+// Scenario, Model and Adversary, so a case that sets one is rejected rather
+// than replayed without it.
+func TestReplayCaseRejectsSingleShotFieldsOnLogCases(t *testing.T) {
+	for name, set := range map[string]func(*FuzzCase){
+		"scenario":  func(c *FuzzCase) { c.Scenario = &Scenario{Topology: TopologyRing} },
+		"model":     func(c *FuzzCase) { c.Model = "async" },
+		"adversary": func(c *FuzzCase) { c.Adversary = "flood" },
+	} {
+		c := FuzzCase{N: 8, Seed: 1, KnowFrac: 1, Log: &LogFuzz{Entries: 1, Depth: 1, Batch: 1, PayloadBytes: 8}}
+		set(&c)
+		if _, err := ReplayCase(c); err == nil {
+			t.Errorf("log case setting %s replayed", name)
+		}
+	}
+}
+
+// TestFuzzConfigRejectsFractions: every family fraction must lie in [0, 1].
+func TestFuzzConfigRejectsFractions(t *testing.T) {
+	for _, bad := range []FuzzConfig{
+		{Runs: 1, LogFrac: -0.1},
+		{Runs: 1, RestartFrac: 1.5},
+		{Runs: 1, ChaosFrac: 2},
+		{Runs: 1, ScenarioFrac: math.NaN()},
+	} {
+		if err := bad.defaults(); err == nil {
+			t.Errorf("campaign %+v accepted", bad)
 		}
 	}
 }

@@ -58,15 +58,25 @@ func (c *Cluster) ServeCatchupOn(addr string, handler simnet.CatchupHandler) (st
 			if err != nil {
 				return
 			}
-			// Track the accepted connection so Close can unblock the
-			// serving goroutine even if the peer never disconnects.
+			// Track the connection while it is served, so Close can unblock
+			// the serving goroutine even if the peer never disconnects. Close
+			// marks closing before it walks the set under mu, so a connection
+			// accepted after that is closed here instead of tracked.
 			c.mu.Lock()
-			c.catchupConns = append(c.catchupConns, conn)
+			if c.isClosing() {
+				c.mu.Unlock()
+				_ = conn.Close()
+				return
+			}
+			c.catchupConns[conn] = struct{}{}
 			c.mu.Unlock()
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
 				serveCatchupConn(conn, handler)
+				c.mu.Lock()
+				delete(c.catchupConns, conn)
+				c.mu.Unlock()
 			}()
 		}
 	}()
@@ -123,7 +133,9 @@ func serveCatchupConn(conn net.Conn, handler simnet.CatchupHandler) {
 
 // FetchCatchup dials a peer's catch-up listener and fetches every
 // committed record from seq from onward, in order. dialTimeout bounds the
-// connect attempt; 0 or negative selects the default (2s).
+// connect attempt and the wait for each response frame, so a peer that
+// accepts and then stays silent fails the fetch instead of blocking it; 0
+// or negative selects the default (2s).
 func FetchCatchup(addr string, from uint64, dialTimeout time.Duration) ([][]byte, error) {
 	if dialTimeout <= 0 {
 		dialTimeout = 2 * time.Second
@@ -138,6 +150,9 @@ func FetchCatchup(addr string, from uint64, dialTimeout time.Duration) ([][]byte
 	}
 	var out [][]byte
 	for {
+		if err := conn.SetReadDeadline(time.Now().Add(dialTimeout)); err != nil {
+			return nil, fmt.Errorf("netrun: catchup response: %w", err)
+		}
 		msg, err := readCatchupFrame(conn)
 		if err != nil {
 			return nil, fmt.Errorf("netrun: catchup response: %w", err)

@@ -67,10 +67,10 @@ type Cluster struct {
 	inbound map[connKey]*inboundConn
 	sent    []int64
 	// catchupLns are dedicated catch-up listeners (ServeCatchup), and
-	// catchupConns their accepted connections; both close with the
-	// cluster.
+	// catchupConns their connections still being served; both close with
+	// the cluster.
 	catchupLns   []net.Listener
-	catchupConns []net.Conn
+	catchupConns map[net.Conn]struct{}
 
 	stats   netStats
 	wg      sync.WaitGroup
@@ -129,6 +129,8 @@ func NewWithOptions(nodes []simnet.Node, opts Options) (*Cluster, error) {
 		inbound: make(map[connKey]*inboundConn),
 		sent:    make([]int64, len(nodes)),
 		closing: make(chan struct{}),
+
+		catchupConns: make(map[net.Conn]struct{}),
 	}
 	c.fab = simnet.NewFabric(nodes, simnet.CounterClock, true)
 	c.fab.SetTransport(c)
@@ -343,7 +345,7 @@ func (c *Cluster) Close() {
 		for _, ln := range c.catchupLns {
 			_ = ln.Close()
 		}
-		for _, conn := range c.catchupConns {
+		for conn := range c.catchupConns {
 			_ = conn.Close()
 		}
 		c.mu.Unlock()

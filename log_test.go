@@ -131,6 +131,8 @@ func TestDecisionLogConformance(t *testing.T) {
 			t.Fatalf("daemon append %d: seq %d, %v", i, seq, err)
 		}
 	}
+	// Every daemon reaches the frontier before the first one stops: a
+	// lagging follower repairs from its peers, so none may leave early.
 	for i, d := range ds {
 		for d.Frontier() < entries {
 			if ctx.Err() != nil {
@@ -138,6 +140,8 @@ func TestDecisionLogConformance(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+	for i, d := range ds {
 		if err := d.Shutdown(ctx); err != nil {
 			t.Fatalf("daemon %d shutdown: %v", i, err)
 		}
