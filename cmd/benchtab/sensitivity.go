@@ -11,8 +11,8 @@ import (
 // sensitivity sweeps the quorum-size constant c₁ (d = c₁·⌈log₂ n⌉): the
 // central tuning trade-off behind every w.h.p. statement in the paper.
 // Larger d sharpens the strict-majority concentration (success rate rises
-// toward the asymptotic 1 − n⁻³) but costs ~d³ in messages (the Fw1 fan of
-// Algorithm 2). This is the experiment behind EXPERIMENTS.md's
+// toward the asymptotic 1 − n⁻³) but costs ~d³ Fw1 tuples per node (the
+// fan-out of Algorithm 2). This is the experiment behind EXPERIMENTS.md's
 // "threats to validity" discussion of constants.
 func sensitivity(sw sweep) error {
 	n := sw.ns[len(sw.ns)-1]

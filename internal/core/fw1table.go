@@ -10,9 +10,9 @@ import (
 // fw1Table is the state of Algorithm 2's second handler: for the string the
 // node believes, who has vouched for requester x's poll of w under label r,
 // and whether the Fw2 for (x, w) has been sent. An agreement delivers d³
-// Fw1 to a node, so the table is built for the honest case — one label per
-// requester — to cost one integer-keyed probe and no pointer chase
-// (DESIGN.md §4.3).
+// Fw1 tuples (x, w) to a node, so the table is built for the honest case —
+// one label per requester — to cost one integer-keyed probe per tuple and no
+// pointer chase (DESIGN.md §4.3).
 //
 // Every pair (x, w) has a slot, found under the packed pair alone. The slot
 // records the first label the pair was vouched under, that label's vouchers,

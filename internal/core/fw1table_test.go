@@ -5,6 +5,7 @@ import (
 
 	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/prng"
+	"github.com/fastba/fastba/internal/simnet"
 )
 
 // fw1Maps is the reference the Fw1 table is held to: Algorithm 2's second
@@ -43,27 +44,28 @@ func (f *fw1Maps) inRange(ids ...int) bool {
 	return true
 }
 
-// onFw1 returns the Fw2 the handler sends and its destination, if any.
-func (f *fw1Maps) onFw1(from int, m MsgFw1) (to int, out MsgFw2, sent bool) {
-	if !m.S.Equal(f.sthis) || !f.inRange(from, m.X, m.W) {
+// onFw1 is the handler for one tuple (x, s, r, w) from `from`: it returns
+// the Fw2 the handler sends and its destination, if any.
+func (f *fw1Maps) onFw1(from, x int, s bitstring.String, r uint64, w int) (to int, out MsgFw2, sent bool) {
+	if !s.Equal(f.sthis) || !f.inRange(from, x, w) {
 		return 0, MsgFw2{}, false
 	}
-	if !f.smp.H.Contains(m.S, m.W, f.id) || !f.smp.H.Contains(m.S, m.X, from) || !f.smp.J.Contains(m.X, m.R, m.W) {
+	if !f.smp.H.Contains(s, w, f.id) || !f.smp.H.Contains(s, x, from) || !f.smp.J.Contains(x, r, w) {
 		return 0, MsgFw2{}, false
 	}
-	doneKey := fw1MapsKey{x: m.X, s: m.S.Key(), w: m.W}
+	doneKey := fw1MapsKey{x: x, s: s.Key(), w: w}
 	if f.done[doneKey] {
 		return 0, MsgFw2{}, false
 	}
-	vk := fw1MapsKey{x: m.X, s: m.S.Key(), r: m.R, w: m.W}
+	vk := fw1MapsKey{x: x, s: s.Key(), r: r, w: w}
 	if f.vouches[vk] == nil {
 		f.vouches[vk] = map[int]bool{}
 	}
 	f.vouches[vk][from] = true
-	if 2*len(f.vouches[vk]) > len(distinct(f.smp.H.Quorum(m.S, m.X))) {
+	if 2*len(f.vouches[vk]) > len(distinct(f.smp.H.Quorum(s, x))) {
 		f.done[doneKey] = true
 		delete(f.vouches, vk)
-		return m.W, MsgFw2{X: m.X, S: m.S, R: m.R}, true
+		return w, MsgFw2{X: x, S: s, R: r}, true
 	}
 	return 0, MsgFw2{}, false
 }
@@ -102,51 +104,61 @@ func fw1ID(b byte, n int) int {
 func fw1Label(b byte) uint64 { return uint64(b&3)*977 + 5 }
 
 // checkFw1TableAgainstMaps interprets ops as a sequence of five-byte steps
-// [kind, x, from, w, sel] and puts each to a core.Node and to the two-map
-// reference, requiring the same Fw2 emission — destination, requester,
-// string and label — step by step. Kinds 0–5 deliver Fw1(x, s, r, w) from
-// `from`: sel's low two bits pick one of four labels, so one (x, w) sees
-// several; the next two pick the node's current belief or another string.
-// Kind 6 decides (once per instance) on one of the strings, which may change
-// the belief; kind 7 resets both sides for a new instance.
+// [kind, x, from, w, sel], delivers them to a core.Node as Fw1 messages and
+// to the two-map reference one tuple at a time, and requires the same Fw2
+// emission — destinations, requesters, strings and labels, in order —
+// message by message. Kinds 0–5 are tuples (x, s, r, w) from `from`: sel's
+// low two bits pick one of four labels, so one (x, w) sees several; the next
+// two pick the node's current belief or another string. Kinds 0–2 open a new
+// message; kinds 3–5 append their w to the open one (whose x, from and sel
+// they keep), or open one if none is. Kind 6 decides (once per instance) on
+// one of the strings, which may change the belief; kind 7 resets both sides
+// for a new instance.
 func checkFw1TableAgainstMaps(t *testing.T, ops []byte) {
 	t.Helper()
 	w := newFw1World()
 	n := w.p.N
 	node := NewNode(fw1Me, w.strs[0], w.p, w.smp, prng.New(1))
 	ref := newFw1Maps(fw1Me, w.strs[0], w.p, w.smp)
-	ctx := &fakeCtx{}
-	for step := 0; len(ops) >= 5; ops, step = ops[5:], step+1 {
+	var open *MsgFw1
+	from, step := 0, 0
+	deliver := func() {
+		if open == nil {
+			return
+		}
+		m := open
+		open = nil
+		ctx := &fakeCtx{}
+		node.Deliver(ctx, from, m)
+		var want []simnet.Envelope
+		for _, wID := range m.W {
+			if to, fw2, sent := ref.onFw1(from, m.X, m.S, m.R, int(wID)); sent {
+				want = append(want, simnet.Envelope{To: to, Msg: fw2})
+			}
+		}
+		if !sameFw2s(ctx.sends, want) {
+			t.Fatalf("step %d: %+v from %d: node sent %v, reference %v", step, *m, from, ctx.sends, want)
+		}
+	}
+	for ; len(ops) >= 5; ops, step = ops[5:], step+1 {
 		kind, sel := ops[0]%8, ops[4]
+		if kind >= 3 && kind <= 5 && open != nil {
+			open.W = append(open.W, int32(fw1ID(ops[3], n)))
+			continue
+		}
+		deliver()
 		switch {
 		case kind <= 5:
 			s := ref.sthis
 			if pick := (sel >> 2) & 3; pick >= 2 {
 				s = w.strs[pick-1]
 			}
-			from := fw1ID(ops[2], n)
-			m := MsgFw1{X: fw1ID(ops[1], n), S: s, R: fw1Label(sel), W: fw1ID(ops[3], n)}
-			before := len(ctx.sends)
-			node.Deliver(ctx, from, m)
-			to, want, sent := ref.onFw1(from, m)
-			got := ctx.sends[before:]
-			if !sent {
-				if len(got) != 0 {
-					t.Fatalf("step %d: %+v from %d: node sent %v, reference nothing", step, m, from, got)
-				}
-				continue
-			}
-			if len(got) != 1 {
-				t.Fatalf("step %d: %+v from %d: node sent %v, reference Fw2 %+v to %d", step, m, from, got, want, to)
-			}
-			fw2, ok := got[0].Msg.(MsgFw2)
-			if !ok || got[0].To != to || fw2.X != want.X || fw2.R != want.R || !fw2.S.Equal(want.S) {
-				t.Fatalf("step %d: %+v from %d: node sent %v, reference Fw2 %+v to %d", step, m, from, got, want, to)
-			}
+			from = fw1ID(ops[2], n)
+			open = fw1Msg(fw1ID(ops[1], n), s, fw1Label(sel), fw1ID(ops[3], n))
 		case kind == 6:
 			if !ref.decided {
 				s := w.strs[int(ops[1])%len(w.strs)]
-				node.decide(ctx, node.strs.ID(s), s)
+				node.decide(&fakeCtx{}, node.strs.ID(s), s)
 				ref.sthis, ref.decided = s, true
 			}
 		case ops[1] >= 0xf0:
@@ -155,6 +167,22 @@ func checkFw1TableAgainstMaps(t *testing.T, ops []byte) {
 			ref = newFw1Maps(fw1Me, s, w.p, w.smp)
 		}
 	}
+	deliver()
+}
+
+// sameFw2s reports whether got holds exactly the Fw2s of want, in order.
+func sameFw2s(got, want []simnet.Envelope) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		g, ok := got[i].Msg.(MsgFw2)
+		w := want[i].Msg.(MsgFw2)
+		if !ok || got[i].To != want[i].To || g.X != w.X || g.R != w.R || !g.S.Equal(w.S) {
+			return false
+		}
+	}
+	return true
 }
 
 // fw1Majority returns the steps that vouch Fw1(x, s, r, w) from a strict
@@ -229,7 +257,64 @@ func FuzzFw1TableMatchesMaps(f *testing.F) {
 	// The same either side of a Reset, and an id of 1<<31.
 	f.Add(append(append(fw1Majority(w, w.strs[0], x, wID, 0), 7, 0xff, 0, 0, 0), fw1Majority(w, w.strs[0], x, wID, 0)...))
 	f.Add([]byte{0, 0x84, 3, byte(wID), 0, 0, byte(x), 0x84, byte(wID), 0, 0, byte(x), 3, 0x84, 0})
+	// The honest majority with every voucher listing w twice, an id of 1<<31
+	// and x itself besides.
+	var listed []byte
+	for ops := fw1Majority(w, w.strs[0], x, wID, 0); len(ops) >= 5; ops = ops[5:] {
+		listed = append(listed, ops[:5]...)
+		listed = append(listed, 3, 0, 0, byte(wID), 0, 3, 0, 0, 0x84, 0, 3, 0, 0, byte(x), 0)
+	}
+	f.Add(listed)
 	f.Fuzz(checkFw1TableAgainstMaps)
+}
+
+// TestFw1ListMixedMembers: a byzantine y can list anything, and a list is
+// only as strong as its valid entries. Each valid w is counted once however
+// often it is listed, and the rest are skipped: a w ∉ J(x, r), a w whose
+// H(s, w) does not hold this node, and ids outside [0, n). Delivering the
+// list allocates nothing.
+func TestFw1ListMixedMembers(t *testing.T) {
+	w := newFw1World()
+	s, r := w.strs[0], fw1Label(0)
+	for x := 0; x < w.p.N; x++ {
+		var valid, notPolled, notServed []int
+		for wID := 0; wID < w.p.N; wID++ {
+			polled, served := w.smp.J.Contains(x, r, wID), w.smp.H.Contains(s, wID, fw1Me)
+			switch {
+			case polled && served:
+				valid = append(valid, wID)
+			case served:
+				notPolled = append(notPolled, wID)
+			case polled:
+				notServed = append(notServed, wID)
+			}
+		}
+		if len(valid) < 2 || len(notPolled) == 0 || len(notServed) == 0 {
+			continue
+		}
+		m := fw1Msg(x, s, r, valid[0], valid[0], notPolled[0], notServed[0], -1, w.p.N, 1<<31, valid[1])
+		node := NewNode(fw1Me, s, w.p, w.smp, prng.New(1))
+		hsx := distinct(w.smp.H.Quorum(s, x))
+		ctx := &fakeCtx{}
+		node.Deliver(ctx, hsx[0], m)
+		entries := node.fw1.entries
+		if len(entries) != 2 || entries[0].pair != uint64(x)<<32|uint64(valid[0]) || entries[1].pair != uint64(x)<<32|uint64(valid[1]) ||
+			entries[0].n != 1 || entries[1].n != 1 {
+			t.Fatalf("list %v: Fw1 entries %+v, want one vouch each for w = %d and %d", m.W, entries, valid[0], valid[1])
+		}
+		if allocs := testing.AllocsPerRun(100, func() { node.onFw1(ctx, hsx[0], m) }); allocs != 0 {
+			t.Fatalf("onFw1 allocated %.1f times per delivery", allocs)
+		}
+		for _, y := range hsx[1 : len(hsx)/2+1] {
+			node.Deliver(ctx, y, m)
+		}
+		fw2s := ctx.byKind("fw2")
+		if len(fw2s) != 2 || fw2s[0].To != valid[0] || fw2s[1].To != valid[1] {
+			t.Fatalf("a majority of list %v sent Fw2s %v, want one to %d, then one to %d", m.W, fw2s, valid[0], valid[1])
+		}
+		return
+	}
+	t.Fatal("no requester with every kind of list member in this world")
 }
 
 // TestFw1SeedsExerciseTheTable: the seed corpus does what its comments say —
@@ -242,7 +327,7 @@ func TestFw1SeedsExerciseTheTable(t *testing.T) {
 	ctx := &fakeCtx{}
 	deliver := func(ops []byte) {
 		for ; len(ops) >= 5; ops = ops[5:] {
-			node.Deliver(ctx, int(ops[2]), MsgFw1{X: int(ops[1]), S: w.strs[0], R: fw1Label(ops[4]), W: int(ops[3])})
+			node.Deliver(ctx, int(ops[2]), fw1Msg(int(ops[1]), w.strs[0], fw1Label(ops[4]), int(ops[3])))
 		}
 	}
 	first := fw1Majority(w, w.strs[0], x, wID, 0)
@@ -276,7 +361,7 @@ func TestResetCarriesNoFw1State(t *testing.T) {
 			if len(ctx.sends) != 0 && len(ops) > 5 {
 				t.Fatalf("Fw2 sent with %d vouchers of the majority still to come", len(ops)/5-1)
 			}
-			node.Deliver(ctx, int(ops[2]), MsgFw1{X: int(ops[1]), S: s, R: fw1Label(ops[4]), W: int(ops[3])})
+			node.Deliver(ctx, int(ops[2]), fw1Msg(int(ops[1]), s, fw1Label(ops[4]), int(ops[3])))
 		}
 		return len(ctx.sends)
 	}
@@ -285,7 +370,7 @@ func TestResetCarriesNoFw1State(t *testing.T) {
 	}
 	// One short of a majority under another label stays behind as well.
 	hsx := distinct(w.smp.H.Quorum(w.strs[0], x))
-	node.Deliver(&fakeCtx{}, hsx[0], MsgFw1{X: x, S: w.strs[0], R: fw1Label(1), W: wID})
+	node.Deliver(&fakeCtx{}, hsx[0], fw1Msg(x, w.strs[0], fw1Label(1), wID))
 
 	storage := cap(node.fw1.entries)
 	for _, next := range []bitstring.String{w.strs[0], w.strs[1]} { // the same interned id, then another string under it

@@ -9,9 +9,10 @@ import (
 // authenticated by a membership question about them — "is y ∈ H(s, x)?",
 // "is w ∈ J(x, r)?" — and answering one from the shared samplers walks d
 // cycle-walking Feistel permutations. An agreement asks the same few rows
-// over and over (an Fw1 storm is d³ deliveries per node over n requesters),
-// so the node derives each row once, as a bit vector over node ids, and
-// answers every later question with an index.
+// over and over (an Fw1 storm is d³ (x, w) tuples per node over n
+// requesters, in about d·min(n, d²) messages), so the node derives each row
+// once, as a bit vector over node ids, and answers every later question
+// with an index.
 //
 // What is kept, and for how long (DESIGN.md §4 "Sampler memo"):
 //

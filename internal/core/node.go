@@ -14,10 +14,11 @@ import (
 // asynchronous and goroutine runners (each runner activates a node
 // sequentially, so Node needs no internal locking).
 //
-// The implementation follows Algorithms 1–3 with two documented
-// clarifications (see DESIGN.md "Faithfulness notes"): Fw1 counters are
-// keyed per poll-list member w, and the log² n answer budget is enforced
-// uniformly in tryAnswer for both the Fw2 and the late-Poll answer paths.
+// The implementation follows Algorithms 1–3 with documented clarifications
+// (see DESIGN.md "Faithfulness notes"), among them: Fw1 counters are keyed
+// per poll-list member w, the log² n answer budget is enforced uniformly in
+// tryAnswer for both the Fw2 and the late-Poll answer paths, and one Fw1
+// message carries every w its recipient serves.
 //
 // All per-string state is keyed by dense interned IDs rather than string
 // map keys: each node owns an intern.Table mapping every candidate string
@@ -91,6 +92,11 @@ type Node struct {
 	// instead of a fresh slice per fan-out. The node is single-threaded and
 	// sends only enqueue, so the buffer cannot be observed mid-iteration.
 	scratchJ []int
+	// fanCount (indexed by node id, all zero between fan-outs) and fanOrder
+	// are forwardPull's scratch: the w's each z is owed, and the z's in
+	// first-seen order.
+	fanCount []int32
+	fanOrder []int32
 	// setPool recycles vouch Sets: fw2Vouches entries churn per (x, s, r)
 	// counter key and are deleted on majority, so recycling them keeps
 	// steady-state Fw2 delivery free of slice growth.
@@ -371,7 +377,7 @@ func (n *Node) Deliver(ctx simnet.Context, from simnet.NodeID, m simnet.Message)
 		n.onPush(ctx, from, msg)
 	case MsgPull:
 		n.onPull(ctx, from, msg)
-	case MsgFw1:
+	case *MsgFw1:
 		n.onFw1(ctx, from, msg)
 	case MsgFw2:
 		n.onFw2(ctx, from, msg)
@@ -460,7 +466,10 @@ func (n *Node) onPull(ctx simnet.Context, from int, m MsgPull) {
 }
 
 // forwardPull fans x's authenticated request out to the pull quorums of its
-// poll list, once per (x, s).
+// poll list, once per (x, s). Algorithm 2 sends Fw1(x, s, r, w) to every
+// z ∈ H(s, w) for every w ∈ J(x, r): d² tuples over at most min(n, d²)
+// distinct z. Each z gets one message listing its w's in J(x, r) order, so
+// every z sees the tuples it always saw, in the same order, in one envelope.
 func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring.String, r uint64) {
 	k := xsID{x: x, s: sid}
 	if n.pullForwarded[k] {
@@ -468,54 +477,90 @@ func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring
 	}
 	n.pullForwarded[k] = true
 	n.scratchJ = n.smp.J.ListAppend(n.scratchJ[:0], x, r)
+	if n.fanCount == nil {
+		n.fanCount = make([]int32, n.params.N)
+	}
+	// First pass: how many w's each z is owed, and the z's in first-seen
+	// order.
+	order := n.fanOrder[:0]
+	tuples := 0
 	for _, w := range n.scratchJ {
-		// Box the Fw1 once per poll-list member, not once per quorum member:
-		// this double loop dominated the allocation profile of sustained-load
-		// runs (one interface conversion per Send).
-		var fw simnet.Message = MsgFw1{X: x, S: s, R: r, W: w}
+		zs := n.pullMembers(sid, s, w)
+		for _, z := range zs {
+			if n.fanCount[z] == 0 {
+				order = append(order, z)
+			}
+			n.fanCount[z]++
+		}
+		tuples += len(zs)
+	}
+	// Every z's list is a window of one arena, and every message an element
+	// of one slice: the fan-out allocates twice, however many z it reaches.
+	// fanCount[z] becomes the next free index of z's window.
+	arena := make([]int32, tuples)
+	msgs := make([]MsgFw1, len(order))
+	next := int32(0)
+	for i, z := range order {
+		end := next + n.fanCount[z]
+		msgs[i] = MsgFw1{X: x, S: s, R: r, W: arena[next:end:end]}
+		n.fanCount[z] = next
+		next = end
+	}
+	// Second pass: fill the windows in J(x, r) order. Only then send: a
+	// concurrent runtime may deliver a message as soon as it is sent.
+	for _, w := range n.scratchJ {
 		for _, z := range n.pullMembers(sid, s, w) {
-			ctx.Send(int(z), fw)
+			arena[n.fanCount[z]] = int32(w)
+			n.fanCount[z]++
 		}
 	}
+	for i, z := range order {
+		n.fanCount[z] = 0
+		ctx.Send(int(z), &msgs[i])
+	}
+	n.fanOrder = order
 }
 
-// onFw1 is the second handler of Algorithm 2: z ∈ H(s, w) sends Fw2 to w
-// once a strict majority of H(s, x) has vouched for x's request.
-func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
+// onFw1 is the second handler of Algorithm 2, run for each listed w: z ∈
+// H(s, w) sends Fw2 to w once a strict majority of H(s, x) has vouched for
+// x's request. The tests that do not depend on w run once per message.
+func (n *Node) onFw1(ctx simnet.Context, from int, m *MsgFw1) {
 	if !m.S.Equal(n.sthis) {
 		return
 	}
 	sid := n.sthisID
-	if !n.proxied(sid, m.S).Get(m.W) { // this ∈ H(s, w)
-		return
-	}
 	vouchers := n.pullQuorum(sid, m.S, m.X)
 	if !vouchers.Get(from) { // y ∈ H(s, x)
 		return
 	}
-	if !n.pollList(m.X, m.R).Get(m.W) { // w ∈ J(x, r)
-		return
-	}
+	quorumSize := vouchers.Count()
+	poll := n.pollList(m.X, m.R)
+	served := n.proxied(sid, m.S) // {w : this ∈ H(s, w)}
 	t := &n.fw1
 	if t.sid != sid {
 		t.reset() // the belief changed: nothing vouched under the old one can match again
 		t.sid = sid
 	}
-	pair := uint64(m.X)<<32 | uint64(m.W)
-	slot := t.open(pair, m.R, true)
-	if t.entries[slot].done {
-		return
-	}
-	e := slot
-	if t.entries[slot].label != m.R {
-		e = t.open(pair, m.R, false) // x issued a second label for w
-	}
-	if !t.vouch(e, from) {
-		return // duplicate voucher: the count did not change
-	}
-	if 2*int(t.entries[e].n) > vouchers.Count() {
-		t.entries[slot].done = true // forward only once
-		ctx.Send(m.W, MsgFw2{X: m.X, S: m.S, R: m.R})
+	for _, w := range m.W {
+		if !served.Get(int(w)) || !poll.Get(int(w)) { // this ∈ H(s, w), w ∈ J(x, r)
+			continue
+		}
+		pair := uint64(m.X)<<32 | uint64(w)
+		slot := t.open(pair, m.R, true)
+		if t.entries[slot].done {
+			continue
+		}
+		e := slot
+		if t.entries[slot].label != m.R {
+			e = t.open(pair, m.R, false) // x issued a second label for w
+		}
+		if !t.vouch(e, from) {
+			continue // duplicate voucher: the count did not change
+		}
+		if 2*int(t.entries[e].n) > quorumSize {
+			t.entries[slot].done = true // forward only once
+			ctx.Send(int(w), MsgFw2{X: m.X, S: m.S, R: m.R})
+		}
 	}
 }
 

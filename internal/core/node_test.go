@@ -42,6 +42,16 @@ func newTestNode(id int, initial bitstring.String, p Params, smp *Samplers) *Nod
 	return NewNode(id, initial, p, smp, prng.New(uint64(id)+1000))
 }
 
+// fw1Msg builds Fw1(x, s, r, ws); an id outside int32 wraps as it would
+// coming off the wire.
+func fw1Msg(x int, s bitstring.String, r uint64, ws ...int) *MsgFw1 {
+	m := &MsgFw1{X: x, S: s, R: r}
+	for _, w := range ws {
+		m.W = append(m.W, int32(w))
+	}
+	return m
+}
+
 func TestInitPushesToInverseQuorum(t *testing.T) {
 	p, smp, s := testSetup(t, 64)
 	n := newTestNode(7, s, p, smp)
@@ -417,7 +427,7 @@ func TestFw1RequiresAllMembershipChecks(t *testing.T) {
 	ctx := &fakeCtx{}
 	outsider := pickNonMember(hsx, 64)
 	for i := 0; i < need+2; i++ {
-		z.Deliver(ctx, outsider, MsgFw1{X: x, S: s, R: r, W: w})
+		z.Deliver(ctx, outsider, fw1Msg(x, s, r, w))
 	}
 	if len(ctx.byKind("fw2")) != 0 {
 		t.Fatal("Fw2 sent from vouches outside H(s, x)")
@@ -430,7 +440,7 @@ func TestFw1RequiresAllMembershipChecks(t *testing.T) {
 		t.Skip("z happens to sit in H(s, wOutside)")
 	}
 	for _, y := range hsx[:need] {
-		z.Deliver(ctx, y, MsgFw1{X: x, S: s, R: r, W: wOutside})
+		z.Deliver(ctx, y, fw1Msg(x, s, r, wOutside))
 	}
 	if len(ctx.byKind("fw2")) != 0 {
 		t.Fatal("Fw2 sent for w outside the poll list")
@@ -438,7 +448,7 @@ func TestFw1RequiresAllMembershipChecks(t *testing.T) {
 
 	// The valid majority triggers exactly one Fw2 to w.
 	for _, y := range hsx[:need] {
-		z.Deliver(ctx, y, MsgFw1{X: x, S: s, R: r, W: w})
+		z.Deliver(ctx, y, fw1Msg(x, s, r, w))
 	}
 	fw2s := ctx.byKind("fw2")
 	if len(fw2s) != 1 || fw2s[0].To != w {
@@ -446,7 +456,7 @@ func TestFw1RequiresAllMembershipChecks(t *testing.T) {
 	}
 	// Replays do not re-forward ("forward only once").
 	for _, y := range hsx {
-		z.Deliver(ctx, y, MsgFw1{X: x, S: s, R: r, W: w})
+		z.Deliver(ctx, y, fw1Msg(x, s, r, w))
 	}
 	if len(ctx.byKind("fw2")) != 1 {
 		t.Fatal("Fw2 re-forwarded on replay")

@@ -71,8 +71,8 @@ func (o aerOutcome) run(t *testing.T) aerOutcome {
 	nodes, correct := sc.Build(nil)
 	r := simnet.NewSync(nodes, sc.Corrupt)
 	r.Observe(func(e simnet.Envelope) {
-		if _, ok := e.Msg.(MsgFw1); ok {
-			o.Fw1Tuples++
+		if fw, ok := e.Msg.(*MsgFw1); ok {
+			o.Fw1Tuples += int64(len(fw.W))
 		}
 	})
 	m := r.Run(64)

@@ -331,9 +331,12 @@ func cloneMessage(m simnet.Message) simnet.Message {
 	case core.MsgPull:
 		t.S = t.S.Clone()
 		return t
-	case core.MsgFw1:
-		t.S = t.S.Clone()
-		return t
+	case *core.MsgFw1:
+		// W needs no copy: the decoder gives it owned memory, and an
+		// in-process sender never writes a list after sending it.
+		c := *t
+		c.S = t.S.Clone()
+		return &c
 	case core.MsgFw2:
 		t.S = t.S.Clone()
 		return t

@@ -3,9 +3,9 @@ package simnet
 import "sync"
 
 // The round log is how the SyncRunner holds messages in flight. A round of
-// the paper's experiment is millions of sends (n·d³ Fw1 at once), and a slice
-// of Envelopes that size costs more to grow, zero and copy than the protocol
-// costs to run. The log is a list of fixed-size blocks of compact send
+// the paper's experiment is about a million sends (n·d³ Fw1 tuples in about
+// n·d·min(n, d²) messages at once), and a slice of Envelopes that size costs
+// more to grow, zero and copy than the protocol costs to run. The log is a list of fixed-size blocks of compact send
 // records, appended in send order, read back in the same order one round
 // later, and handed block by block to a package-level pool that the next
 // round, and the next run, draw from (DESIGN.md §4.2).

@@ -27,7 +27,7 @@ func buildFrames(t testing.TB, src *prng.Source, from, to, count int) ([][]byte,
 			e.Msg = core.MsgPush{S: s}
 			f, err = AppendFrame(nil, from, to, e.Msg)
 		case 1:
-			e.Msg = core.MsgFw1{X: i, S: s, R: uint64(i) * 977, W: i + 1}
+			e.Msg = &core.MsgFw1{X: i, S: s, R: uint64(i) * 977, W: []int32{int32(i + 1), int32(i)}}
 			f, err = AppendFrame(nil, from, to, e.Msg)
 		default:
 			e.Msg, e.Inst, e.Tagged = core.MsgPoll{S: s, R: uint64(i)}, uint32(i), true

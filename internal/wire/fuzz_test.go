@@ -14,20 +14,19 @@ import (
 // bytes it consumed (canonical encoding), and a correct protocol node must
 // survive being handed it — the decoder does not range-check the node ids a
 // frame carries, so the node has to (testdata seed fw1-w-out-of-range: an
-// Fw1 for the node's own string whose W is 1<<31).
+// Fw1 for the node's own string listing w = 1<<31).
 func FuzzUnmarshal(f *testing.F) {
 	src := prng.New(1)
 	s := bitstring.Random(src, 40)
 	params := core.DefaultParams(24)
 	params.StringBits = s.Len()
 	smp := core.NewSamplers(params)
-	for _, m := range []interface {
-		WireSize() int
-		Kind() string
-	}{
+	var fw1 []byte
+	for _, m := range []simnet.Message{
 		core.MsgPush{S: s},
-		core.MsgFw1{X: 1, W: 2, R: 3, S: s},
+		&core.MsgFw1{X: 1, W: []int32{2}, R: 3, S: s},
 		core.MsgAnswer{S: s, R: 9},
+		&core.MsgFw1{X: 1, W: []int32{2, 5, 2}, R: 3, S: s},
 	} {
 		kind, err := KindByte(m)
 		if err != nil {
@@ -38,8 +37,14 @@ func FuzzUnmarshal(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(kind, buf)
+		fw1 = buf
 	}
 	f.Add(byte(0xFF), []byte{1, 2, 3})
+	// Rejections: an Fw1 listing no w, an Fw1 with a ragged tail, and the
+	// retired one-w kind.
+	f.Add(kindFw1, fw1[:len(fw1)-12])
+	f.Add(kindFw1, fw1[:len(fw1)-2])
+	f.Add(byte(0x04), fw1[:len(fw1)-8])
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		m, err := Unmarshal(kind, payload)
 		if err != nil {
@@ -75,7 +80,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f2, err := AppendFrame(nil, 1, 2, core.MsgFw1{X: 3, S: s, R: 7, W: 9})
+	f2, err := AppendFrame(nil, 1, 2, &core.MsgFw1{X: 3, S: s, R: 7, W: []int32{9, 4}})
 	if err != nil {
 		f.Fatal(err)
 	}

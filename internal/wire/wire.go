@@ -32,9 +32,9 @@ const (
 	kindPush   byte = 0x01
 	kindPoll   byte = 0x02
 	kindPull   byte = 0x03
-	kindFw1    byte = 0x04
 	kindFw2    byte = 0x05
 	kindAnswer byte = 0x06
+	kindFw1    byte = 0x07 // x u32 | r u64 | s | one u32 per w, at least one; 0x04 (one w) is retired
 	kindElect  byte = 0x10
 	kindValue  byte = 0x11
 	kindQuery  byte = 0x20
@@ -86,7 +86,7 @@ func KindByte(m simnet.Message) (byte, error) {
 		return kindPoll, nil
 	case core.MsgPull:
 		return kindPull, nil
-	case core.MsgFw1:
+	case *core.MsgFw1:
 		return kindFw1, nil
 	case core.MsgFw2:
 		return kindFw2, nil
@@ -142,11 +142,16 @@ func appendMessage(buf []byte, m simnet.Message) ([]byte, error) {
 	case core.MsgPull:
 		buf = appendString(buf, msg.S)
 		buf = binary.LittleEndian.AppendUint64(buf, msg.R)
-	case core.MsgFw1:
+	case *core.MsgFw1:
+		if len(msg.W) == 0 {
+			return nil, fmt.Errorf("wire: Fw1 lists no poll-list member")
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(msg.X))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(msg.W))
 		buf = binary.LittleEndian.AppendUint64(buf, msg.R)
 		buf = appendString(buf, msg.S)
+		for _, w := range msg.W {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
+		}
 	case core.MsgFw2:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(msg.X))
 		buf = binary.LittleEndian.AppendUint64(buf, msg.R)
@@ -248,9 +253,9 @@ func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
 		m = core.MsgPull{S: s, R: d.U64()}
 	case kindFw1:
 		x := int(d.U32())
-		w := int(d.U32())
 		r := d.U64()
-		m = core.MsgFw1{X: x, W: w, R: r, S: d.str()}
+		s := d.str()
+		m = &core.MsgFw1{X: x, R: r, S: s, W: d.ids()}
 	case kindFw2:
 		x := int(d.U32())
 		r := d.U64()
@@ -632,6 +637,23 @@ func (d *Cursor) Bytes() []byte {
 type decoder struct {
 	Cursor
 	view bool
+}
+
+// ids decodes the rest of the payload as a non-empty list of u32 node ids,
+// copied into owned memory in either mode.
+func (d *decoder) ids() []int32 {
+	if d.err != nil {
+		return nil
+	}
+	if rest := d.Rest(); rest == 0 || rest%4 != 0 {
+		d.err = fmt.Errorf("wire: id list of %d bytes", rest)
+		return nil
+	}
+	ids := make([]int32, d.Rest()/4)
+	for i := range ids {
+		ids[i] = int32(d.U32())
+	}
+	return ids
 }
 
 func (d *decoder) str() bitstring.String {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +25,8 @@ func allMessages(t *testing.T) []simnet.Message {
 		core.MsgPush{S: s},
 		core.MsgPoll{S: s, R: 0x1122334455667788},
 		core.MsgPull{S: s, R: 42},
-		core.MsgFw1{X: 7, S: s, R: 99, W: 12},
+		&core.MsgFw1{X: 7, S: s, R: 99, W: []int32{12}},
+		&core.MsgFw1{X: 7, S: s, R: 99, W: []int32{12, 3, 12, -1}},
 		core.MsgFw2{X: 7, S: s, R: 99},
 		core.MsgAnswer{S: s, R: 99},
 		ae.MsgElect{Bin: 3, Seg: seg},
@@ -34,7 +36,8 @@ func allMessages(t *testing.T) []simnet.Message {
 		baseline.MsgBcast{S: s},
 		baseline.MsgVote{Round: 4, S: s},
 		simnet.InstMsg{Inst: 0, Inner: core.MsgPush{S: s}},
-		simnet.InstMsg{Inst: 0xDEADBEEF, Inner: core.MsgFw1{X: 7, S: s, R: 99, W: 12}},
+		simnet.InstMsg{Inst: 0xDEADBEEF, Inner: &core.MsgFw1{X: 7, S: s, R: 99, W: []int32{12, 5}}},
+		simnet.RelayMsg{Origin: 4, Seq: 9, Dest: 11, TTL: 3, Inner: &core.MsgFw1{X: 7, S: s, R: 99, W: []int32{12, 5}}},
 		simnet.InstMsg{Inst: 3, Inner: baseline.MsgQuery{}},
 		simnet.CatchupReq{From: 0x1020304050607080, Max: 256},
 		simnet.CatchupResp{},
@@ -155,11 +158,29 @@ func TestTruncatedPayloadsRejected(t *testing.T) {
 		kind, _ := KindByte(m)
 		buf, _ := Marshal(m)
 		for cut := 0; cut < len(buf); cut++ {
-			if _, err := Unmarshal(kind, buf[:cut]); err == nil {
+			if got, err := Unmarshal(kind, buf[:cut]); err == nil && !shorterFw1List(m, got) {
 				t.Errorf("%T: truncation to %d bytes accepted", m, cut)
 			}
 		}
 	}
+}
+
+// shorterFw1List reports whether got carries the Fw1 that m carries with
+// fewer w's listed: an Fw1 list has no count, so a cut between two w's is
+// the shorter list.
+func shorterFw1List(m, got simnet.Message) bool {
+	inner := func(m simnet.Message) *core.MsgFw1 {
+		switch t := m.(type) {
+		case simnet.InstMsg:
+			m = t.Inner
+		case simnet.RelayMsg:
+			m = t.Inner
+		}
+		fw, _ := m.(*core.MsgFw1)
+		return fw
+	}
+	a, b := inner(m), inner(got)
+	return a != nil && b != nil && len(b.W) < len(a.W) && slices.Equal(b.W, a.W[:len(b.W)])
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
@@ -202,10 +223,16 @@ func TestQuickPushRoundTrip(t *testing.T) {
 
 func TestQuickFw1RoundTrip(t *testing.T) {
 	src := prng.New(10)
-	f := func(x, w uint16, r uint64) bool {
+	f := func(x uint16, ws []uint32, r uint64) bool {
 		s := bitstring.Random(src, 40)
-		m := core.MsgFw1{X: int(x), W: int(w), R: r, S: s}
+		m := &core.MsgFw1{X: int(x), R: r, S: s}
+		for _, w := range ws {
+			m.W = append(m.W, int32(w))
+		}
 		buf, err := Marshal(m)
+		if len(ws) == 0 {
+			return err != nil // an empty list has no encoding
+		}
 		if err != nil {
 			return false
 		}
@@ -213,11 +240,98 @@ func TestQuickFw1RoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fw, ok := got.(core.MsgFw1)
-		return ok && fw.X == int(x) && fw.W == int(w) && fw.R == r && fw.S.Equal(s)
+		fw, ok := got.(*core.MsgFw1)
+		return ok && fw.X == int(x) && slices.Equal(fw.W, m.W) && fw.R == r && fw.S.Equal(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFw1ListCodec: an Fw1 lists its w's after the string, as many as the
+// payload holds. A singleton costs exactly what the one-w Fw1 did, every
+// further w four bytes; an empty list, a ragged tail and the retired kind
+// 0x04 do not decode; and the list survives every envelope a message can
+// travel in.
+func TestFw1ListCodec(t *testing.T) {
+	s := bitstring.Random(prng.New(11), 40)
+	d := core.DefaultParams(24).QuorumSize
+	for _, k := range []int{1, 2, d} {
+		m := &core.MsgFw1{X: 3, S: s, R: 77}
+		for i := 0; i < k; i++ {
+			m.W = append(m.W, int32(i*5))
+		}
+		buf, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != m.WireSize() {
+			t.Errorf("k=%d: encoded %d bytes, WireSize %d", k, len(buf), m.WireSize())
+		}
+		// x and w are 4-byte ids, r an 8-byte label.
+		if want := 2*4 + 8 + s.WireSize() + 4*(k-1); m.WireSize() != want {
+			t.Errorf("k=%d: WireSize %d, want %d", k, m.WireSize(), want)
+		}
+	}
+
+	one, err := Marshal(&core.MsgFw1{X: 3, S: s, R: 77, W: []int32{9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := one[:len(one)-4]
+	for name, c := range map[string]struct {
+		kind    byte
+		payload []byte
+	}{
+		"empty list":    {kindFw1, empty},
+		"ragged tail":   {kindFw1, append(append([]byte{}, one...), 0, 0)},
+		"retired 0x04":  {0x04, one},
+		"string only":   {kindFw1, empty[12:]},
+		"no string yet": {kindFw1, empty[:12]},
+	} {
+		if m, err := Unmarshal(c.kind, c.payload); err == nil {
+			t.Errorf("%s: decoded to %#v", name, m)
+		}
+	}
+	if _, err := Marshal(&core.MsgFw1{X: 3, S: s, R: 77}); err == nil {
+		t.Error("an Fw1 with no w encoded")
+	}
+
+	m := &core.MsgFw1{X: 3, S: s, R: 77, W: []int32{9, 1, 9}}
+	for _, wrapped := range []simnet.Message{
+		simnet.InstMsg{Inst: 4, Inner: m},
+		simnet.RelayMsg{Origin: 1, Seq: 2, Dest: 3, TTL: 1, Inner: m},
+	} {
+		kind, _ := KindByte(wrapped)
+		buf, err := Marshal(wrapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unmarshal(kind, buf)
+		if err != nil || !messagesEqual(wrapped, got) {
+			t.Errorf("%T: round trip gave %#v, %v", wrapped, got, err)
+		}
+	}
+	f1, err := AppendFrame(nil, 1, 2, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := AppendTaggedFrame(nil, 1, 2, 6, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := AppendBatchFrame(nil, [][]byte{f1, f2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs, err := DecodeBatchAppend(nil, batch[4:], true)
+	if err != nil || len(envs) != 2 || !envs[1].Tagged || envs[1].Inst != 6 {
+		t.Fatalf("batch decoded to %+v, %v", envs, err)
+	}
+	for _, e := range envs {
+		if !messagesEqual(m, e.Msg) {
+			t.Errorf("batch record: %#v, want %#v", e.Msg, m)
+		}
 	}
 }
 

@@ -27,12 +27,13 @@ func poolDropsPuts() bool {
 
 // TestRunAERAllocationBudget pins what a synchronous agreement allocates
 // once the round log's block pool is warm: the runner's share must stay
-// gone. At n = 64 a run moves some 230 k messages; the slice-based runner
-// this replaced regrew its round buffers from nil every round and allocated
-// 118 MB per run, the pooled round log leaves 7 MB (nodes, sampler memos,
-// Fw1 tables). The budget is not quite twice that. A run cancelled in the
-// middle of a round must hand its blocks back too, or the run after it pays
-// for them again: fifty blocks, 7 MB, which the same budget catches.
+// gone. At n = 64 a run moves some 75 k messages carrying 245 k Fw1 tuples;
+// the slice-based runner this replaced regrew its round buffers from nil
+// every round and allocated 118 MB per run, the pooled round log leaves
+// 11.5 MB (nodes, sampler memos, Fw1 tables, and each Fw1 fan-out's
+// messages and lists). A run cancelled in the middle of a round must hand
+// its blocks back too, or the run after it pays for them again: thirteen
+// blocks, 1.7 MB. The budget lies between the two.
 func TestRunAERAllocationBudget(t *testing.T) {
 	const budget = 12 << 20
 	// A collection empties the pool; none may run between the runs compared.
