@@ -127,9 +127,6 @@ func (n *Node) Deliver(ctx simnet.Context, from simnet.NodeID, m simnet.Message)
 		if msg.Seg.Len() != n.p.StringBits {
 			return
 		}
-		// Clone: elects outlives this delivery and msg.Seg may be a
-		// zero-copy view of a transport buffer (DESIGN.md §10).
-		msg.Seg = msg.Seg.Clone()
 		n.elects[from] = msg
 	case MsgValue:
 		n.onValue(from, msg)
@@ -141,9 +138,7 @@ func (n *Node) onValue(from int, m MsgValue) {
 		return
 	}
 	key := []byte(m.S.Key())
-	// Clone: strs outlives this delivery and m.S may be a zero-copy view
-	// of a transport buffer (DESIGN.md §10).
-	n.strs[string(key)] = m.S.Clone()
+	n.strs[string(key)] = m.S
 	if int(m.Level) == n.tree.Depth()+1 {
 		// Leaf fan-out to the whole range: sender must be a member of
 		// this node's leaf committee.

@@ -68,9 +68,7 @@ func (f *floodNode) Init(ctx simnet.Context) {
 func (f *floodNode) Deliver(ctx simnet.Context, from simnet.NodeID, m simnet.Message) {
 	if b, ok := m.(MsgBcast); ok {
 		if _, dup := f.heard[from]; !dup {
-			// Clone: heard outlives this delivery and b.S may be a
-			// zero-copy view of a transport buffer (DESIGN.md §10).
-			f.heard[from] = b.S.Clone()
+			f.heard[from] = b.S
 		}
 	}
 }

@@ -114,9 +114,7 @@ func (k *klstNode) Deliver(ctx simnet.Context, from simnet.NodeID, m simnet.Mess
 			return // unsolicited reply
 		}
 		if _, dup := k.replies[from]; !dup {
-			// Clone: replies outlives this delivery and msg.S may be a
-			// zero-copy view of a transport buffer (DESIGN.md §10).
-			k.replies[from] = msg.S.Clone()
+			k.replies[from] = msg.S
 		}
 	}
 }

@@ -118,9 +118,7 @@ func (r *rabinNode) Deliver(ctx simnet.Context, from simnet.NodeID, m simnet.Mes
 		r.votes[v.Round] = byRound
 	}
 	if _, dup := byRound[from]; !dup {
-		// Clone: votes outlives this delivery and v.S may be a zero-copy
-		// view of a transport buffer (DESIGN.md §10).
-		byRound[from] = v.S.Clone()
+		byRound[from] = v.S
 	}
 }
 

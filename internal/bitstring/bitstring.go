@@ -11,8 +11,6 @@ package bitstring
 import (
 	"encoding/hex"
 	"fmt"
-	"strings"
-	"unsafe"
 
 	"github.com/fastba/fastba/internal/prng"
 )
@@ -35,40 +33,22 @@ func New(bits []byte) String {
 	return String{bits: len(bits), data: string(data)}
 }
 
-// FromBytes builds a String of nbits bits from packed little-endian bytes.
-// Excess bits in the final byte are cleared so equal strings compare equal.
+// FromBytes builds a String of nbits bits from packed little-endian bytes,
+// copying them. Excess bits in the final byte are cleared so equal strings
+// compare equal; a canonical tail (already clear) costs one allocation.
 func FromBytes(packed []byte, nbits int) (String, error) {
 	need := (nbits + 7) / 8
 	if nbits < 0 || len(packed) < need {
 		return String{}, fmt.Errorf("bitstring: %d bytes cannot hold %d bits", len(packed), nbits)
 	}
+	rem := nbits % 8
+	if rem == 0 || packed[need-1]&^(byte(1<<rem)-1) == 0 {
+		return String{bits: nbits, data: string(packed[:need])}, nil
+	}
 	data := make([]byte, need)
 	copy(data, packed[:need])
-	if rem := nbits % 8; rem != 0 && need > 0 {
-		data[need-1] &= byte(1<<rem) - 1
-	}
+	data[need-1] &= byte(1<<rem) - 1
 	return String{bits: nbits, data: string(data)}, nil
-}
-
-// View builds a String of nbits bits whose data ALIASES packed instead of
-// copying it — the zero-copy decode path of internal/wire. The returned
-// String is only valid while packed's contents are stable; callers that
-// retain it past that window must Clone it first (see Clone). When the
-// excess bits of the final byte are not already clear, the input is not
-// canonical and View falls back to a masking copy (FromBytes), so equal
-// strings always compare equal regardless of which constructor built them.
-func View(packed []byte, nbits int) (String, error) {
-	need := (nbits + 7) / 8
-	if nbits < 0 || len(packed) < need {
-		return String{}, fmt.Errorf("bitstring: %d bytes cannot hold %d bits", len(packed), nbits)
-	}
-	if need == 0 {
-		return String{bits: nbits}, nil
-	}
-	if rem := nbits % 8; rem != 0 && packed[need-1]&^(byte(1<<rem)-1) != 0 {
-		return FromBytes(packed, nbits) // non-canonical tail: copy and mask
-	}
-	return String{bits: nbits, data: unsafe.String(&packed[0], need)}, nil
 }
 
 // Random returns a uniformly random String of nbits bits drawn from src.
@@ -149,16 +129,6 @@ func (s String) MapKey() MapKey { return MapKey{bits: s.bits, data: s.data} }
 // Equal reports value equality.
 func (s String) Equal(o String) bool {
 	return s.bits == o.bits && s.data == o.data
-}
-
-// Clone returns a copy of s whose backing data is freshly allocated.
-// Strings built by New/FromBytes already own their data and never need
-// cloning; Clone exists for strings built by View, whose data aliases a
-// transport buffer that is recycled after delivery — any state that
-// outlives the delivery must retain the clone, not the view (the
-// zero-copy ownership rule, DESIGN.md §10).
-func (s String) Clone() String {
-	return String{bits: s.bits, data: strings.Clone(s.data)}
 }
 
 // Bytes returns the packed little-endian byte representation (a copy).

@@ -31,6 +31,25 @@ func TestFromBytesMasksExcessBits(t *testing.T) {
 	}
 }
 
+// TestFromBytesCopies: the String owns its data, and a canonical tail
+// (excess bits already clear) costs exactly one allocation.
+func TestFromBytesCopies(t *testing.T) {
+	packed := []byte{0x5a, 0xc3, 0x05}
+	s, err := FromBytes(packed, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.Bytes()
+	packed[0], packed[2] = 0xDB, 0xDB
+	if got := s.Bytes(); string(got) != string(want) {
+		t.Fatalf("FromBytes aliased its input: %x, want %x", got, want)
+	}
+	packed[2] = 0x05
+	if allocs := testing.AllocsPerRun(100, func() { s, err = FromBytes(packed, 20) }); err != nil || allocs != 1 {
+		t.Fatalf("FromBytes: %.1f allocations (err %v), want 1", allocs, err)
+	}
+}
+
 func TestFromBytesShortBuffer(t *testing.T) {
 	if _, err := FromBytes([]byte{0xff}, 9); err == nil {
 		t.Fatal("expected error for short buffer")

@@ -158,7 +158,7 @@ func checkFw1TableAgainstMaps(t *testing.T, ops []byte) {
 		case kind == 6:
 			if !ref.decided {
 				s := w.strs[int(ops[1])%len(w.strs)]
-				node.decide(&fakeCtx{}, node.strs.ID(s), s)
+				node.decide(&fakeCtx{}, node.strs.ID(s))
 				ref.sthis, ref.decided = s, true
 			}
 		case ops[1] >= 0xf0:

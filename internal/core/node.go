@@ -456,9 +456,7 @@ func (n *Node) onPull(ctx simnet.Context, from int, m MsgPull) {
 	}
 	if !m.S.Equal(n.sthis) {
 		if n.params.DeferredRelay && !n.hasDecided && m.S.Len() == n.params.StringBits {
-			// Clone: the deferred pull outlives this delivery, and m.S may be
-			// a zero-copy view of a transport buffer (DESIGN.md §10).
-			n.relayDeferred = append(n.relayDeferred, deferredPull{x: from, s: m.S.Clone(), r: m.R})
+			n.relayDeferred = append(n.relayDeferred, deferredPull{x: from, s: m.S, r: m.R})
 		}
 		return
 	}
@@ -680,19 +678,15 @@ func (n *Node) onAnswer(ctx simnet.Context, from int, m MsgAnswer) {
 		need = n.params.DecideThreshold // oracle-validation mutation
 	}
 	if st.answers.Len() >= need {
-		n.decide(ctx, sid, m.S)
+		n.decide(ctx, sid)
 	}
 }
 
 // decide fixes the output, updates s_this (Algorithm 3 condition 2: "sw
 // was changed accordingly") and flushes both kinds of deferred answers:
 // those held back by the budget and those awaiting this belief change.
-func (n *Node) decide(ctx simnet.Context, sid intern.ID, s bitstring.String) {
-	// Retain the interned copy, never the delivered argument: s may be a
-	// zero-copy view of a transport buffer that is recycled after this
-	// delivery returns (DESIGN.md §10), while the intern table owns stable
-	// storage for every string it has assigned an ID.
-	s = n.strs.String(sid)
+func (n *Node) decide(ctx simnet.Context, sid intern.ID) {
+	s := n.strs.String(sid)
 	n.hasDecided = true
 	n.decided = s
 	n.decidedAt = ctx.Now()

@@ -29,11 +29,6 @@ type Table struct {
 }
 
 // ID returns the dense ID for s, interning it on first sight.
-//
-// The table retains a Clone of s, never s itself: delivered strings may be
-// zero-copy views of a transport buffer that is recycled after delivery
-// (bitstring.View; DESIGN.md §10), and the table must own stable storage —
-// String(id) is the canonical stable copy callers retain instead of a view.
 func (t *Table) ID(s bitstring.String) ID {
 	if id, ok := t.ids[s.MapKey()]; ok {
 		return id
@@ -41,10 +36,9 @@ func (t *Table) ID(s bitstring.String) ID {
 	if t.ids == nil {
 		t.ids = make(map[bitstring.MapKey]ID, 8)
 	}
-	c := s.Clone()
 	id := ID(len(t.strs))
-	t.ids[c.MapKey()] = id
-	t.strs = append(t.strs, c)
+	t.ids[s.MapKey()] = id
+	t.strs = append(t.strs, s)
 	return id
 }
 

@@ -112,20 +112,20 @@ func NewRegistry() *Registry {
 // Counter returns the counter for (name, labels), registering it on first
 // use. Labels are alternating key, value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.register(name, help, "counter", labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.register(name, help, "counter", labels, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge returns the gauge for (name, labels), registering it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(name, help, "gauge", labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.register(name, help, "gauge", labels, func(s *series) {
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // Histogram returns the histogram for (name, labels) with the given upper
@@ -133,33 +133,33 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // at first registration; later calls with different edges get the
 // existing histogram.
 func (r *Registry) Histogram(name, help string, edges []float64, labels ...string) *Histogram {
-	s := r.register(name, help, "histogram", labels)
-	if s.hist == nil {
-		s.hist = &Histogram{
-			edges:  append([]float64(nil), edges...),
-			counts: make([]uint64, len(edges)+1),
+	return r.register(name, help, "histogram", labels, func(s *series) {
+		if s.hist == nil {
+			s.hist = &Histogram{
+				edges:  append([]float64(nil), edges...),
+				counts: make([]uint64, len(edges)+1),
+			}
 		}
-	}
-	return s.hist
+	}).hist
 }
 
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time — the bridge for counters kept elsewhere (atomic
 // NetStats blocks). Re-registering replaces the function.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.register(name, help, "counter", labels)
-	s.fn = fn
+	r.register(name, help, "counter", labels, func(s *series) { s.fn = fn })
 }
 
 // GaugeFunc registers a gauge read from fn at exposition time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.register(name, help, "gauge", labels)
-	s.fn = fn
+	r.register(name, help, "gauge", labels, func(s *series) { s.fn = fn })
 }
 
-// register finds or creates the series for (name, labels). Registering one
-// name under two types is a programming error and panics loudly.
-func (r *Registry) register(name, help, typ string, labels []string) *series {
+// register finds or creates the series for (name, labels) and runs set on
+// it under the registry lock, so concurrent registrations agree on one
+// collector. Registering one name under two types is a programming error
+// and panics loudly.
+func (r *Registry) register(name, help, typ string, labels []string, set func(*series)) *series {
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("metrics: odd label list for %s", name))
 	}
@@ -183,6 +183,7 @@ func (r *Registry) register(name, help, typ string, labels []string) *series {
 		f.series = append(f.series, s)
 		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 	}
+	set(s)
 	return s
 }
 
@@ -224,14 +225,24 @@ func escapeLabel(v string) string {
 // format: families sorted by name, series by label string, histograms as
 // cumulative _bucket/_sum/_count triples.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Copy every family's series under the lock: registration may add
+	// series or set collectors concurrently.
+	type snapshot struct {
+		f      *family
+		series []series
+	}
 	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.families[n])
+	fams := make([]snapshot, len(r.names))
+	for i, n := range r.names {
+		f := r.families[n]
+		fams[i] = snapshot{f: f, series: make([]series, len(f.series))}
+		for j, s := range f.series {
+			fams[i].series[j] = *s
+		}
 	}
 	r.mu.Unlock()
-	for _, f := range fams {
+	for _, fs := range fams {
+		f := fs.f
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
 				return err
@@ -240,8 +251,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
 			return err
 		}
-		for _, s := range f.series {
-			if err := writeSeries(w, f, s); err != nil {
+		for i := range fs.series {
+			if err := writeSeries(w, f, &fs.series[i]); err != nil {
 				return err
 			}
 		}

@@ -382,16 +382,12 @@ func frameSize(header []byte) int {
 }
 
 // readLoop decodes frames from one inbound connection into id's mailbox.
-// Decode is zero-copy by default: each frame reads into a pooled RefBuf,
-// decoded payloads alias it, and one reference per injected envelope keeps
-// the buffer alive until the fabric finishes each delivery (DESIGN.md
-// §10). When an observer is registered the fabric retains envelopes until
-// quiescence, so the loop falls back to owning-copy decode into a reused
-// buffer. It answers heartbeat pings in place (this loop is the socket's
-// only writer on the accepting side), registers the connection with the
-// chaos controller once the peer identifies itself, and — when the
-// heartbeat detector is on — applies a generous idle read deadline so
-// sockets abandoned by a dead dialer are reaped.
+// Every frame reads into one reused buffer; decoded messages own their
+// data (DESIGN.md §10). It answers heartbeat pings in place (this loop is
+// the socket's only writer on the accepting side), registers the
+// connection with the chaos controller once the peer identifies itself,
+// and — when the heartbeat detector is on — applies a generous idle read
+// deadline so sockets abandoned by a dead dialer are reaped.
 func (c *Cluster) readLoop(id int, conn net.Conn) {
 	defer conn.Close()
 	var reg *inboundConn
@@ -413,9 +409,18 @@ func (c *Cluster) readLoop(id int, conn net.Conn) {
 			idle = 2 * time.Second
 		}
 	}
-	// copyMode: an observer retains envelopes past delivery, so decoded
-	// payloads must own their data; the frame buffer is then reusable.
-	copyMode := c.fab.Observing()
+	// register files the connection under its link once a frame names a
+	// valid peer: the latest socket for the link wins.
+	register := func(from int) {
+		if reg != nil || from < 0 || from >= len(c.addrs) || from == id {
+			return
+		}
+		reg = &inboundConn{conn: conn}
+		regKey = connKey{from: from, to: id}
+		c.mu.Lock()
+		c.inbound[regKey] = reg
+		c.mu.Unlock()
+	}
 	header := make([]byte, 4)
 	var frame, pong []byte
 	var batch []simnet.Envelope
@@ -433,49 +438,22 @@ func (c *Cluster) readLoop(id int, conn net.Conn) {
 		if size == 0 || size > maxFrame {
 			return // corrupt peer; drop the connection
 		}
-		var rb *wire.RefBuf
-		if copyMode {
-			if cap(frame) < size {
-				frame = make([]byte, size)
-			}
-			frame = frame[:size]
-		} else {
-			rb = wire.NewRefBuf(size)
-			frame = rb.Bytes()
+		if cap(frame) < size {
+			frame = make([]byte, size)
 		}
+		frame = frame[:size]
 		if _, err := io.ReadFull(conn, frame); err != nil {
-			if rb != nil {
-				rb.Recycle()
-			}
 			return
 		}
 
 		if wire.IsBatchFrame(frame) {
 			var err error
-			batch, err = wire.DecodeBatchAppend(batch[:0], frame, !copyMode)
+			batch, err = wire.DecodeBatchAppend(batch[:0], frame, false)
 			if err != nil || len(batch) == 0 || batch[0].To != id {
-				if rb != nil {
-					rb.Recycle()
-				}
 				continue // malformed or misrouted batch: authenticated drop
 			}
-			from := batch[0].From
-			if reg == nil && from >= 0 && from < len(c.addrs) && from != id {
-				reg = &inboundConn{conn: conn}
-				regKey = connKey{from: from, to: id}
-				c.mu.Lock()
-				c.inbound[regKey] = reg // latest socket for the link wins
-				c.mu.Unlock()
-			}
-			if rb != nil {
-				// One reference per envelope: the buffer recycles when the
-				// fabric has handled the last of them.
-				rb.Retain(len(batch))
-			}
+			register(batch[0].From)
 			for i := range batch {
-				if rb != nil {
-					batch[i].Buf = rb
-				}
 				c.fab.Inject(batch[i])
 			}
 			continue
@@ -483,23 +461,11 @@ func (c *Cluster) readLoop(id int, conn net.Conn) {
 
 		from, to, msg, err := wire.DecodeEnvelope(frame)
 		if err != nil || to != id {
-			if rb != nil {
-				rb.Recycle()
-			}
 			continue // malformed or misrouted frame: authenticated drop
 		}
-		if reg == nil && from >= 0 && from < len(c.addrs) && from != id {
-			reg = &inboundConn{conn: conn}
-			regKey = connKey{from: from, to: id}
-			c.mu.Lock()
-			c.inbound[regKey] = reg // latest socket for the link wins
-			c.mu.Unlock()
-		}
+		register(from)
 		switch m := msg.(type) {
 		case simnet.Ping:
-			if rb != nil {
-				rb.Recycle() // transport-internal: nothing aliases past here
-			}
 			pong, err = wire.AppendFrame(pong[:0], id, from, simnet.Pong{Nonce: m.Nonce})
 			if err != nil {
 				continue
@@ -512,27 +478,13 @@ func (c *Cluster) readLoop(id int, conn net.Conn) {
 			}
 			continue
 		case simnet.Pong:
-			if rb != nil {
-				rb.Recycle()
-			}
 			continue // not expected on an inbound socket; ignore
-		}
-		if copyMode {
-			// Owning decode: the reused frame buffer would otherwise be
-			// overwritten under the retained envelope.
-			if _, _, msg, err = wire.DecodeEnvelopeCopy(frame); err != nil {
-				continue
-			}
 		}
 		e := simnet.Envelope{From: from, To: to, Msg: msg}
 		// Instance-tagged frames surface as InstMsg; hoist the tag back
 		// into the envelope header so the Fabric dispatches DeliverTagged.
 		if im, ok := msg.(simnet.InstMsg); ok {
 			e.Msg, e.Inst, e.Tagged = im.Inner, im.Inst, true
-		}
-		if rb != nil {
-			rb.Retain(1)
-			e.Buf = rb
 		}
 		c.fab.Inject(e)
 	}

@@ -305,47 +305,12 @@ func (m *MuxNode) route(ctx simnet.Context, from int, inner simnet.Message, inst
 	}
 	if !ok || attempt > child.attempt {
 		if q := m.pending[seq]; len(q) < maxPendingPerInstance {
-			// cloneMessage: the queued message outlives this delivery, and
-			// its strings may be zero-copy views of a transport buffer
-			// (DESIGN.md §10).
-			m.pending[seq] = append(q, pendingEnv{from: from, attempt: attempt, msg: cloneMessage(inner)})
+			m.pending[seq] = append(q, pendingEnv{from: from, attempt: attempt, msg: inner})
 		}
 		return
 	}
 	child.node.Deliver(m.tag(ctx, inst), from, inner)
 	m.checkDecided(child, seq)
-}
-
-// cloneMessage deep-copies the bit strings of a queued protocol message so
-// it owns its data past the delivery that carried it. The mux children are
-// core nodes, so only the core message set needs handling; unknown types
-// pass through (they carry no transport views the mux would retain).
-func cloneMessage(m simnet.Message) simnet.Message {
-	switch t := m.(type) {
-	case core.MsgPush:
-		t.S = t.S.Clone()
-		return t
-	case core.MsgPoll:
-		t.S = t.S.Clone()
-		return t
-	case core.MsgPull:
-		t.S = t.S.Clone()
-		return t
-	case *core.MsgFw1:
-		// W needs no copy: the decoder gives it owned memory, and an
-		// in-process sender never writes a list after sending it.
-		c := *t
-		c.S = t.S.Clone()
-		return &c
-	case core.MsgFw2:
-		t.S = t.S.Clone()
-		return t
-	case core.MsgAnswer:
-		t.S = t.S.Clone()
-		return t
-	default:
-		return m
-	}
 }
 
 // checkDecided publishes a child's decision exactly once, with the quorum

@@ -111,28 +111,9 @@ type Envelope struct {
 	// fallback for runners without tagged-send support).
 	Inst   uint32
 	Tagged bool
-	// Buf, when non-nil, is the pooled, refcounted transport buffer that the
-	// envelope's message payload aliases (zero-copy decode, internal/wire).
-	// The fabric releases it once the envelope has been handled; any state
-	// that retains payload data past that point must hold a clone, not the
-	// view (DESIGN.md §10).
-	Buf Releaser
 	// seq is the global send sequence number; schedulers use it for
 	// deterministic tie-breaking and the age bound.
 	seq uint64
-}
-
-// Releaser is the release hook of a pooled transport buffer (Envelope.Buf).
-// Implementations decrement a reference count and recycle the buffer when
-// it reaches zero.
-type Releaser interface{ Release() }
-
-// release returns the envelope's transport buffer, if any, to its pool.
-func (e *Envelope) release() {
-	if e.Buf != nil {
-		e.Buf.Release()
-		e.Buf = nil
-	}
 }
 
 // Context is handed to a node for every activation. It is only valid for

@@ -308,12 +308,6 @@ func (f *Fabric) SetFaults(plan FaultPlan) {
 // is needed. It must be called before Start.
 func (f *Fabric) Observe(o Observer) { f.observer = o }
 
-// Observing reports whether an observer is registered. Transports consult
-// it to pick a decode mode: observed runs retain delivered envelopes until
-// quiescence, so zero-copy payload views that expire at end-of-delivery are
-// not usable and the transport must decode owning copies instead.
-func (f *Fabric) Observing() bool { return f.observer != nil }
-
 // Inject feeds an inbound envelope (e.g. decoded from a network frame)
 // into the destination mailbox. The in-flight accounting for injected
 // envelopes is the sending fabricCtx's: transports hand envelopes back to
@@ -323,8 +317,7 @@ func (f *Fabric) Inject(e Envelope) {
 	if !f.box(e.To).Put(e) {
 		// The mailbox closed under the injector (teardown mid-run); the
 		// sender's count for this envelope must be returned or quiescence
-		// never comes, and its transport buffer must go back to the pool.
-		e.release()
+		// never comes.
 		if f.track {
 			f.inflight.Add(-1)
 		}
@@ -539,7 +532,6 @@ func (f *Fabric) deliverOne(e Envelope) {
 	// (it still decrements the in-flight counter with its batch, so
 	// quiescence accounting stays exact).
 	if f.faults != nil && f.faults.CrashedAt(id, now) {
-		e.release()
 		return
 	}
 	sh.delivered++
@@ -565,9 +557,6 @@ func (f *Fabric) deliverOne(e Envelope) {
 	if f.observer != nil {
 		sh.obs = append(sh.obs, obsEvent{seq: f.obsSeq.Add(1), env: e})
 	}
-	// The delivery is over: any zero-copy payload view expires here
-	// (retaining state must have cloned; DESIGN.md §10).
-	e.release()
 }
 
 // flushStage delivers everything the worker's nodes staged during the
@@ -583,9 +572,6 @@ func (f *Fabric) flushStage(st *sendStage) {
 			// at stage time or quiescence never comes.
 			if f.track {
 				f.inflight.Add(-int64(len(buf)))
-			}
-			for i := range buf {
-				buf[i].release()
 			}
 		}
 		st.byWorker[w] = buf[:0]

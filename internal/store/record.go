@@ -81,7 +81,7 @@ func DecodeRecord(buf []byte) (Record, error) {
 	if err != nil {
 		return r, fmt.Errorf("store: record value: %w", err)
 	}
-	r.Value = s.Clone() // DecodeBitString returns a view aliasing buf
+	r.Value = s
 	buf = buf[n:]
 	if len(buf) < 4*4+1+8+8+4 {
 		return r, fmt.Errorf("store: record truncated at counters")

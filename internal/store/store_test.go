@@ -394,7 +394,8 @@ func TestAppendSeqGate(t *testing.T) {
 }
 
 // TestRecordRoundTripQuick: property-based encode/decode round-trip over
-// randomized records.
+// randomized records. The encoded buffer is overwritten before comparing:
+// a decoded record owns its memory.
 func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(seq uint64, value []byte, nbits uint8, payloads [][]byte, deciders, correct uint16, distinct, certdef uint8, matches bool, opened, committed int64) bool {
 		bits := int(nbits)
@@ -411,9 +412,13 @@ func TestRecordRoundTripQuick(t *testing.T) {
 			DistinctValues: int(distinct), CertDeficits: int(certdef),
 			MatchesProposal: matches, OpenedNs: opened, CommittedNs: committed,
 		}
-		got, err := DecodeRecord(AppendRecord(nil, r))
+		buf := AppendRecord(nil, r)
+		got, err := DecodeRecord(buf)
 		if err != nil {
 			return false
+		}
+		for i := range buf {
+			buf[i] = 0xDB
 		}
 		// recordsEqual compares payloads by bytes.Equal, so the codec's
 		// nil-versus-empty slice collapse is tolerated.

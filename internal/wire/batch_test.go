@@ -57,22 +57,20 @@ func TestBatchRoundTrip(t *testing.T) {
 	if !IsBatchFrame(body) {
 		t.Fatal("batch frame not recognized")
 	}
-	for _, view := range []bool{false, true} {
-		got, err := DecodeBatchAppend(nil, body, view)
-		if err != nil {
-			t.Fatalf("view=%v: %v", view, err)
+	got, err := DecodeBatchAppend(nil, body, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d envelopes, want %d", len(got), len(want))
+	}
+	for i := range got {
+		w, g := want[i], got[i]
+		if g.From != w.From || g.To != w.To || g.Inst != w.Inst || g.Tagged != w.Tagged {
+			t.Fatalf("record %d: header mismatch %+v != %+v", i, g, w)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("view=%v: %d envelopes, want %d", view, len(got), len(want))
-		}
-		for i := range got {
-			w, g := want[i], got[i]
-			if g.From != w.From || g.To != w.To || g.Inst != w.Inst || g.Tagged != w.Tagged {
-				t.Fatalf("view=%v record %d: header mismatch %+v != %+v", view, i, g, w)
-			}
-			if !messagesEqual(w.Msg, g.Msg) {
-				t.Fatalf("view=%v record %d: message mismatch", view, i)
-			}
+		if !messagesEqual(w.Msg, g.Msg) {
+			t.Fatalf("record %d: message mismatch", i)
 		}
 	}
 }
@@ -90,7 +88,7 @@ func TestQuickBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeBatchAppend(nil, batch[4:], true)
+		got, err := DecodeBatchAppend(nil, batch[4:], false)
 		if err != nil || len(got) != len(want) {
 			return false
 		}
@@ -172,87 +170,38 @@ func TestBatchDecodeAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestViewDecodeAliasesBuffer locks the ownership rule of DESIGN.md §10:
-// view-mode decode aliases the read buffer (mutating the buffer mutates
-// the decoded string), copy-mode decode owns its data, and Clone detaches
-// a view.
-func TestViewDecodeAliasesBuffer(t *testing.T) {
-	// 40 bits = 5 whole bytes: no partial tail, so the view fast path
-	// engages (a non-canonical tail falls back to copying).
-	s := bitstring.Random(prng.New(25), 40)
-	frame, err := EncodeEnvelope(1, 2, core.MsgPush{S: s})
+// TestDecodeAllocs pins what owning decode costs: one allocation for each
+// bit string, one for each boxed message, and one for an Fw1's id list.
+func TestDecodeAllocs(t *testing.T) {
+	s := bitstring.Random(prng.New(27), core.DefaultParams(24).StringBits)
+	push, err := AppendFrame(nil, 3, 7, core.MsgPush{S: s})
 	if err != nil {
 		t.Fatal(err)
+	}
+	frames := make([][]byte, 12)
+	for i := range frames {
+		frames[i] = push
+	}
+	batch, err := AppendBatchFrame(nil, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := make([]simnet.Envelope, 0, len(frames))
+	allocs := testing.AllocsPerRun(100, func() {
+		envs, err = DecodeBatchAppend(envs[:0], batch[4:], false)
+	})
+	if err != nil || len(envs) != len(frames) {
+		t.Fatalf("batch decode: %d envelopes, %v", len(envs), err)
+	}
+	if perMsg := allocs / float64(len(frames)); perMsg != 2 {
+		t.Errorf("batch decode: %.2f allocations per Push, want 2", perMsg)
 	}
 
-	buf := append([]byte(nil), frame...)
-	_, _, m, err := DecodeEnvelope(buf) // view mode
+	fw1, err := EncodeEnvelope(3, 7, &core.MsgFw1{X: 1, S: s, R: 9, W: []int32{4, 5, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := m.(core.MsgPush).S
-	detached := view.Clone()
-	if !view.Equal(s) || !detached.Equal(s) {
-		t.Fatal("decode mismatch before mutation")
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _, err = DecodeEnvelope(fw1) }); err != nil || allocs != 3 {
+		t.Errorf("Fw1 decode: %.1f allocations (err %v), want 3", allocs, err)
 	}
-	buf[len(buf)-1] ^= 0xFF // mutate the payload under the view
-	if view.Equal(s) {
-		t.Fatal("view did not alias the buffer: mutation invisible")
-	}
-	if !detached.Equal(s) {
-		t.Fatal("Clone still aliases the buffer")
-	}
-
-	buf = append(buf[:0], frame...)
-	_, _, m, err = DecodeEnvelopeCopy(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owned := m.(core.MsgPush).S
-	buf[len(buf)-1] ^= 0xFF
-	if !owned.Equal(s) {
-		t.Fatal("copy-mode decode aliased the buffer")
-	}
-}
-
-// TestRefBufPoisonCatchesRetainedView: holding a view past the buffer's
-// last Release is the canonical misuse; under the race detector the
-// recycled buffer is poisoned so the stale view reads garbage loudly.
-func TestRefBufPoisonCatchesRetainedView(t *testing.T) {
-	s := bitstring.Random(prng.New(26), 64)
-	frame, err := EncodeEnvelope(1, 2, core.MsgPush{S: s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := NewRefBuf(len(frame))
-	copy(rb.Bytes(), frame)
-	_, _, m, err := DecodeEnvelope(rb.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := m.(core.MsgPush).S
-	rb.Retain(1)
-	rb.Release() // last reference: recycle (and, under race, poison)
-	if raceEnabled && view.Equal(s) {
-		t.Fatal("retained view survived recycle unpoisoned")
-	}
-	if !raceEnabled && !view.Equal(s) {
-		t.Fatal("non-race recycle mutated the buffer")
-	}
-}
-
-func TestRefBufReuse(t *testing.T) {
-	rb := NewRefBuf(128)
-	if len(rb.Bytes()) != 128 {
-		t.Fatalf("got %d bytes, want 128", len(rb.Bytes()))
-	}
-	rb.Retain(3)
-	rb.Release()
-	rb.Release()
-	rb.Release() // last: back to the pool
-	again := NewRefBuf(64)
-	if len(again.Bytes()) != 64 {
-		t.Fatalf("got %d bytes, want 64", len(again.Bytes()))
-	}
-	again.Recycle()
 }

@@ -72,7 +72,8 @@ func (discard) Send(int, simnet.Message) {}
 
 // FuzzDecodeBatch ensures batch-frame decoding never panics on junk, and
 // that whatever decodes re-encodes canonically: rebuilding the batch from
-// the decoded envelopes reproduces the input bytes exactly.
+// the decoded envelopes reproduces the input bytes exactly, even after the
+// decoded frame has been overwritten (decoded messages own their data).
 func FuzzDecodeBatch(f *testing.F) {
 	src := prng.New(3)
 	s := bitstring.Random(src, 40)
@@ -96,10 +97,12 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 0x60, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		envs, err := DecodeBatchAppend(nil, data, false)
+		buf := append([]byte(nil), data...)
+		envs, err := DecodeBatchAppend(nil, buf, false)
 		if err != nil {
 			return // malformed input correctly rejected
 		}
+		clobber(buf)
 		frames := make([][]byte, 0, len(envs))
 		for _, e := range envs {
 			m := e.Msg
@@ -125,22 +128,43 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// FuzzDecodeEnvelope ensures frame decoding never panics on junk.
+// FuzzDecodeEnvelope ensures frame decoding never panics on junk, and
+// that a decoded envelope owns its data: after the frame it came from has
+// been overwritten, it still re-encodes to the original bytes.
 func FuzzDecodeEnvelope(f *testing.F) {
 	frame, err := EncodeEnvelope(1, 2, core.MsgPush{S: bitstring.Random(prng.New(2), 24)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fw1, err := EncodeEnvelope(1, 2, &core.MsgFw1{X: 3, S: bitstring.Random(prng.New(2), 21), R: 7, W: []int32{9, 4}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(frame)
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(fw1)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, to, m, err := DecodeEnvelope(data)
+		buf := append([]byte(nil), data...)
+		from, to, m, err := DecodeEnvelope(buf)
 		if err != nil {
 			return
 		}
-		if _, err := EncodeEnvelope(from, to, m); err != nil {
+		clobber(buf)
+		again, err := EncodeEnvelope(from, to, m)
+		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v", err)
 		}
+		if string(again) != string(data) {
+			t.Fatalf("decoded envelope does not own its data or is non-canonical: %x -> %x", data, again)
+		}
 	})
+}
+
+// clobber overwrites a decoded frame with 0xDB, so a decoded value that
+// still aliases it re-encodes to the fill pattern instead of the input.
+func clobber(frame []byte) {
+	for i := range frame {
+		frame[i] = 0xDB
+	}
 }

@@ -236,11 +236,7 @@ func appendMessage(buf []byte, m simnet.Message) ([]byte, error) {
 // Unmarshal decodes a payload given its kind byte. Decoded messages own
 // their data (bit strings are copied out of payload).
 func Unmarshal(kind byte, payload []byte) (simnet.Message, error) {
-	return unmarshal(kind, payload, false)
-}
-
-func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
-	d := decoder{Cursor: NewCursor(payload), view: view}
+	d := NewCursor(payload)
 	var m simnet.Message
 	switch kind {
 	case kindPush:
@@ -326,7 +322,7 @@ func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
 		if innerKind == kindInst {
 			return nil, fmt.Errorf("wire: nested InstMsg")
 		}
-		inner, err := unmarshal(innerKind, payload[d.pos:], view)
+		inner, err := Unmarshal(innerKind, payload[d.pos:])
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +339,7 @@ func unmarshal(kind byte, payload []byte, view bool) (simnet.Message, error) {
 		if innerKind == kindRelay || innerKind == kindInst {
 			return nil, fmt.Errorf("wire: RelayMsg must not nest envelopes")
 		}
-		inner, err := unmarshal(innerKind, payload[d.pos:], view)
+		inner, err := Unmarshal(innerKind, payload[d.pos:])
 		if err != nil {
 			return nil, err
 		}
@@ -419,28 +415,15 @@ func AppendFrame(buf []byte, from, to int, m simnet.Message) ([]byte, error) {
 	return appendMessage(buf, m)
 }
 
-// DecodeEnvelope reverses EncodeEnvelope, zero-copy: decoded bit strings
-// are views aliasing frame. The result is only valid while frame's backing
-// buffer is stable; callers that recycle the buffer must follow the RefBuf
-// ownership protocol (DESIGN.md §10). Use DecodeEnvelopeCopy when the
-// decoded message must own its data.
+// DecodeEnvelope reverses EncodeEnvelope. The decoded message owns its
+// data, so frame may be reused as soon as it returns.
 func DecodeEnvelope(frame []byte) (from, to int, m simnet.Message, err error) {
-	return decodeEnvelope(frame, true)
-}
-
-// DecodeEnvelopeCopy reverses EncodeEnvelope with owning semantics: the
-// decoded message copies everything it keeps out of frame.
-func DecodeEnvelopeCopy(frame []byte) (from, to int, m simnet.Message, err error) {
-	return decodeEnvelope(frame, false)
-}
-
-func decodeEnvelope(frame []byte, view bool) (from, to int, m simnet.Message, err error) {
 	if len(frame) < EnvelopeOverhead {
 		return 0, 0, nil, fmt.Errorf("wire: envelope too short: %d bytes", len(frame))
 	}
 	from = int(binary.LittleEndian.Uint32(frame[0:4]))
 	to = int(binary.LittleEndian.Uint32(frame[4:8]))
-	m, err = unmarshal(frame[8], frame[9:], view)
+	m, err = Unmarshal(frame[8], frame[9:])
 	return from, to, m, err
 }
 
@@ -491,18 +474,18 @@ func AppendBatchFrame(buf []byte, frames [][]byte) ([]byte, error) {
 }
 
 // DecodeBatchAppend decodes a batch frame (without its length prefix) into
-// envelopes appended to dst. In view mode the decoded payloads alias
-// frame (see DecodeEnvelope); otherwise they own their data. Instance-
+// envelopes appended to dst. The decoded payloads own their data. Instance-
 // tagged records surface with the tag hoisted into Envelope.Inst/Tagged,
 // ready for fabric injection. On error dst is returned unchanged: a batch
-// decodes entirely or not at all.
-func DecodeBatchAppend(dst []simnet.Envelope, frame []byte, view bool) ([]simnet.Envelope, error) {
+// decodes entirely or not at all. The bool parameter is ignored; it is
+// kept only until the benchmark's probe stops passing it.
+func DecodeBatchAppend(dst []simnet.Envelope, frame []byte, _ bool) ([]simnet.Envelope, error) {
 	if !IsBatchFrame(frame) {
 		return dst, fmt.Errorf("wire: not a batch frame")
 	}
 	from := int(binary.LittleEndian.Uint32(frame[0:4]))
 	to := int(binary.LittleEndian.Uint32(frame[4:8]))
-	d := decoder{Cursor: Cursor{buf: frame, pos: EnvelopeOverhead}}
+	d := Cursor{buf: frame, pos: EnvelopeOverhead}
 	count := int(d.U32())
 	if d.err != nil {
 		return dst, fmt.Errorf("wire: batch count: %w", d.err)
@@ -522,7 +505,7 @@ func DecodeBatchAppend(dst []simnet.Envelope, frame []byte, view bool) ([]simnet
 		if rec[0] == kindBatch {
 			return dst[:mark], fmt.Errorf("wire: nested batch frame")
 		}
-		m, err := unmarshal(rec[0], rec[1:], view)
+		m, err := Unmarshal(rec[0], rec[1:])
 		if err != nil {
 			return dst[:mark], fmt.Errorf("wire: batch record %d: %w", i, err)
 		}
@@ -553,11 +536,10 @@ func AppendBitString(buf []byte, s bitstring.String) []byte {
 }
 
 // DecodeBitString decodes a wire-encoded bit string from the front of
-// buf, returning the string and the number of bytes consumed. The result
-// is a zero-copy view aliasing buf: callers that retain it past the
-// buffer's stable window must Clone it (DESIGN.md §10).
+// buf, returning the string and the number of bytes consumed. The string
+// owns its data.
 func DecodeBitString(buf []byte) (bitstring.String, int, error) {
-	d := decoder{Cursor: NewCursor(buf), view: true}
+	d := NewCursor(buf)
 	s := d.str()
 	if d.err != nil {
 		return bitstring.String{}, 0, d.err
@@ -632,16 +614,8 @@ func (d *Cursor) Bytes() []byte {
 	return append([]byte(nil), b...)
 }
 
-// decoder is a Cursor that also decodes bit strings. In view mode decoded
-// strings alias buf instead of copying.
-type decoder struct {
-	Cursor
-	view bool
-}
-
-// ids decodes the rest of the payload as a non-empty list of u32 node ids,
-// copied into owned memory in either mode.
-func (d *decoder) ids() []int32 {
+// ids decodes the rest of the payload as a non-empty list of u32 node ids.
+func (d *Cursor) ids() []int32 {
 	if d.err != nil {
 		return nil
 	}
@@ -656,7 +630,9 @@ func (d *decoder) ids() []int32 {
 	return ids
 }
 
-func (d *decoder) str() bitstring.String {
+// str decodes a bit string (u16 bit length + packed bytes), copying it out
+// of the frame.
+func (d *Cursor) str() bitstring.String {
 	header := d.Take(2)
 	if d.err != nil {
 		return bitstring.String{}
@@ -674,13 +650,7 @@ func (d *decoder) str() bitstring.String {
 		d.err = fmt.Errorf("wire: non-canonical bit string tail")
 		return bitstring.String{}
 	}
-	var s bitstring.String
-	var err error
-	if d.view {
-		s, err = bitstring.View(packed, nbits)
-	} else {
-		s, err = bitstring.FromBytes(packed, nbits)
-	}
+	s, err := bitstring.FromBytes(packed, nbits)
 	if err != nil {
 		d.err = err
 	}
