@@ -12,7 +12,7 @@ import (
 // handler exactly as it stood before the table, with one map per key — vouch
 // sets per (x, s, r, w), forward-once flags per (x, s, w) — strings keyed by
 // value instead of by interned id, and membership asked of the shared
-// samplers directly instead of the node's memo.
+// samplers directly instead of the node's rows.
 type fw1Maps struct {
 	id      int
 	p       Params

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/fastba/fastba/internal/bitstring"
+	"github.com/fastba/fastba/internal/intern"
 	"github.com/fastba/fastba/internal/prng"
 	"github.com/fastba/fastba/internal/simnet"
 )
@@ -67,13 +69,46 @@ func (d directSamplers) quorumSize(tag string, s bitstring.String, x int) int {
 	return len(seen)
 }
 
+// quorumOrder returns the distinct members of Quorum_tag(s, x) in sampling
+// order.
+func (d directSamplers) quorumOrder(tag string, s bitstring.String, x int) []int32 {
+	var order []int32
+	for j := 0; j < d.p.QuorumSize; j++ {
+		order = appendDistinct(order, d.quorumPerm(tag, s, j).Apply(x))
+	}
+	return order
+}
+
+// pollOrder returns J(x, r) in sampling order.
+func (d directSamplers) pollOrder(x int, r uint64) []int32 {
+	perm := d.pollPerm(x, r)
+	var order []int32
+	for i := 0; i < d.p.PollSize; i++ {
+		order = appendDistinct(order, perm.Apply(i))
+	}
+	return order
+}
+
+func (d directSamplers) pollPerm(x int, r uint64) *prng.Perm {
+	seed := prng.DeriveKey(d.p.SamplerSeed, "sampler/J", 0)
+	return prng.NewPerm(d.p.N, prng.Hash3(seed, uint64(x), r%d.p.Labels))
+}
+
+func appendDistinct(order []int32, y int) []int32 {
+	for _, seen := range order {
+		if int(seen) == y {
+			return order
+		}
+	}
+	return append(order, int32(y))
+}
+
 // inPoll reports w ∈ J(x, r).
 func (d directSamplers) inPoll(x int, r uint64, w int) bool {
 	if !d.inRange(x, w) {
 		return false
 	}
-	seed := prng.DeriveKey(d.p.SamplerSeed, "sampler/J", 0)
-	perm := prng.NewPerm(d.p.N, prng.Hash3(seed, uint64(x), r%d.p.Labels))
+	perm := d.pollPerm(x, r)
 	for i := 0; i < d.p.PollSize; i++ {
 		if perm.Apply(i) == w {
 			return true
@@ -84,12 +119,14 @@ func (d directSamplers) inPoll(x int, r uint64, w int) bool {
 
 // checkMemoAgainstDirect interprets ops as a sequence of sampler questions —
 // five bytes each: what is asked, about which string, x, y and the label —
-// puts every one to a node's memo and to direct evaluation, and requires the
-// same answer and the same distinct quorum size. Strings, ids and labels come
-// from small pools so that rows are asked again (memo hits), asked about
-// another string or label (re-derivation in place) and asked with ids outside
-// [0, n); some strings are interned by the node and some are not (the scratch
-// path), and a Reset in mid-sequence checks that nothing stale survives it.
+// puts every one to a node's rows and to direct evaluation, and requires the
+// same answer, the same distinct quorum size and, for the shared H and J
+// rows, the same members in the same sampling order. Strings, ids and labels
+// come from small pools so that rows are asked again (hits), asked about
+// another string or label (another row, or another J slot tag) and asked
+// with ids outside [0, n); some strings are interned by the node and some
+// are not (the scratch path), and a Reset in mid-sequence checks that
+// nothing stale survives it.
 func checkMemoAgainstDirect(t *testing.T, ops []byte) {
 	t.Helper()
 	const n, me = 40, 7
@@ -140,10 +177,20 @@ func checkMemoAgainstDirect(t *testing.T, ops []byte) {
 				if got, want := row.Count(), direct.quorumSize("H", s, x); got != want {
 					t.Fatalf("%s: memo |H(s, x)| = %d, direct %d", what, got, want)
 				}
+				if sid != intern.None {
+					if got, want := node.pullRow(sid, s, x).Order, direct.quorumOrder("H", s, x); !slices.Equal(got, want) {
+						t.Fatalf("%s: shared row H(s, x) in order %v, direct evaluation %v", what, got, want)
+					}
+				}
 			}
 		case 3: // y ∈ J(x, r)
 			if got, want := node.pollList(x, r).Get(y), direct.inPoll(x, r, y); got != want {
 				t.Fatalf("%s: memo says y ∈ J(x, r) is %v, direct evaluation %v", what, got, want)
+			}
+			if direct.inRange(x) {
+				if got, want := smp.J.Row(x, r).Order, direct.pollOrder(x, r); !slices.Equal(got, want) {
+					t.Fatalf("%s: shared row J(x, r) in order %v, direct evaluation %v", what, got, want)
+				}
 			}
 		case 4: // the node comes to hold state for s
 			node.strs.ID(s)
@@ -174,8 +221,9 @@ func FuzzMemoMatchesDirectEvaluation(f *testing.F) {
 	f.Fuzz(checkMemoAgainstDirect)
 }
 
-// memoRows returns how many derived rows the node's memo holds.
-func memoRows(n *Node) int {
+// nodeRows returns how many sampler rows the node itself holds: its
+// per-string rows, and the shared row table it keeps a pointer to.
+func nodeRows(n *Node) int {
 	rows := 0
 	for i := range n.states {
 		if n.states[i].pushQuorum.Count() > 0 {
@@ -185,14 +233,8 @@ func memoRows(n *Node) int {
 			rows++
 		}
 	}
-	for i := range n.memo.requesters {
-		rq := &n.memo.requesters[i]
-		if rq.pullQuorum.Count() > 0 {
-			rows++
-		}
-		if rq.pollList.Count() > 0 {
-			rows++
-		}
+	if n.memo.pull != nil {
+		rows++
 	}
 	return rows
 }
@@ -208,14 +250,17 @@ func TestResetLeavesNoMemoEntry(t *testing.T) {
 	}
 	n.proxied(n.sthisID, s)
 	n.pushQuorum(n.strs.ID(other), other)
-	if rows := memoRows(n); rows < 2*p.N+2 {
-		t.Fatalf("memo holds %d rows before Reset, want at least %d", rows, 2*p.N+2)
+	if rows := nodeRows(n); rows != 3 {
+		t.Fatalf("node holds %d rows before Reset, want 3: I(other, this), the inverse row of s and the H table of s", rows)
+	}
+	if rows := smp.H.PublishedRows(); rows != p.N {
+		t.Fatalf("the H table of s holds %d rows, want all %d", rows, p.N)
 	}
 	n.Reset(other, smp, prng.New(1))
-	if rows := memoRows(n); rows != 0 {
-		t.Fatalf("memo holds %d rows after Reset", rows)
+	if rows := nodeRows(n); rows != 0 {
+		t.Fatalf("node holds %d rows after Reset", rows)
 	}
-	// other is now interned under the id s had; a stale row would answer for s.
+	// other is now interned under the id s had; a stale table would answer for s.
 	direct := directSamplers{p}
 	for y := 0; y < p.N; y++ {
 		if got, want := n.pullQuorum(n.sthisID, other, 9).Get(y), direct.inQuorum("H", other, 9, y); got != want {
@@ -224,13 +269,15 @@ func TestResetLeavesNoMemoEntry(t *testing.T) {
 	}
 }
 
-// TestMemoDerivesRowsLazily: construction samples nothing, and one question
-// derives one row — never a table a junk string could make a node build.
+// TestMemoDerivesRowsLazily: construction samples nothing, a junk flood
+// publishes no row and interns nothing, and one question derives one row —
+// never a table a junk string could make the samplers fill.
 func TestMemoDerivesRowsLazily(t *testing.T) {
 	p, smp, s := testSetup(t, 64)
 	n := newTestNode(5, s, p, smp)
-	if rows := memoRows(n); rows != 0 || n.memo.requesters != nil {
-		t.Fatalf("a new node holds %d memo rows", rows)
+	published := func() int { return smp.H.PublishedRows() + smp.J.PublishedRows() }
+	if rows := nodeRows(n); rows != 0 || published() != 0 {
+		t.Fatalf("a new node holds %d rows, and the samplers publish %d", rows, published())
 	}
 	for i := 0; i < 100; i++ {
 		junk := bitstring.Random(prng.New(uint64(77+i)), p.StringBits)
@@ -241,12 +288,34 @@ func TestMemoDerivesRowsLazily(t *testing.T) {
 		n.Deliver(&fakeCtx{}, outsider, MsgPush{S: junk})
 		n.Deliver(&fakeCtx{}, outsider, MsgPull{S: junk, R: uint64(i)})
 	}
-	if n.strs.Len() != 1 || memoRows(n) != 0 {
-		t.Fatalf("junk strings from outside their quorums left %d interned strings and %d memo rows", n.strs.Len(), memoRows(n))
+	if n.strs.Len() != 1 || nodeRows(n) != 0 || published() != 0 {
+		t.Fatalf("junk strings from outside their quorums left %d interned strings, %d node rows and %d published rows",
+			n.strs.Len(), nodeRows(n), published())
 	}
 	n.pullQuorum(n.sthisID, s, 11)
-	if rows := memoRows(n); rows != 1 {
-		t.Fatalf("one question derived %d rows", rows)
+	n.pullQuorum(n.sthisID, s, 11)
+	if rows := smp.H.PublishedRows(); rows != 1 {
+		t.Fatalf("one question, asked twice, published %d H rows", rows)
+	}
+	n.pollList(11, 3)
+	n.pollList(11, 3)
+	if rows := smp.J.PublishedRows(); rows != 1 {
+		t.Fatalf("one question, asked twice, published %d J rows", rows)
+	}
+}
+
+// TestNodeKeepsRowTableAcrossCacheChurn: the sampler's string cache is
+// shared and bounded, so other strings evict s from it; the node still holds
+// the row table of its belief and answers from the rows it already has.
+func TestNodeKeepsRowTableAcrossCacheChurn(t *testing.T) {
+	p, smp, s := testSetup(t, 64)
+	n := newTestNode(5, s, p, smp)
+	row := n.pullRow(n.sthisID, s, 11)
+	for i := 0; i < 1000; i++ {
+		smp.H.Rows(bitstring.Random(prng.New(uint64(500+i)), p.StringBits)).Row(11)
+	}
+	if again := n.pullRow(n.sthisID, s, 11); again != row {
+		t.Fatal("cache churn cost the node its row of H(s, 11)")
 	}
 }
 

@@ -28,9 +28,10 @@ import (
 // delivery hot path free of per-message key formatting and map-of-map churn
 // (DESIGN.md §4).
 //
-// Every "is y ∈ I(s, x) / H(s, x) / J(x, r)?" a handler asks is answered by
-// the node's sampler memo (memo.go), never by walking the shared samplers'
-// permutations per delivery.
+// Every "is y ∈ I(s, x) / H(s, x) / J(x, r)?" a handler asks is answered
+// from a derived row (memo.go) — the node's own for I(s, this) and the
+// inverse of H, the shared samplers' for H(s, x) and J(x, r) — never by
+// walking the samplers' permutations per delivery.
 type Node struct {
 	id     int
 	params Params
@@ -84,14 +85,9 @@ type Node struct {
 	// decision when Params.DeferredRelay is enabled.
 	relayDeferred []deferredPull
 
-	// memo holds the sampler rows this instance has derived (memo.go).
+	// memo is the node's access to the sampler rows (memo.go).
 	memo samplerMemo
 
-	// scratchJ is the reused poll-list buffer of the fan-out paths
-	// (startPull, forwardPull): J(x, r) is sampled into node-owned scratch
-	// instead of a fresh slice per fan-out. The node is single-threaded and
-	// sends only enqueue, so the buffer cannot be observed mid-iteration.
-	scratchJ []int
 	// fanCount (indexed by node id, all zero between fan-outs) and fanOrder
 	// are forwardPull's scratch: the w's each z is owed, and the z's in
 	// first-seen order.
@@ -110,9 +106,9 @@ type Node struct {
 type strState struct {
 	// Push state (§3.1.1): the quorum members that pushed this string.
 	pushRecv bitstring.Set
-	// Memoised sampler rows of this string (memo.go; an empty row is one not
-	// derived yet): the Push Quorum I(s, this), and the requesters this node
-	// proxies for, {x : this ∈ H(s, x)}.
+	// The node's own sampler rows of this string (memo.go; an empty row is
+	// one not derived yet): the Push Quorum I(s, this), and the requesters
+	// this node proxies for, {x : this ∈ H(s, x)}.
 	pushQuorum bitstring.Bitset
 	proxied    bitstring.Bitset
 	// Algorithm 1 state: the label r_{x,s} of the poll this node issued for
@@ -227,7 +223,7 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 		st.answers.Reset()
 	}
 	n.candidates.Reset()
-	n.memo.reset()
+	n.memo.pull = nil
 
 	// Live vouch sets return to the free list before their keys clear, so a
 	// recycled node starts the next instance with its set capacity intact.
@@ -434,12 +430,11 @@ func (n *Node) startPull(ctx simnet.Context, sid intern.ID, s bitstring.String) 
 	st.label = r
 	n.stats.PullsStarted++
 	var poll simnet.Message = MsgPoll{S: s, R: r}
-	n.scratchJ = n.smp.J.ListAppend(n.scratchJ[:0], n.id, r)
-	for _, w := range n.scratchJ {
-		ctx.Send(w, poll)
+	for _, w := range n.smp.J.Row(n.id, r).Order {
+		ctx.Send(int(w), poll)
 	}
 	var pull simnet.Message = MsgPull{S: s, R: r}
-	for _, y := range n.pullMembers(sid, s, n.id) {
+	for _, y := range n.pullRow(sid, s, n.id).Order {
 		ctx.Send(int(y), pull)
 	}
 }
@@ -474,7 +469,7 @@ func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring
 		return
 	}
 	n.pullForwarded[k] = true
-	n.scratchJ = n.smp.J.ListAppend(n.scratchJ[:0], x, r)
+	list := n.smp.J.Row(x, r).Order
 	if n.fanCount == nil {
 		n.fanCount = make([]int32, n.params.N)
 	}
@@ -482,8 +477,8 @@ func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring
 	// order.
 	order := n.fanOrder[:0]
 	tuples := 0
-	for _, w := range n.scratchJ {
-		zs := n.pullMembers(sid, s, w)
+	for _, w := range list {
+		zs := n.pullRow(sid, s, int(w)).Order
 		for _, z := range zs {
 			if n.fanCount[z] == 0 {
 				order = append(order, z)
@@ -506,9 +501,9 @@ func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring
 	}
 	// Second pass: fill the windows in J(x, r) order. Only then send: a
 	// concurrent runtime may deliver a message as soon as it is sent.
-	for _, w := range n.scratchJ {
-		for _, z := range n.pullMembers(sid, s, w) {
-			arena[n.fanCount[z]] = int32(w)
+	for _, w := range list {
+		for _, z := range n.pullRow(sid, s, int(w)).Order {
+			arena[n.fanCount[z]] = w
 			n.fanCount[z]++
 		}
 	}

@@ -109,8 +109,8 @@ func (p Params) Validate() error {
 // I defines Push Quorums, H defines Pull Quorums and J generates Poll
 // Lists. All nodes (and the adversary) hold the same instance.
 type Samplers struct {
-	I sampler.Quorum
-	H sampler.Quorum
+	I *sampler.PermQuorum
+	H *sampler.PermQuorum
 	J *sampler.Poll
 }
 

@@ -244,7 +244,7 @@ func New(cfg Config) (*Engine, error) {
 		failCh:  make(chan struct{}),
 		open:    make(map[uint64]*instance),
 	}
-	smp := core.NewSamplers(cfg.Params)
+	smp := NewAttemptSamplers(cfg.Params)
 	for id := range e.nodes {
 		if hosted != nil && !hosted[id] {
 			e.nodes[id] = remoteNode{}
@@ -442,12 +442,13 @@ func (e *Engine) Append(ctx context.Context, payloads [][]byte) (uint64, error) 
 // Open is the follower entry point: it takes an open that another engine
 // sequenced and shipped through its Broadcast. The instance registers
 // without a Depth token and the hosted nodes start from the derived
-// initial beliefs. An already committed sequence and a duplicate or stale
-// attempt are dropped; a higher attempt re-opens the hosted nodes, so the
+// initial beliefs. An already committed sequence, a duplicate or stale
+// attempt and one past MaxAttempt, which no instance tag can carry, are
+// dropped; a higher attempt re-opens the hosted nodes, so the
 // undecided ones re-run the instance under fresh labels.
 func (e *Engine) Open(seq uint64, attempt uint32, payloads [][]byte) {
 	e.mu.Lock()
-	if e.failed != nil || e.closed || seq < e.commitSeq || seq > MaxSeq {
+	if e.failed != nil || e.closed || seq < e.commitSeq || seq > MaxSeq || attempt > MaxAttempt {
 		e.mu.Unlock()
 		return
 	}

@@ -26,6 +26,8 @@
 package pipeline
 
 import (
+	"sync/atomic"
+
 	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/core"
 	"github.com/fastba/fastba/internal/prng"
@@ -119,16 +121,13 @@ type MuxNode struct {
 	id         int
 	corrupt    bool
 	params     core.Params
-	smp        *core.Samplers
+	smp        *AttemptSamplers
 	seed       uint64
 	onDecision DecisionFunc
 
 	children map[uint64]*muxChild
 	pool     []*core.Node
 	pending  map[uint64][]pendingEnv
-	// resmp caches attempt-salted samplers (see samplersFor); attempt 0
-	// always uses the shared base samplers.
-	resmp map[uint32]*core.Samplers
 	// retired is the retirement watermark: instances below it are closed
 	// and their traffic is dropped. Closes arrive in commit order, so a
 	// single watermark suffices.
@@ -147,8 +146,9 @@ type muxChild struct {
 
 // NewMuxNode builds the multiplexer for node id. Corrupt nodes are
 // fail-silent for the whole log (the log's Byzantine model; richer
-// per-instance adversaries stay with the one-shot runners).
-func NewMuxNode(id int, corrupt bool, params core.Params, smp *core.Samplers, seed uint64, onDecision DecisionFunc) *MuxNode {
+// per-instance adversaries stay with the one-shot runners). smp is the
+// samplers table every node of the engine shares.
+func NewMuxNode(id int, corrupt bool, params core.Params, smp *AttemptSamplers, seed uint64, onDecision DecisionFunc) *MuxNode {
 	return &MuxNode{
 		id:         id,
 		corrupt:    corrupt,
@@ -209,7 +209,6 @@ func (m *MuxNode) open(ctx simnet.Context, t MsgOpen) {
 		m.pool = append(m.pool, prev.node)
 	}
 	key := prng.Hash2(t.Seq, uint64(m.id))
-	smp := m.smp
 	if t.Attempt > 0 {
 		// Attempt 0 keeps the original derivation so single-process engine
 		// runs replay byte-identically; retries draw a fresh label stream
@@ -221,8 +220,8 @@ func (m *MuxNode) open(ctx simnet.Context, t MsgOpen) {
 		// retries independent draws of the quorum geometry while the decided
 		// value — the safety anchor — stays the same.
 		key = prng.Hash3(t.Seq, uint64(m.id), uint64(t.Attempt))
-		smp = m.samplersFor(t.Attempt)
 	}
+	smp := m.smp.For(t.Attempt)
 	rng := prng.New(prng.DeriveKey(m.seed, "log/node", key))
 	var node *core.Node
 	if n := len(m.pool); n > 0 {
@@ -256,25 +255,39 @@ func (m *MuxNode) open(ctx simnet.Context, t MsgOpen) {
 	m.checkDecided(child, t.Seq)
 }
 
-// samplersFor returns (building and caching on first use) the samplers of
-// reopen attempt k: the base geometry with an attempt-salted sampler seed.
+// AttemptSamplers is the table of samplers one engine's MuxNodes share, one
+// entry per instance attempt. Attempt 0 uses the base geometry; reopen
+// attempt k uses the base geometry with an attempt-salted sampler seed.
 // Every daemon derives the same salt from shared inputs, so the cluster
-// agrees on each attempt's quorums. The cache is bounded by MaxAttempt and
+// agrees on each attempt's quorums. The table is bounded by MaxAttempt and
 // shared across instances — the salt is per attempt, not per (seq,
 // attempt), because distinct sequences already decouple through the string
-// hash inside the samplers.
-func (m *MuxNode) samplersFor(attempt uint32) *core.Samplers {
-	if s := m.resmp[attempt]; s != nil {
+// hash inside the samplers — and across the engine's nodes, so an attempt's
+// sampler rows are derived once for all of them. Entries are built on first
+// use and published lock-free: the nodes run on parallel fabric workers.
+type AttemptSamplers struct {
+	params  core.Params
+	attempt [MaxAttempt + 1]atomic.Pointer[core.Samplers]
+}
+
+// NewAttemptSamplers returns the table for the given base geometry.
+func NewAttemptSamplers(params core.Params) *AttemptSamplers {
+	a := &AttemptSamplers{params: params}
+	a.attempt[0].Store(core.NewSamplers(params))
+	return a
+}
+
+// For returns the samplers of the given attempt, building them on first
+// use. Racing callers get the same pointer.
+func (a *AttemptSamplers) For(attempt uint32) *core.Samplers {
+	slot := &a.attempt[attempt]
+	if s := slot.Load(); s != nil {
 		return s
 	}
-	if m.resmp == nil {
-		m.resmp = make(map[uint32]*core.Samplers)
-	}
-	p := m.params
+	p := a.params
 	p.SamplerSeed = prng.Hash2(p.SamplerSeed, uint64(attempt))
-	s := core.NewSamplers(p)
-	m.resmp[attempt] = s
-	return s
+	slot.CompareAndSwap(nil, core.NewSamplers(p))
+	return slot.Load()
 }
 
 // close retires instance seq: the child returns to the pool and the

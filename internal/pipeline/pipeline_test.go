@@ -3,10 +3,11 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
-	"github.com/fastba/fastba/internal/sampler"
+	"github.com/fastba/fastba/internal/core"
 	"github.com/fastba/fastba/internal/simnet"
 	"github.com/fastba/fastba/internal/store"
 )
@@ -152,8 +153,40 @@ func samplerFootprint(t *testing.T, instances int) int {
 		t.Fatal(err)
 	}
 	checkLog(t, entries, instances)
-	smp := e.nodes[0].(*MuxNode).smp
-	return smp.I.(*sampler.PermQuorum).CachedStrings() + smp.H.(*sampler.PermQuorum).CachedStrings()
+	smp := e.nodes[0].(*MuxNode).smp.For(0)
+	return smp.I.CachedStrings() + smp.H.CachedStrings()
+}
+
+// TestMuxNodesShareAttemptSamplers: the nodes of one engine share each
+// attempt's samplers, so the rows of a reopened attempt are derived once
+// for all of them, and nodes that use an attempt first at the same time
+// agree on one table.
+func TestMuxNodesShareAttemptSamplers(t *testing.T) {
+	e, err := New(Config{N: 8, Seed: 3, KnowFrac: 1, InstanceTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := e.nodes[2].(*MuxNode), e.nodes[5].(*MuxNode)
+	base := a.smp.For(0)
+	for k := uint32(0); k < 4; k++ {
+		var got [2]*core.Samplers
+		var wg sync.WaitGroup
+		for i, m := range []*MuxNode{a, b} {
+			i, m := i, m
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = m.smp.For(k)
+			}()
+		}
+		wg.Wait()
+		if got[0] == nil || got[0] != got[1] {
+			t.Fatalf("attempt %d: the two nodes got samplers %p and %p", k, got[0], got[1])
+		}
+		if (k == 0) != (got[0] == base) {
+			t.Fatalf("attempt %d: samplers %p, attempt 0's are %p", k, got[0], base)
+		}
+	}
 }
 
 // TestSamplerFootprintIndependentOfLogLength: every committed instance
@@ -341,10 +374,11 @@ func TestOpenDuplicateStaleAndClose(t *testing.T) {
 	if a, inst := attempt(0); a != 0 || inst != first {
 		t.Fatalf("duplicate open replaced the instance (attempt %d)", a)
 	}
-	e.Open(0, 2, payloads) // reopen
-	e.Open(0, 1, payloads) // stale
+	e.Open(0, 2, payloads)            // reopen
+	e.Open(0, 1, payloads)            // stale
+	e.Open(0, MaxAttempt+1, payloads) // no tag can carry it: dropped
 	if a, inst := attempt(0); a != 2 || inst != first {
-		t.Fatalf("after reopen 2 and stale 1 the instance is at attempt %d", a)
+		t.Fatalf("after reopen 2, stale 1 and attempt %d the instance is at attempt %d", MaxAttempt+1, a)
 	}
 	e.Open(5, 3, payloads) // first seen at a later attempt, ahead of the frontier
 	if a, _ := attempt(5); a != 3 {

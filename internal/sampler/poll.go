@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/fastba/fastba/internal/prng"
 )
@@ -25,6 +26,11 @@ type Poll struct {
 	n, d   int
 	labels uint64
 	seed   uint64
+
+	// rows is a direct-mapped table of published poll lists, indexed by a
+	// hash of (x, r mod |R|) and tagged with it (see Row). Its size is fixed
+	// at pollSlots(n).
+	rows []atomic.Pointer[pollRow]
 }
 
 // NewPoll returns a poll-list sampler over [0, n) with lists of size d and
@@ -34,7 +40,11 @@ func NewPoll(n, d int, labels uint64, seed uint64) *Poll {
 	if n <= 0 || d <= 0 || d > n || labels == 0 {
 		panic(fmt.Sprintf("sampler: invalid Poll geometry n=%d d=%d labels=%d", n, d, labels))
 	}
-	return &Poll{n: n, d: d, labels: labels, seed: prng.DeriveKey(seed, "sampler/J", 0)}
+	return &Poll{
+		n: n, d: d, labels: labels,
+		seed: prng.DeriveKey(seed, "sampler/J", 0),
+		rows: make([]atomic.Pointer[pollRow], pollSlots(n)),
+	}
 }
 
 // N returns the node-domain size.
@@ -49,17 +59,46 @@ func (p *Poll) Labels() uint64 { return p.labels }
 // List returns J(x, r): d distinct nodes. The label is reduced modulo |R|
 // so that callers may pass raw 64-bit randomness.
 func (p *Poll) List(x int, r uint64) []int {
-	return p.ListAppend(make([]int, 0, p.d), x, r)
+	perm := p.permFor(x, r)
+	list := make([]int, p.d)
+	for i := range list {
+		list[i] = perm.Apply(i)
+	}
+	return list
 }
 
-// ListAppend appends J(x, r) to dst, the allocation-free form of List
-// (callers pass a reused scratch slice as dst[:0]).
-func (p *Poll) ListAppend(dst []int, x int, r uint64) []int {
+// Row returns J(x, r) for a node x in [0, n) as a published row, deriving it
+// with d Perm.Apply when the table slot of (x, r mod |R|) holds another
+// list. A hit is one Mix64 and one atomic load. Labels are the adversary's
+// to choose, so the table is direct-mapped and of fixed size: a flood of
+// labels evicts rows, and costs each request what List would, but never
+// grows the table. Racing derivers publish equal rows.
+func (p *Poll) Row(x int, r uint64) *Row {
+	r %= p.labels
+	slot := &p.rows[prng.Mix64(r*uint64(p.n)+uint64(x))&uint64(len(p.rows)-1)]
+	if pr := slot.Load(); pr != nil && pr.x == x && pr.r == r {
+		return &pr.Row
+	}
+	pr := &pollRow{x: x, r: r}
+	pr.init(p.n, p.d)
 	perm := p.permFor(x, r)
 	for i := 0; i < p.d; i++ {
-		dst = append(dst, perm.Apply(i))
+		pr.add(perm.Apply(i))
 	}
-	return dst
+	slot.Store(pr)
+	return &pr.Row
+}
+
+// PublishedRows returns how many poll lists the row table holds, at most
+// its fixed size.
+func (p *Poll) PublishedRows() int {
+	held := 0
+	for i := range p.rows {
+		if p.rows[i].Load() != nil {
+			held++
+		}
+	}
+	return held
 }
 
 // Contains reports whether w ∈ J(x, r), in O(d).
@@ -73,13 +112,9 @@ func (p *Poll) Contains(x int, r uint64, w int) bool {
 	return false
 }
 
+// permFor builds the permutation of (x, r) by value, on the caller's stack:
+// what the sampler keeps per (x, r) is the published row, not its key
+// schedule.
 func (p *Poll) permFor(x int, r uint64) prng.Perm {
-	// The sampler itself keeps nothing per (x, r): labels are the
-	// adversary's to choose, so any table here could be churned, and one
-	// shared Poll serves every instance of a long-lived decision log. The
-	// Perm is built by value, on the caller's stack. What makes this
-	// affordable is that the protocol core does not come here per delivery:
-	// each node memoises the lists it has verified for the length of one
-	// agreement instance (internal/core/memo.go).
 	return prng.MakePerm(p.n, prng.Hash3(p.seed, uint64(x), r%p.labels))
 }

@@ -33,8 +33,8 @@ import (
 // callers own the result and may mutate it (the protocol core deduplicates
 // quorums in place on its fan-out paths). The Append forms sample into a
 // caller-owned slice instead — dst's existing contents are preserved, so
-// callers pass dst[:0] to reuse capacity — and are what the protocol core's
-// membership memo fills its rows from.
+// callers pass dst[:0] to reuse capacity — and are what the protocol core
+// evaluates the rows it does not share into.
 type Quorum interface {
 	// Quorum returns the quorum assigned to node x for string s.
 	// The result may contain duplicates only if the implementation is
@@ -68,24 +68,27 @@ type PermQuorum struct {
 	// indexed by string hash. Its size is fixed, so a sampler shared by
 	// every instance of a long-lived decision log (one new string per
 	// instance) or probed with junk strings by a flooding adversary never
-	// grows; a miss or an eviction only re-derives d Feistel key schedules.
-	// Slots are published atomically and never mutated afterwards, which
-	// makes lookups lock-free; racing builders store identical sets.
+	// grows; a miss or an eviction only re-derives d Feistel key schedules
+	// and, for the strings asked about again, their rows. Slots are
+	// published atomically and a set's permutations never change afterwards,
+	// which makes lookups lock-free; racing builders store identical sets,
+	// and a set's row table is attached to it once, by compare-and-swap.
 	cache [permCacheSlots]atomic.Pointer[permSet]
 }
 
 // permCacheSlots bounds the strings whose permutations a PermQuorum keeps.
 // An agreement queries a handful of strings at a time (gstring plus the
-// private candidates of the unknowledgeable few), and the protocol core
-// memoises the rows it derives, so a small table already serves almost
-// every lookup.
+// private candidates of the unknowledgeable few), so a small table already
+// serves almost every lookup.
 const permCacheSlots = 64
 
 // permSet is the d permutations σ_{s,j} of one string, tagged with the
-// string hash they were keyed by.
+// string hash they were keyed by, and the string's row table, allocated by
+// the first Rows call.
 type permSet struct {
 	hash  uint64
 	perms []prng.Perm
+	rows  atomic.Pointer[QuorumRows]
 }
 
 var _ Quorum = (*PermQuorum)(nil)
@@ -114,7 +117,7 @@ func (q *PermQuorum) Quorum(s bitstring.String, x int) []int {
 
 // QuorumAppend appends Quorum(s, x) to dst.
 func (q *PermQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
-	ps := q.permsFor(s)
+	ps := q.setFor(s).perms
 	for j := range ps {
 		dst = append(dst, ps[j].Apply(x))
 	}
@@ -130,7 +133,7 @@ func (q *PermQuorum) Inverse(s bitstring.String, y int) []int {
 
 // InverseAppend appends Inverse(s, y) to dst.
 func (q *PermQuorum) InverseAppend(dst []int, s bitstring.String, y int) []int {
-	ps := q.permsFor(s)
+	ps := q.setFor(s).perms
 	for j := range ps {
 		dst = append(dst, ps[j].Invert(y))
 	}
@@ -139,13 +142,30 @@ func (q *PermQuorum) InverseAppend(dst []int, s bitstring.String, y int) []int {
 
 // Contains reports whether y ∈ Quorum(s, x) in O(d) time.
 func (q *PermQuorum) Contains(s bitstring.String, x, y int) bool {
-	ps := q.permsFor(s)
+	ps := q.setFor(s).perms
 	for j := range ps {
 		if ps[j].Apply(x) == y {
 			return true
 		}
 	}
 	return false
+}
+
+// Rows returns the row table of string s: the rows H(s, x), derived one at
+// a time on request and shared by every caller in the process. The table is
+// the one s's cache slot holds, so callers asking about the same string
+// share it as long as the slot does; a caller that keeps the table keeps its
+// rows after an eviction.
+func (q *PermQuorum) Rows(s bitstring.String) *QuorumRows {
+	set := q.setFor(s)
+	if t := set.rows.Load(); t != nil {
+		return t
+	}
+	t := &QuorumRows{n: q.n, perms: set.perms, rows: make([]atomic.Pointer[Row], q.n)}
+	if !set.rows.CompareAndSwap(nil, t) {
+		t = set.rows.Load()
+	}
+	return t
 }
 
 // CachedStrings returns how many strings' permutation sets the sampler
@@ -160,21 +180,35 @@ func (q *PermQuorum) CachedStrings() int {
 	return held
 }
 
-// permsFor returns the d permutations keyed by s, from the cache slot of
-// s's hash when it still holds them and freshly derived (and published to
-// that slot) otherwise.
-func (q *PermQuorum) permsFor(s bitstring.String) []prng.Perm {
+// PublishedRows returns how many rows the row tables of the cached strings
+// hold.
+func (q *PermQuorum) PublishedRows() int {
+	held := 0
+	for i := range q.cache {
+		if set := q.cache[i].Load(); set != nil {
+			if t := set.rows.Load(); t != nil {
+				held += t.published()
+			}
+		}
+	}
+	return held
+}
+
+// setFor returns the permutation set of s, from the cache slot of s's hash
+// when it still holds it and freshly derived (and published to that slot)
+// otherwise.
+func (q *PermQuorum) setFor(s bitstring.String) *permSet {
 	h := s.Hash64()
 	slot := &q.cache[h%permCacheSlots]
 	if set := slot.Load(); set != nil && set.hash == h {
-		return set.perms
+		return set
 	}
 	set := &permSet{hash: h, perms: make([]prng.Perm, q.d)}
 	for j := range set.perms {
 		set.perms[j] = prng.MakePerm(q.n, prng.Hash3(q.seed, h, uint64(j)))
 	}
 	slot.Store(set)
-	return set.perms
+	return set
 }
 
 // HashQuorum is a naive sampler that draws each quorum member independently

@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -126,6 +127,81 @@ func TestPermQuorumCacheBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSharedRowsConcurrent: eight goroutines derive overlapping H and J
+// rows while junk strings churn the string cache. Every row they get must be
+// the one direct Perm.Apply evaluation gives, and the cache must stay within
+// its bound.
+func TestSharedRowsConcurrent(t *testing.T) {
+	const n, d, workers, junkStrings = 96, 10, 8, 10000
+	h := NewPermQuorum(n, d, 3, "H")
+	j := NewPoll(n, d, n*n, 3)
+	strs := randStrings(21, 4, 40)
+	junk := randStrings(22, junkStrings, 40)
+	directH := func(s bitstring.String, x int) []int32 {
+		var order []int32
+		for k := 0; k < d; k++ {
+			order = appendNew(order, prng.NewPerm(n, prng.Hash3(h.seed, s.Hash64(), uint64(k))).Apply(x))
+		}
+		return order
+	}
+	directJ := func(x int, r uint64) []int32 {
+		perm := prng.NewPerm(n, prng.Hash3(j.seed, uint64(x), r%j.labels))
+		var order []int32
+		for i := 0; i < d; i++ {
+			order = appendNew(order, perm.Apply(i))
+		}
+		return order
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < junkStrings/workers; i++ {
+				s, x, r := strs[(g+i)%len(strs)], (g+3*i)%n, uint64((g*i)%40)
+				if got, want := h.Rows(s).Row(x), directH(s, x); !rowIs(got, want) {
+					t.Errorf("H(s%d, %d) = %v, direct %v", (g+i)%len(strs), x, got.Order, want)
+					return
+				}
+				if got, want := j.Row(x, r), directJ(x, r); !rowIs(got, want) {
+					t.Errorf("J(%d, %d) = %v, direct %v", x, r, got.Order, want)
+					return
+				}
+				h.Rows(junk[g*(junkStrings/workers)+i]).Row(x)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if held := h.CachedStrings(); held > permCacheSlots {
+		t.Fatalf("sampler holds %d strings after %d junk strings, bound is %d", held, junkStrings, permCacheSlots)
+	}
+	if held := j.PublishedRows(); held > pollSlots(n) {
+		t.Fatalf("poll sampler holds %d rows, table has %d slots", held, pollSlots(n))
+	}
+}
+
+func appendNew(order []int32, y int) []int32 {
+	for _, seen := range order {
+		if int(seen) == y {
+			return order
+		}
+	}
+	return append(order, int32(y))
+}
+
+// rowIs reports whether r holds exactly the members of order, in that order.
+func rowIs(r *Row, order []int32) bool {
+	if len(r.Order) != len(order) || r.Bits.Count() != len(order) {
+		return false
+	}
+	for i, y := range order {
+		if r.Order[i] != y || !r.Bits.Get(int(y)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestHashQuorumCanOverload(t *testing.T) {

@@ -30,43 +30,49 @@ func poolDropsPuts() bool {
 // gone. At n = 64 a run moves some 75 k messages carrying 245 k Fw1 tuples;
 // the slice-based runner this replaced regrew its round buffers from nil
 // every round and allocated 118 MB per run, the pooled round log leaves
-// 11.5 MB (nodes, sampler memos, Fw1 tables, and each Fw1 fan-out's
-// messages and lists). A run cancelled in the middle of a round must hand
-// its blocks back too, or the run after it pays for them again: thirteen
-// blocks, 1.7 MB. The budget lies between the two.
+// 10.4 MB in 24.6 k objects (nodes, sampler rows, Fw1 tables, and each Fw1
+// fan-out's messages and lists). A run cancelled in the middle of a round
+// must hand its blocks back too, or the run after it pays for them again:
+// thirteen blocks, 1.7 MB. The byte budget lies between the two. The object
+// budget pins the shared sampler rows: when every node derived its own H
+// and J rows, the same run allocated 11.5 MB in 47.7 k objects.
 func TestRunAERAllocationBudget(t *testing.T) {
-	const budget = 12 << 20
+	const budget, objectBudget = 12 << 20, 32_000
 	// A collection empties the pool; none may run between the runs compared.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if poolDropsPuts() {
 		t.Skip("sync.Pool drops Puts in this build (race detector)")
 	}
 
-	run := func(ctx context.Context, seed uint64, opts ...Option) (allocated uint64, err error) {
+	run := func(ctx context.Context, seed uint64, opts ...Option) (allocated, objects uint64, err error) {
 		opts = append([]Option{WithSeed(seed), WithCorruptFrac(0.05), WithKnowFrac(0.92)}, opts...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err = RunAERContext(ctx, NewConfig(64, opts...))
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, err
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, err
 	}
 
-	if _, err := run(context.Background(), 7); err != nil {
+	if _, _, err := run(context.Background(), 7); err != nil {
 		t.Fatal(err)
 	}
-	got, err := run(context.Background(), 8)
+	got, objects, err := run(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("second back-to-back RunAER: %d bytes in %d objects", got, objects)
 	if got > budget {
 		t.Errorf("second back-to-back RunAER allocated %d bytes, budget %d", got, budget)
+	}
+	if objects > objectBudget {
+		t.Errorf("second back-to-back RunAER allocated %d objects, budget %d", objects, objectBudget)
 	}
 
 	// Cancel in the middle of the Pull round: when the runner sees it, at the
 	// round boundary, the whole Fw1 storm that round sent is in flight.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = run(ctx, 9, WithObserver(func(e Event) {
+	_, _, err = run(ctx, 9, WithObserver(func(e Event) {
 		if e.Type == EventDeliver && e.Kind == "pull" {
 			cancel()
 		}
@@ -74,7 +80,7 @@ func TestRunAERAllocationBudget(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v", err)
 	}
-	got, err = run(context.Background(), 10)
+	got, _, err = run(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
