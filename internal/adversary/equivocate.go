@@ -65,7 +65,7 @@ func (n *equivocateNode) Deliver(ctx simnet.Context, from simnet.NodeID, m simne
 		if msg.S.Equal(n.env.GString) {
 			return
 		}
-	case *core.MsgFw1:
+	case core.MsgFw1:
 		if msg.S.Equal(n.env.GString) {
 			return
 		}

@@ -113,8 +113,8 @@ func TestAERGrowsSlowerThanFlood(t *testing.T) {
 	// must grow them far less than the ≈ 4x of the Θ(n)-per-node flood.
 	// The absolute crossover sits beyond simulatable n — exactly why the
 	// paper's evaluation is analytic. The rate is taken over the paper's
-	// messages, one (x, w) per Fw1; the lists AER actually sends save less
-	// as n outgrows d², so they are held only to cost no more.
+	// messages, one (x, w) per Fw1; the one Fw1 per recipient AER actually
+	// sends saves less as n outgrows d², so it is held only to cost no more.
 	if testing.Short() {
 		t.Skip("cross-protocol comparison")
 	}

@@ -11,13 +11,22 @@ import (
 // the simnet meter's 9-byte envelope.
 func runAERTuplePriced(nodes []simnet.Node, sc *core.Scenario) (m *simnet.Metrics, priced float64) {
 	r := simnet.NewSync(nodes, sc.Corrupt)
-	var surcharge int64 // bytes the tuples would add as standalone messages
+	// The paper's Fw1 names one 4-byte w beside x; fw1Bytes is what the Fw1
+	// messages sent cost, each with its envelope.
+	var single, fw1Bytes int64
 	r.Observe(func(e simnet.Envelope) {
-		if fw, ok := e.Msg.(*core.MsgFw1); ok {
-			single := (&core.MsgFw1{S: fw.S, W: fw.W[:1]}).WireSize() + 9
-			surcharge += int64(len(fw.W)*single - (fw.WireSize() + 9))
+		if fw, ok := e.Msg.(core.MsgFw1); ok {
+			single = int64(fw.WireSize() + 4 + 9)
+			fw1Bytes += int64(fw.WireSize() + 9)
 		}
 	})
 	m = r.Run(60)
+	var tuples int64
+	for _, n := range nodes {
+		if nd, ok := n.(*core.Node); ok {
+			tuples += int64(nd.Stats().Fw1Tuples)
+		}
+	}
+	surcharge := tuples*single - fw1Bytes // bytes the tuples would add as standalone messages
 	return m, m.MeanSentBits() + float64(8*surcharge)/float64(len(nodes))
 }

@@ -8,21 +8,24 @@ import (
 )
 
 // fw1Table is the state of Algorithm 2's second handler: for the string the
-// node believes, who has vouched for requester x's poll of w under label r,
-// and whether the Fw2 for (x, w) has been sent. An agreement delivers d³
-// Fw1 tuples (x, w) to a node, so the table is built for the honest case —
-// one label per requester — to cost one integer-keyed probe per tuple and no
-// pointer chase (DESIGN.md §4.3).
+// node believes, who has vouched for requester x's request under label r,
+// and which labels of x have reached their majority. A node receives about
+// d·min(n, d²) Fw1 messages per agreement, one per (voucher, request), so the
+// table is built for the honest case — one label per requester — to cost one
+// integer-keyed probe per message and no pointer chase (DESIGN.md §4.3).
 //
-// Every pair (x, w) has a slot, found under the packed pair alone. The slot
-// records the first label the pair was vouched under, that label's vouchers,
-// and the forward-once flag of (x, s, w), which holds across labels. Only a
-// Byzantine x issues a second label for the same w; its vouchers are counted
-// in an entry of their own, found under (pair, label) in the same table —
-// still constant time per Fw1 however many labels x issues. Vouches are
-// thereby counted per (x, s, r, w) and forwarding is once per (x, s, w),
-// exactly as with one map per key, and a node holds one entry per
-// authenticated (x, s, r, w) that passed all three membership tests.
+// Every requester x has a slot, found under x alone. The slot records the
+// first label x was vouched under and that label's vouchers. Only a
+// Byzantine x issues a second label; its vouchers are counted in an entry of
+// their own, found under (x, label) in the same table — still constant time
+// per Fw1 however many labels x issues. Vouches are thereby counted per
+// (x, s, r), and a node holds one entry per authenticated (x, s, r).
+//
+// The forward-once flag of (x, s, w) needs no storage of its own: a request
+// that reaches its majority forwards to every w of its poll list the node
+// serves, so the flag is set exactly when some label r′ of x has completed
+// and w ∈ J(x, r′). The completed entries of x are chained from its slot;
+// an honest requester's chain is empty when its one label completes.
 //
 // The table holds state for one string: sid. A node's belief changes at
 // most once, at decide, and never back, so entries of the previous belief
@@ -45,11 +48,14 @@ type fw1Table struct {
 }
 
 type fw1Entry struct {
-	pair  uint64 // x<<32 | w
 	label uint64
+	x     int32
 	n     int32 // vouchers recorded
-	slot  bool  // the pair's slot, rather than an extra label's entry
-	done  bool  // slot only: the Fw2 for (x, s, w) has been sent
+	// last (slot only) and prev chain x's completed entries, latest first:
+	// an entry's number plus one, or zero at the end of the chain.
+	last, prev int32
+	slot       bool // x's slot, rather than an extra label's entry
+	done       bool // the majority was reached and the Fw2s sent
 }
 
 // reset empties the table, keeping its storage.
@@ -58,23 +64,23 @@ func (t *fw1Table) reset() {
 	t.entries = t.entries[:0]
 }
 
-// open returns the number of the pair's slot (slot = true) or of the pair's
-// entry for the given label (slot = false), creating it if absent. A new
-// slot is opened for that label. The returned number stays valid until
-// reset; pointers into entries do not survive another open.
-func (t *fw1Table) open(pair, label uint64, slot bool) int {
+// open returns the number of x's slot (slot = true) or of x's entry for the
+// given label (slot = false), creating it if absent. A new slot is opened
+// for that label. The returned number stays valid until reset; pointers into
+// entries do not survive another open.
+func (t *fw1Table) open(x int32, label uint64, slot bool) int {
 	if 2*(len(t.entries)+1) > len(t.index) {
 		t.grow()
 	}
 	mask := uint64(len(t.index) - 1)
-	i := t.hash(pair, label, slot) & mask
+	i := t.hash(x, label, slot) & mask
 	for ; t.index[i] != 0; i = (i + 1) & mask {
 		e := &t.entries[t.index[i]-1]
-		if e.pair == pair && e.slot == slot && (slot || e.label == label) {
+		if e.x == x && e.slot == slot && (slot || e.label == label) {
 			return int(t.index[i] - 1)
 		}
 	}
-	t.entries = append(t.entries, fw1Entry{pair: pair, label: label, slot: slot})
+	t.entries = append(t.entries, fw1Entry{x: x, label: label, slot: slot})
 	if need := len(t.entries) * t.stride; need > len(t.vouchers) {
 		t.vouchers = append(t.vouchers, make([]int32, need-len(t.vouchers))...)
 	}
@@ -82,8 +88,8 @@ func (t *fw1Table) open(pair, label uint64, slot bool) int {
 	return len(t.entries) - 1
 }
 
-func (t *fw1Table) hash(pair, label uint64, slot bool) uint64 {
-	h := prng.Mix64(pair ^ t.seed)
+func (t *fw1Table) hash(x int32, label uint64, slot bool) uint64 {
+	h := prng.Mix64(uint64(uint32(x)) ^ t.seed)
 	if !slot {
 		h = prng.Mix64(h ^ label)
 	}
@@ -102,7 +108,7 @@ func (t *fw1Table) grow() {
 	mask := uint64(size - 1)
 	for k := range t.entries {
 		e := &t.entries[k]
-		i := t.hash(e.pair, e.label, e.slot) & mask
+		i := t.hash(e.x, e.label, e.slot) & mask
 		for t.index[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -122,4 +128,12 @@ func (t *fw1Table) vouch(e int, y int) bool {
 	t.vouchers[e*t.stride+int(ent.n)] = int32(y)
 	ent.n++
 	return true
+}
+
+// complete marks entry e, of the requester whose slot is slot, as having
+// reached its majority and chains it to the requester's completed entries.
+func (t *fw1Table) complete(slot, e int) {
+	t.entries[e].done = true
+	t.entries[e].prev = t.entries[slot].last
+	t.entries[slot].last = int32(e + 1)
 }

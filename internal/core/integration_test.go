@@ -119,26 +119,40 @@ func runSyncTuplePriced(t *testing.T, n int, seed uint64, cfg ScenarioConfig) (s
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, _ := sc.Build(nil)
+	nodes, correct := sc.Build(nil)
 	r := simnet.NewSync(nodes, sc.Corrupt)
-	var surcharge int64 // bytes the tuples would add as standalone messages
+	// The paper's Fw1 names one w beside x; fw1Bytes is what the Fw1
+	// messages sent cost, each with its envelope.
+	var single, fw1Bytes int64
 	r.Observe(func(e simnet.Envelope) {
-		if m, ok := e.Msg.(*MsgFw1); ok {
-			single := (&MsgFw1{S: m.S, W: m.W[:1]}).WireSize() + 9
-			surcharge += int64(len(m.W)*single - (m.WireSize() + 9))
+		if m, ok := e.Msg.(MsgFw1); ok {
+			single = int64(m.WireSize() + idBytes + 9)
+			fw1Bytes += int64(m.WireSize() + 9)
 		}
 	})
 	m := r.Run(50)
+	surcharge := fw1Tuples(correct)*single - fw1Bytes // bytes the tuples would add as standalone messages
 	return m.MeanSentBits(), m.MeanSentBits() + float64(8*surcharge)/float64(n)
+}
+
+// fw1Tuples sums the Fw1 tuples the nodes' fan-outs stand for (Stats.Fw1Tuples).
+func fw1Tuples(nodes []*Node) int64 {
+	var sum int64
+	for _, nd := range nodes {
+		if nd != nil {
+			sum += int64(nd.Stats().Fw1Tuples)
+		}
+	}
+	return sum
 }
 
 func TestAERCommunicationPolylog(t *testing.T) {
 	// Lemma 3 + Figure 1(a): mean per-node bits must grow polylog, i.e.
 	// far slower than linearly. Quadrupling n should grow mean bits by far
 	// less than 4x. The envelope is stated for the paper's messages, one
-	// (x, w) per Fw1: listing a recipient's w's in one message saves less
-	// as n outgrows d² (about d·min(n, d²) Fw1 messages per node), so the
-	// bits actually sent are checked against that pricing, not for growth.
+	// (x, w) per Fw1: naming the request once per recipient saves less as n
+	// outgrows d² (about d·min(n, d²) Fw1 messages per node), so the bits
+	// actually sent are checked against that pricing, not for growth.
 	if testing.Short() {
 		t.Skip("scaling test")
 	}

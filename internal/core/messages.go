@@ -48,24 +48,23 @@ func (m MsgPull) WireSize() int { return m.S.WireSize() + labelBytes }
 // Kind returns the metric kind tag.
 func (m MsgPull) Kind() string { return "pull" }
 
-// MsgFw1 is Algorithm 2's Fw1(x, s, r, w) for every w in W: a member y of
-// H(s, x) vouches for x's pull request towards the Pull Quorums H(s, w) of
-// the poll-list members w that the recipient z belongs to. y sends z one
-// message listing those w in J(x, r) order, so a one-element W is the
-// paper's message (DESIGN.md §2, note 6). A fan-out's messages share one
-// backing array for their lists; receivers must not write to W.
+// MsgFw1 is Algorithm 2's Fw1(x, s, r): a member y of H(s, x) vouches for
+// x's pull request towards the Pull Quorums H(s, w) of the poll-list
+// members w ∈ J(x, r). The recipient z derives the w's it serves itself —
+// those whose H(s, w) holds it, in J(x, r) order — so one message per z
+// stands for every Fw1(x, s, r, w) of the paper that z receives from y
+// (DESIGN.md §2, note 6).
 type MsgFw1 struct {
 	X int
 	S bitstring.String
 	R uint64
-	W []int32
 }
 
-// WireSize returns the encoded payload size in bytes: one id per listed w.
-func (m *MsgFw1) WireSize() int { return idBytes*(1+len(m.W)) + labelBytes + m.S.WireSize() }
+// WireSize returns the encoded payload size in bytes.
+func (m MsgFw1) WireSize() int { return idBytes + labelBytes + m.S.WireSize() }
 
 // Kind returns the metric kind tag.
-func (m *MsgFw1) Kind() string { return "fw1" }
+func (m MsgFw1) Kind() string { return "fw1" }
 
 // MsgFw2 is Algorithm 2's Fw2(x, s, r): a member z of H(s, w) forwards the
 // request to w after hearing it vouched by a majority of H(s, x).

@@ -15,16 +15,16 @@ import (
 // sequentially, so Node needs no internal locking).
 //
 // The implementation follows Algorithms 1–3 with documented clarifications
-// (see DESIGN.md "Faithfulness notes"), among them: Fw1 counters are keyed
-// per poll-list member w, the log² n answer budget is enforced uniformly in
-// tryAnswer for both the Fw2 and the late-Poll answer paths, and one Fw1
-// message carries every w its recipient serves.
+// (see DESIGN.md "Faithfulness notes"), among them: the log² n answer
+// budget is enforced uniformly in tryAnswer for both the Fw2 and the
+// late-Poll answer paths, and an Fw1 names x's request, not its poll-list
+// members: the recipient derives the w's it serves.
 //
 // All per-string state is keyed by dense interned IDs rather than string
 // map keys: each node owns an intern.Table mapping every candidate string
 // it has seen to a small integer, per-string counters live in an ID-indexed
 // slice, the composite (x, s[, r]) counters key their maps by integer tuples
-// and the (x, s, r, w) vouch counters live in the Fw1 table. This keeps the
+// and the (x, s, r) Fw1 vouch counters live in the Fw1 table. This keeps the
 // delivery hot path free of per-message key formatting and map-of-map churn
 // (DESIGN.md §4).
 //
@@ -62,8 +62,8 @@ type Node struct {
 	candidates bitstring.Bitset
 
 	// Algorithm 2 state: Pull requests already forwarded (once per (x, s)),
-	// and the Fw1 table: vouch counters per (x, s, r, w) and the forward-once
-	// flags per (x, s, w) (fw1table.go).
+	// and the Fw1 table: vouch counters per (x, s, r), from which the
+	// forward-once flags per (x, s, w) follow (fw1table.go).
 	pullForwarded map[xsID]bool
 	fw1           fw1Table
 
@@ -88,11 +88,9 @@ type Node struct {
 	// memo is the node's access to the sampler rows (memo.go).
 	memo samplerMemo
 
-	// fanCount (indexed by node id, all zero between fan-outs) and fanOrder
-	// are forwardPull's scratch: the w's each z is owed, and the z's in
-	// first-seen order.
-	fanCount []int32
-	fanOrder []int32
+	// fanSeen is forwardPull's scratch, empty between fan-outs: the z's a
+	// fan-out has reached.
+	fanSeen bitstring.Bitset
 	// setPool recycles vouch Sets: fw2Vouches entries churn per (x, s, r)
 	// counter key and are deleted on majority, so recycling them keeps
 	// steady-state Fw2 delivery free of slice growth.
@@ -156,6 +154,10 @@ type Stats struct {
 	// AnswersDeferred counts answers deferred past the budget (Lemma 6
 	// overload events).
 	AnswersDeferred int
+	// Fw1Tuples counts the paper's Fw1(x, s, r, w) messages that this node's
+	// Fw1 fan-outs stand for: each recipient z derives the tuples (x, w) with
+	// w ∈ J(x, r) and z ∈ H(s, w), and this is their sum over recipients.
+	Fw1Tuples int
 }
 
 // HasCandidate reports whether s ∈ L_x — the Lemma 5 push-phase coverage
@@ -373,7 +375,7 @@ func (n *Node) Deliver(ctx simnet.Context, from simnet.NodeID, m simnet.Message)
 		n.onPush(ctx, from, msg)
 	case MsgPull:
 		n.onPull(ctx, from, msg)
-	case *MsgFw1:
+	case MsgFw1:
 		n.onFw1(ctx, from, msg)
 	case MsgFw2:
 		n.onFw2(ctx, from, msg)
@@ -461,63 +463,35 @@ func (n *Node) onPull(ctx simnet.Context, from int, m MsgPull) {
 // forwardPull fans x's authenticated request out to the pull quorums of its
 // poll list, once per (x, s). Algorithm 2 sends Fw1(x, s, r, w) to every
 // z ∈ H(s, w) for every w ∈ J(x, r): d² tuples over at most min(n, d²)
-// distinct z. Each z gets one message listing its w's in J(x, r) order, so
-// every z sees the tuples it always saw, in the same order, in one envelope.
+// distinct z. A recipient can derive its w's from (x, s, r) alone, so each
+// z gets one message naming the request, in first-seen order, and every z
+// shares the one boxed message.
 func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring.String, r uint64) {
 	k := xsID{x: x, s: sid}
 	if n.pullForwarded[k] {
 		return
 	}
 	n.pullForwarded[k] = true
-	list := n.smp.J.Row(x, r).Order
-	if n.fanCount == nil {
-		n.fanCount = make([]int32, n.params.N)
-	}
-	// First pass: how many w's each z is owed, and the z's in first-seen
-	// order.
-	order := n.fanOrder[:0]
-	tuples := 0
-	for _, w := range list {
+	var fw1 simnet.Message = MsgFw1{X: x, S: s, R: r}
+	for _, w := range n.smp.J.Row(x, r).Order {
 		zs := n.pullRow(sid, s, int(w)).Order
 		for _, z := range zs {
-			if n.fanCount[z] == 0 {
-				order = append(order, z)
+			if n.fanSeen.Set(int(z)) {
+				ctx.Send(int(z), fw1)
 			}
-			n.fanCount[z]++
 		}
-		tuples += len(zs)
+		n.stats.Fw1Tuples += len(zs)
 	}
-	// Every z's list is a window of one arena, and every message an element
-	// of one slice: the fan-out allocates twice, however many z it reaches.
-	// fanCount[z] becomes the next free index of z's window.
-	arena := make([]int32, tuples)
-	msgs := make([]MsgFw1, len(order))
-	next := int32(0)
-	for i, z := range order {
-		end := next + n.fanCount[z]
-		msgs[i] = MsgFw1{X: x, S: s, R: r, W: arena[next:end:end]}
-		n.fanCount[z] = next
-		next = end
-	}
-	// Second pass: fill the windows in J(x, r) order. Only then send: a
-	// concurrent runtime may deliver a message as soon as it is sent.
-	for _, w := range list {
-		for _, z := range n.pullRow(sid, s, int(w)).Order {
-			arena[n.fanCount[z]] = w
-			n.fanCount[z]++
-		}
-	}
-	for i, z := range order {
-		n.fanCount[z] = 0
-		ctx.Send(int(z), &msgs[i])
-	}
-	n.fanOrder = order
+	n.fanSeen.Reset()
 }
 
-// onFw1 is the second handler of Algorithm 2, run for each listed w: z ∈
-// H(s, w) sends Fw2 to w once a strict majority of H(s, x) has vouched for
-// x's request. The tests that do not depend on w run once per message.
-func (n *Node) onFw1(ctx simnet.Context, from int, m *MsgFw1) {
+// onFw1 is the second handler of Algorithm 2: z ∈ H(s, w) sends Fw2 to w
+// once a strict majority of H(s, x) has vouched for x's request. Every w
+// the node serves in J(x, r) has the same vouchers, so they are counted once
+// per (x, s, r), and the message that completes the majority forwards to
+// each of those w's, in J(x, r) order, that no earlier label of x has
+// forwarded to.
+func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 	if !m.S.Equal(n.sthis) {
 		return
 	}
@@ -526,35 +500,44 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m *MsgFw1) {
 	if !vouchers.Get(from) { // y ∈ H(s, x)
 		return
 	}
-	quorumSize := vouchers.Count()
-	poll := n.pollList(m.X, m.R)
-	served := n.proxied(sid, m.S) // {w : this ∈ H(s, w)}
 	t := &n.fw1
 	if t.sid != sid {
 		t.reset() // the belief changed: nothing vouched under the old one can match again
 		t.sid = sid
 	}
-	for _, w := range m.W {
-		if !served.Get(int(w)) || !poll.Get(int(w)) { // this ∈ H(s, w), w ∈ J(x, r)
-			continue
-		}
-		pair := uint64(m.X)<<32 | uint64(w)
-		slot := t.open(pair, m.R, true)
-		if t.entries[slot].done {
-			continue
-		}
-		e := slot
-		if t.entries[slot].label != m.R {
-			e = t.open(pair, m.R, false) // x issued a second label for w
-		}
-		if !t.vouch(e, from) {
-			continue // duplicate voucher: the count did not change
-		}
-		if 2*int(t.entries[e].n) > quorumSize {
-			t.entries[slot].done = true // forward only once
-			ctx.Send(int(w), MsgFw2{X: m.X, S: m.S, R: m.R})
+	x := int32(m.X)
+	slot := t.open(x, m.R, true)
+	e := slot
+	if t.entries[slot].label != m.R {
+		e = t.open(x, m.R, false) // x issued a second label
+	}
+	if t.entries[e].done || !t.vouch(e, from) {
+		return // forwarded already, or a duplicate voucher
+	}
+	if 2*int(t.entries[e].n) <= vouchers.Count() {
+		return
+	}
+	served := n.proxied(sid, m.S) // {w : this ∈ H(s, w)}
+	var fw2 simnet.Message = MsgFw2{X: m.X, S: m.S, R: m.R}
+	for _, w := range n.smp.J.Row(m.X, m.R).Order {
+		if served.Get(int(w)) && !n.forwarded(slot, int(w)) {
+			ctx.Send(int(w), fw2)
 		}
 	}
+	t.complete(slot, e)
+}
+
+// forwarded reports whether the Fw2 for (x, s, w) has been sent, x being
+// the requester whose slot is slot: whether an earlier label of x reached
+// its majority with w on its poll list.
+func (n *Node) forwarded(slot, w int) bool {
+	t := &n.fw1
+	for c := t.entries[slot].last; c != 0; c = t.entries[c-1].prev {
+		if n.pollList(int(t.entries[slot].x), t.entries[c-1].label).Get(w) {
+			return true
+		}
+	}
+	return false
 }
 
 // onFw2 is the first handler of Algorithm 3: once a strict majority of

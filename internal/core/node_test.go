@@ -42,16 +42,6 @@ func newTestNode(id int, initial bitstring.String, p Params, smp *Samplers) *Nod
 	return NewNode(id, initial, p, smp, prng.New(uint64(id)+1000))
 }
 
-// fw1Msg builds Fw1(x, s, r, ws); an id outside int32 wraps as it would
-// coming off the wire.
-func fw1Msg(x int, s bitstring.String, r uint64, ws ...int) *MsgFw1 {
-	m := &MsgFw1{X: x, S: s, R: r}
-	for _, w := range ws {
-		m.W = append(m.W, int32(w))
-	}
-	return m
-}
-
 func TestInitPushesToInverseQuorum(t *testing.T) {
 	p, smp, s := testSetup(t, 64)
 	n := newTestNode(7, s, p, smp)
@@ -419,6 +409,15 @@ func TestFw1RequiresAllMembershipChecks(t *testing.T) {
 	zID := distinct(smp.H.Quorum(s, w))[0]
 	z := newTestNode(zID, s, p, smp)
 	z.Init(&fakeCtx{})
+	served := func(r uint64) []int {
+		var out []int
+		for _, v := range smp.J.List(x, r) {
+			if smp.H.Contains(s, v, zID) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
 
 	hsx := distinct(smp.H.Quorum(s, x))
 	need := len(hsx)/2 + 1
@@ -427,38 +426,45 @@ func TestFw1RequiresAllMembershipChecks(t *testing.T) {
 	ctx := &fakeCtx{}
 	outsider := pickNonMember(hsx, 64)
 	for i := 0; i < need+2; i++ {
-		z.Deliver(ctx, outsider, fw1Msg(x, s, r, w))
+		z.Deliver(ctx, outsider, MsgFw1{X: x, S: s, R: r})
 	}
 	if len(ctx.byKind("fw2")) != 0 {
 		t.Fatal("Fw2 sent from vouches outside H(s, x)")
 	}
 
-	// A w outside J(x, r) is ignored even with valid vouchers.
-	wOutside := pickNonMember(smp.J.List(x, r), 64)
-	if smp.H.Contains(s, wOutside, zID) {
-		// extremely unlikely; skip rather than construct a new world
-		t.Skip("z happens to sit in H(s, wOutside)")
+	// A label whose poll list holds no w that z serves forwards nothing,
+	// even with valid vouchers: z ∈ H(s, w) and w ∈ J(x, r) are tested
+	// together when the recipient derives its w's.
+	rNone := r + 1
+	for len(served(rNone)) != 0 {
+		rNone++
 	}
 	for _, y := range hsx[:need] {
-		z.Deliver(ctx, y, fw1Msg(x, s, r, wOutside))
+		z.Deliver(ctx, y, MsgFw1{X: x, S: s, R: rNone})
 	}
 	if len(ctx.byKind("fw2")) != 0 {
-		t.Fatal("Fw2 sent for w outside the poll list")
+		t.Fatal("Fw2 sent for a poll list z serves no member of")
 	}
 
-	// The valid majority triggers exactly one Fw2 to w.
+	// The valid majority triggers exactly one Fw2 to each served w, in
+	// J(x, r) order, w among them.
 	for _, y := range hsx[:need] {
-		z.Deliver(ctx, y, fw1Msg(x, s, r, w))
+		z.Deliver(ctx, y, MsgFw1{X: x, S: s, R: r})
 	}
-	fw2s := ctx.byKind("fw2")
-	if len(fw2s) != 1 || fw2s[0].To != w {
-		t.Fatalf("fw2s = %v, want exactly one to %d", fw2s, w)
+	fw2s, want := ctx.byKind("fw2"), served(r)
+	if len(fw2s) != len(want) || len(want) == 0 || want[0] != w {
+		t.Fatalf("fw2s = %v, want one to each of %v", fw2s, want)
+	}
+	for i, e := range fw2s {
+		if e.To != want[i] {
+			t.Fatalf("fw2s = %v, want one to each of %v", fw2s, want)
+		}
 	}
 	// Replays do not re-forward ("forward only once").
 	for _, y := range hsx {
-		z.Deliver(ctx, y, fw1Msg(x, s, r, w))
+		z.Deliver(ctx, y, MsgFw1{X: x, S: s, R: r})
 	}
-	if len(ctx.byKind("fw2")) != 1 {
+	if len(ctx.byKind("fw2")) != len(want) {
 		t.Fatal("Fw2 re-forwarded on replay")
 	}
 }

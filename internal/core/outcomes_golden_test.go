@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files ins
 
 // aerOutcome is what one synchronous agreement is pinned to: who decided
 // what and when, every message count but Fw1's, the number of (x, w) tuples
-// the Fw1 messages carried, and the bits per node as upper bounds.
+// the Fw1 messages stand for, and the bits per node as upper bounds.
 type aerOutcome struct {
 	Case          string           `json:"case"`
 	GString       string           `json:"gstring"`
@@ -69,13 +69,8 @@ func (o aerOutcome) run(t *testing.T) aerOutcome {
 		t.Fatal(err)
 	}
 	nodes, correct := sc.Build(nil)
-	r := simnet.NewSync(nodes, sc.Corrupt)
-	r.Observe(func(e simnet.Envelope) {
-		if fw, ok := e.Msg.(*MsgFw1); ok {
-			o.Fw1Tuples += int64(len(fw.W))
-		}
-	})
-	m := r.Run(64)
+	m := simnet.NewSync(nodes, sc.Corrupt).Run(64)
+	o.Fw1Tuples = fw1Tuples(correct)
 	o.GString = hex.EncodeToString(sc.GString.Bytes())
 	o.Decided = Evaluate(correct, sc.GString).Decided
 	o.Rounds = m.Rounds

@@ -27,7 +27,7 @@ func buildFrames(t testing.TB, src *prng.Source, from, to, count int) ([][]byte,
 			e.Msg = core.MsgPush{S: s}
 			f, err = AppendFrame(nil, from, to, e.Msg)
 		case 1:
-			e.Msg = &core.MsgFw1{X: i, S: s, R: uint64(i) * 977, W: []int32{int32(i + 1), int32(i)}}
+			e.Msg = core.MsgFw1{X: i, S: s, R: uint64(i) * 977}
 			f, err = AppendFrame(nil, from, to, e.Msg)
 		default:
 			e.Msg, e.Inst, e.Tagged = core.MsgPoll{S: s, R: uint64(i)}, uint32(i), true
@@ -171,7 +171,7 @@ func TestBatchDecodeAllOrNothing(t *testing.T) {
 }
 
 // TestDecodeAllocs pins what owning decode costs: one allocation for each
-// bit string, one for each boxed message, and one for an Fw1's id list.
+// bit string and one for each boxed message.
 func TestDecodeAllocs(t *testing.T) {
 	s := bitstring.Random(prng.New(27), core.DefaultParams(24).StringBits)
 	push, err := AppendFrame(nil, 3, 7, core.MsgPush{S: s})
@@ -197,11 +197,11 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Errorf("batch decode: %.2f allocations per Push, want 2", perMsg)
 	}
 
-	fw1, err := EncodeEnvelope(3, 7, &core.MsgFw1{X: 1, S: s, R: 9, W: []int32{4, 5, 6}})
+	fw1, err := EncodeEnvelope(3, 7, core.MsgFw1{X: 1, S: s, R: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _, _, err = DecodeEnvelope(fw1) }); err != nil || allocs != 3 {
-		t.Errorf("Fw1 decode: %.1f allocations (err %v), want 3", allocs, err)
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _, err = DecodeEnvelope(fw1) }); err != nil || allocs != 2 {
+		t.Errorf("Fw1 decode: %.1f allocations (err %v), want 2", allocs, err)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // never panic, whatever decodes successfully must re-encode to exactly the
 // bytes it consumed (canonical encoding), and a correct protocol node must
 // survive being handed it — the decoder does not range-check the node ids a
-// frame carries, so the node has to (testdata seed fw1-w-out-of-range: an
-// Fw1 for the node's own string listing w = 1<<31).
+// frame carries, so the node has to (the seed naming x = 1<<31). The testdata
+// seed fw1-w-out-of-range is a list-format Fw1 under the retired kind 0x07.
 func FuzzUnmarshal(f *testing.F) {
 	src := prng.New(1)
 	s := bitstring.Random(src, 40)
@@ -24,9 +24,9 @@ func FuzzUnmarshal(f *testing.F) {
 	var fw1 []byte
 	for _, m := range []simnet.Message{
 		core.MsgPush{S: s},
-		&core.MsgFw1{X: 1, W: []int32{2}, R: 3, S: s},
 		core.MsgAnswer{S: s, R: 9},
-		&core.MsgFw1{X: 1, W: []int32{2, 5, 2}, R: 3, S: s},
+		core.MsgFw1{X: 1 << 31, R: 3, S: s},
+		core.MsgFw1{X: 1, R: 3, S: s},
 	} {
 		kind, err := KindByte(m)
 		if err != nil {
@@ -40,11 +40,13 @@ func FuzzUnmarshal(f *testing.F) {
 		fw1 = buf
 	}
 	f.Add(byte(0xFF), []byte{1, 2, 3})
-	// Rejections: an Fw1 listing no w, an Fw1 with a ragged tail, and the
-	// retired one-w kind.
-	f.Add(kindFw1, fw1[:len(fw1)-12])
+	// Rejections: an Fw1 cut short, and the list formats — one w under the
+	// retired kind 0x04, and a list under the current kind and under the
+	// retired 0x07.
 	f.Add(kindFw1, fw1[:len(fw1)-2])
-	f.Add(byte(0x04), fw1[:len(fw1)-8])
+	f.Add(byte(0x04), listFw1(fw1, 2))
+	f.Add(kindFw1, listFw1(fw1, 2, 5, 2))
+	f.Add(byte(0x07), listFw1(fw1, 2, 5, 2))
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		m, err := Unmarshal(kind, payload)
 		if err != nil {
@@ -81,7 +83,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f2, err := AppendFrame(nil, 1, 2, &core.MsgFw1{X: 3, S: s, R: 7, W: []int32{9, 4}})
+	f2, err := AppendFrame(nil, 1, 2, core.MsgFw1{X: 3, S: s, R: 7})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	fw1, err := EncodeEnvelope(1, 2, &core.MsgFw1{X: 3, S: bitstring.Random(prng.New(2), 21), R: 7, W: []int32{9, 4}})
+	fw1, err := EncodeEnvelope(1, 2, core.MsgFw1{X: 3, S: bitstring.Random(prng.New(2), 21), R: 7})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -34,7 +34,7 @@ const (
 	kindPull   byte = 0x03
 	kindFw2    byte = 0x05
 	kindAnswer byte = 0x06
-	kindFw1    byte = 0x07 // x u32 | r u64 | s | one u32 per w, at least one; 0x04 (one w) is retired
+	kindFw1    byte = 0x08 // x u32 | r u64 | s, as Fw2; 0x04 (one w) and 0x07 (a list of w's) are retired
 	kindElect  byte = 0x10
 	kindValue  byte = 0x11
 	kindQuery  byte = 0x20
@@ -86,7 +86,7 @@ func KindByte(m simnet.Message) (byte, error) {
 		return kindPoll, nil
 	case core.MsgPull:
 		return kindPull, nil
-	case *core.MsgFw1:
+	case core.MsgFw1:
 		return kindFw1, nil
 	case core.MsgFw2:
 		return kindFw2, nil
@@ -142,16 +142,10 @@ func appendMessage(buf []byte, m simnet.Message) ([]byte, error) {
 	case core.MsgPull:
 		buf = appendString(buf, msg.S)
 		buf = binary.LittleEndian.AppendUint64(buf, msg.R)
-	case *core.MsgFw1:
-		if len(msg.W) == 0 {
-			return nil, fmt.Errorf("wire: Fw1 lists no poll-list member")
-		}
+	case core.MsgFw1:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(msg.X))
 		buf = binary.LittleEndian.AppendUint64(buf, msg.R)
 		buf = appendString(buf, msg.S)
-		for _, w := range msg.W {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
-		}
 	case core.MsgFw2:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(msg.X))
 		buf = binary.LittleEndian.AppendUint64(buf, msg.R)
@@ -250,8 +244,7 @@ func Unmarshal(kind byte, payload []byte) (simnet.Message, error) {
 	case kindFw1:
 		x := int(d.U32())
 		r := d.U64()
-		s := d.str()
-		m = &core.MsgFw1{X: x, R: r, S: s, W: d.ids()}
+		m = core.MsgFw1{X: x, R: r, S: d.str()}
 	case kindFw2:
 		x := int(d.U32())
 		r := d.U64()
@@ -612,22 +605,6 @@ func (d *Cursor) Bytes() []byte {
 		return nil
 	}
 	return append([]byte(nil), b...)
-}
-
-// ids decodes the rest of the payload as a non-empty list of u32 node ids.
-func (d *Cursor) ids() []int32 {
-	if d.err != nil {
-		return nil
-	}
-	if rest := d.Rest(); rest == 0 || rest%4 != 0 {
-		d.err = fmt.Errorf("wire: id list of %d bytes", rest)
-		return nil
-	}
-	ids := make([]int32, d.Rest()/4)
-	for i := range ids {
-		ids[i] = int32(d.U32())
-	}
-	return ids
 }
 
 // str decodes a bit string (u16 bit length + packed bytes), copying it out

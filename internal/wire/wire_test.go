@@ -2,8 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,8 +25,7 @@ func allMessages(t *testing.T) []simnet.Message {
 		core.MsgPush{S: s},
 		core.MsgPoll{S: s, R: 0x1122334455667788},
 		core.MsgPull{S: s, R: 42},
-		&core.MsgFw1{X: 7, S: s, R: 99, W: []int32{12}},
-		&core.MsgFw1{X: 7, S: s, R: 99, W: []int32{12, 3, 12, -1}},
+		core.MsgFw1{X: 7, S: s, R: 99},
 		core.MsgFw2{X: 7, S: s, R: 99},
 		core.MsgAnswer{S: s, R: 99},
 		ae.MsgElect{Bin: 3, Seg: seg},
@@ -36,8 +35,8 @@ func allMessages(t *testing.T) []simnet.Message {
 		baseline.MsgBcast{S: s},
 		baseline.MsgVote{Round: 4, S: s},
 		simnet.InstMsg{Inst: 0, Inner: core.MsgPush{S: s}},
-		simnet.InstMsg{Inst: 0xDEADBEEF, Inner: &core.MsgFw1{X: 7, S: s, R: 99, W: []int32{12, 5}}},
-		simnet.RelayMsg{Origin: 4, Seq: 9, Dest: 11, TTL: 3, Inner: &core.MsgFw1{X: 7, S: s, R: 99, W: []int32{12, 5}}},
+		simnet.InstMsg{Inst: 0xDEADBEEF, Inner: core.MsgFw1{X: 7, S: s, R: 99}},
+		simnet.RelayMsg{Origin: 4, Seq: 9, Dest: 11, TTL: 3, Inner: core.MsgFw1{X: 7, S: s, R: 99}},
 		simnet.InstMsg{Inst: 3, Inner: baseline.MsgQuery{}},
 		simnet.CatchupReq{From: 0x1020304050607080, Max: 256},
 		simnet.CatchupResp{},
@@ -158,29 +157,11 @@ func TestTruncatedPayloadsRejected(t *testing.T) {
 		kind, _ := KindByte(m)
 		buf, _ := Marshal(m)
 		for cut := 0; cut < len(buf); cut++ {
-			if got, err := Unmarshal(kind, buf[:cut]); err == nil && !shorterFw1List(m, got) {
+			if _, err := Unmarshal(kind, buf[:cut]); err == nil {
 				t.Errorf("%T: truncation to %d bytes accepted", m, cut)
 			}
 		}
 	}
-}
-
-// shorterFw1List reports whether got carries the Fw1 that m carries with
-// fewer w's listed: an Fw1 list has no count, so a cut between two w's is
-// the shorter list.
-func shorterFw1List(m, got simnet.Message) bool {
-	inner := func(m simnet.Message) *core.MsgFw1 {
-		switch t := m.(type) {
-		case simnet.InstMsg:
-			m = t.Inner
-		case simnet.RelayMsg:
-			m = t.Inner
-		}
-		fw, _ := m.(*core.MsgFw1)
-		return fw
-	}
-	a, b := inner(m), inner(got)
-	return a != nil && b != nil && len(b.W) < len(a.W) && slices.Equal(b.W, a.W[:len(b.W)])
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
@@ -223,16 +204,10 @@ func TestQuickPushRoundTrip(t *testing.T) {
 
 func TestQuickFw1RoundTrip(t *testing.T) {
 	src := prng.New(10)
-	f := func(x uint16, ws []uint32, r uint64) bool {
+	f := func(x uint32, r uint64) bool {
 		s := bitstring.Random(src, 40)
-		m := &core.MsgFw1{X: int(x), R: r, S: s}
-		for _, w := range ws {
-			m.W = append(m.W, int32(w))
-		}
+		m := core.MsgFw1{X: int(x), R: r, S: s}
 		buf, err := Marshal(m)
-		if len(ws) == 0 {
-			return err != nil // an empty list has no encoding
-		}
 		if err != nil {
 			return false
 		}
@@ -240,58 +215,52 @@ func TestQuickFw1RoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fw, ok := got.(*core.MsgFw1)
-		return ok && fw.X == int(x) && slices.Equal(fw.W, m.W) && fw.R == r && fw.S.Equal(s)
+		fw, ok := got.(core.MsgFw1)
+		return ok && fw.X == int(x) && fw.R == r && fw.S.Equal(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFw1ListCodec: an Fw1 lists its w's after the string, as many as the
-// payload holds. A singleton costs exactly what the one-w Fw1 did, every
-// further w four bytes; an empty list, a ragged tail and the retired kind
-// 0x04 do not decode. (allMessages carries lists inside InstMsg and
-// RelayMsg, and buildFrames inside batch records.)
-func TestFw1ListCodec(t *testing.T) {
-	s := bitstring.Random(prng.New(11), 40)
-	d := core.DefaultParams(24).QuorumSize
-	for _, k := range []int{1, 2, d} {
-		m := &core.MsgFw1{X: 3, S: s, R: 77}
-		for i := 0; i < k; i++ {
-			m.W = append(m.W, int32(i*5))
-		}
-		buf, err := Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(buf) != m.WireSize() {
-			t.Errorf("k=%d: encoded %d bytes, WireSize %d", k, len(buf), m.WireSize())
-		}
-		// x and w are 4-byte ids, r an 8-byte label.
-		if want := 2*4 + 8 + s.WireSize() + 4*(k-1); m.WireSize() != want {
-			t.Errorf("k=%d: WireSize %d, want %d", k, m.WireSize(), want)
-		}
+// listFw1 appends the w's of the retired list format to an encoded Fw1.
+func listFw1(fw1 []byte, ws ...uint32) []byte {
+	out := append([]byte{}, fw1...)
+	for _, w := range ws {
+		out = binary.LittleEndian.AppendUint32(out, w)
 	}
+	return out
+}
 
-	one, err := Marshal(&core.MsgFw1{X: 3, S: s, R: 77, W: []int32{9}})
+// TestFw1Codec: an Fw1 names a request and is laid out as Fw2 is — x, r
+// and s, nothing else — and a payload in a retired list format does not
+// decode: one w under 0x04, a list under 0x07, or a list under the current
+// kind, whose w's are trailing bytes.
+func TestFw1Codec(t *testing.T) {
+	s := bitstring.Random(prng.New(11), 40)
+	fw1, err := Marshal(core.MsgFw1{X: 3, S: s, R: 77})
 	if err != nil {
 		t.Fatal(err)
+	}
+	fw2, err := Marshal(core.MsgFw2{X: 3, S: s, R: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// x is a 4-byte id, r an 8-byte label.
+	if !bytes.Equal(fw1, fw2) || len(fw1) != 4+8+s.WireSize() {
+		t.Errorf("Fw1 encodes to %x, Fw2 with the same fields to %x", fw1, fw2)
 	}
 	for name, c := range map[string]struct {
 		kind    byte
 		payload []byte
 	}{
-		"empty list":   {kindFw1, one[:len(one)-4]},
-		"ragged tail":  {kindFw1, append(append([]byte{}, one...), 0, 0)},
-		"retired 0x04": {0x04, one},
+		"one w, retired 0x04":     {0x04, listFw1(fw1, 9)},
+		"list, retired 0x07":      {0x07, listFw1(fw1, 9, 4)},
+		"list under the new kind": {kindFw1, listFw1(fw1, 9)},
 	} {
 		if m, err := Unmarshal(c.kind, c.payload); err == nil {
 			t.Errorf("%s: decoded to %#v", name, m)
 		}
-	}
-	if _, err := Marshal(&core.MsgFw1{X: 3, S: s, R: 77}); err == nil {
-		t.Error("an Fw1 with no w encoded")
 	}
 }
 

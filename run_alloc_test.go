@@ -27,17 +27,17 @@ func poolDropsPuts() bool {
 
 // TestRunAERAllocationBudget pins what a synchronous agreement allocates
 // once the round log's block pool is warm: the runner's share must stay
-// gone. At n = 64 a run moves some 75 k messages carrying 245 k Fw1 tuples;
-// the slice-based runner this replaced regrew its round buffers from nil
-// every round and allocated 118 MB per run, the pooled round log leaves
-// 10.4 MB in 24.6 k objects (nodes, sampler rows, Fw1 tables, and each Fw1
-// fan-out's messages and lists). A run cancelled in the middle of a round
-// must hand its blocks back too, or the run after it pays for them again:
-// thirteen blocks, 1.7 MB. The byte budget lies between the two. The object
-// budget pins the shared sampler rows: when every node derived its own H
-// and J rows, the same run allocated 11.5 MB in 47.7 k objects.
+// gone. At n = 64 a run moves some 75 k messages standing for 245 k Fw1
+// tuples; the slice-based runner this replaced regrew its round buffers from
+// nil every round and allocated 118 MB per run, the pooled round log leaves
+// 1.4 MB in 11.0 k objects (nodes, sampler rows, Fw1 tables, and one boxed
+// message per fan-out). A run cancelled in the middle of a round must hand
+// its blocks back too, or the run after it pays for them again: thirteen
+// blocks, 1.7 MB. The byte budget lies between the two. The object budget
+// pins the shared sampler rows: when every node derived its own H and J
+// rows, the same run allocated some 23 k objects more.
 func TestRunAERAllocationBudget(t *testing.T) {
-	const budget, objectBudget = 12 << 20, 32_000
+	const budget, objectBudget = 5 << 19, 16_000
 	// A collection empties the pool; none may run between the runs compared.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if poolDropsPuts() {
