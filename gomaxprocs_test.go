@@ -15,6 +15,9 @@ import (
 // identical under GOMAXPROCS 1, 2 and 8 — the fabric defaults its shard
 // workers to min(GOMAXPROCS, n), so these settings drive the serial,
 // barely-parallel and oversubscribed drain paths through the same seeds.
+// The synchronous runner delivers on min(GOMAXPROCS, correct nodes)
+// workers: the paper's n = 256 experiment, and a rushing adversary under a
+// fault plan (carried delays, duplicates, drops), must not move either.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the golden suite and regression corpus three times")
@@ -43,6 +46,26 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		var report bytes.Buffer
 		if err := rep.WriteJSON(&report); err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		for _, sweep := range []Sweep{{
+			Ns:          []int{256},
+			Seeds:       Seeds(2),
+			Models:      []Model{SyncNonRushing},
+			Adversaries: []string{"silent"},
+		}, {
+			Ns:          []int{64},
+			Seeds:       Seeds(3),
+			Models:      []Model{SyncRushing},
+			Adversaries: []string{"corner-rushing"},
+			Faults:      []FaultPlan{{Seed: 4, DropProb: 0.02, DupProb: 0.1, DelayProb: 0.2, MaxDelay: 2}},
+		}} {
+			rep, err := RunSuite(context.Background(), Suite{Name: "sync", Sweep: sweep, Workers: 1})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+			}
+			if err := rep.WriteJSON(&report); err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+			}
 		}
 
 		runs, failures, err := ReplayCorpus(filepath.Join("testdata", "fuzz_corpus"))

@@ -2,6 +2,8 @@ package baseline
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/fastba/fastba/internal/core"
@@ -151,5 +153,29 @@ func TestOutcomeAgreementHelper(t *testing.T) {
 	o.DecidedOther = 1
 	if o.Agreement() {
 		t.Fatal("divergent decision counted as agreement")
+	}
+}
+
+// TestBaselinesAcrossWorkers: the synchronous runner delivers each round
+// on min(GOMAXPROCS, correct nodes) workers; the baselines, which tally on
+// round ticks, must return the same outcome and meters on one worker and
+// on four.
+func TestBaselinesAcrossWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for name, run := range map[string]func(*core.Scenario) *Result{
+		"flood":  RunFlood,
+		"rabin":  func(sc *core.Scenario) *Result { return RunRabin(sc, 0) },
+		"klst11": RunKLST11,
+	} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			runtime.GOMAXPROCS(1)
+			one := run(scenario(t, 128, seed))
+			runtime.GOMAXPROCS(4)
+			four := run(scenario(t, 128, seed))
+			if !reflect.DeepEqual(one, four) {
+				t.Fatalf("%s seed %d: one worker %+v %+v, four workers %+v %+v", name, seed, one.Outcome, one.Metrics, four.Outcome, four.Metrics)
+			}
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // touched only inside its own Init/Deliver activations, which every
 // runtime serializes per node. The shared adaptive state uses atomics plus
 // a sync.Once for the traffic ranking, so the wrapper is safe on the
-// concurrent runtimes too.
+// concurrent runtimes and on the synchronous runner's delivery workers.
 
 // WrapConfig configures the relay layer.
 type WrapConfig struct {
@@ -46,8 +46,8 @@ type relayNet struct {
 	// the concurrent runtimes).
 	muted    atomic.Pointer[[]bool]
 	rankOnce sync.Once
-	// traffic counts per-node handled deliveries — the online signal the
-	// traffic ranking sorts by.
+	// traffic counts per-node deliveries handled before triggerAt — the
+	// online signal the traffic ranking sorts by.
 	traffic []atomic.Int64
 }
 
@@ -95,9 +95,14 @@ func (rn *relayNet) silenced(id, now int) bool {
 }
 
 // rankByTraffic snapshots the delivery counters and silences the
-// most-messaged nodes. On the deterministic runners the snapshot point
-// (first send at or past the trigger) is itself deterministic; on the
-// concurrent runtimes it follows real scheduling, like delivery order.
+// most-messaged nodes. It runs at the first send at or past the trigger,
+// and the counters stop at the trigger: on the synchronous runner, whose
+// workers deliver a round's messages side by side, every delivery they
+// count belongs to a round that ended before the snapshot, so the ranking
+// does not depend on how the workers interleave. On the asynchronous
+// runner a delivery from before the trigger may still come after the
+// snapshot and is not ranked; on the concurrent runtimes the snapshot
+// follows real scheduling, like delivery order.
 func (rn *relayNet) rankByTraffic() {
 	counts := make([]int64, len(rn.traffic))
 	for i := range rn.traffic {
@@ -148,7 +153,9 @@ func (r *relayNode) Init(ctx simnet.Context) {
 }
 
 func (r *relayNode) Deliver(ctx simnet.Context, from simnet.NodeID, m simnet.Message) {
-	r.net.traffic[r.id].Add(1)
+	if ctx.Now() < r.net.triggerAt {
+		r.net.traffic[r.id].Add(1)
+	}
 	rm, ok := m.(simnet.RelayMsg)
 	if !ok {
 		r.inner.Deliver(r.wrap(ctx), from, m)

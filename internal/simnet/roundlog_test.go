@@ -35,13 +35,21 @@ type sentRec struct {
 	size            int
 }
 
+// received is one delivery as its receiver saw it.
+type received struct {
+	from, round int
+	kind        string
+}
+
 // burstNode sends fan bursts to every peer on Init — one round holding
 // n·(n-1)·fan records — and answers each delivery with an echo while its
 // budget lasts, so the later rounds are large too. Every send is appended
-// to the shared transcript, which is what the runner must reproduce.
+// to the transcript, which is what the runner must reproduce; every
+// delivery to the node's own log.
 type burstNode struct {
 	id, n, fan, budget int
 	sent               *[]sentRec
+	got                []received
 }
 
 func (b *burstNode) send(ctx Context, to int, m Message) {
@@ -60,6 +68,7 @@ func (b *burstNode) Init(ctx Context) {
 }
 
 func (b *burstNode) Deliver(ctx Context, from NodeID, m Message) {
+	b.got = append(b.got, received{from: from, round: ctx.Now(), kind: m.Kind()})
 	if b.budget > 0 {
 		b.budget--
 		b.send(ctx, from, echo{})
@@ -72,12 +81,50 @@ const (
 	burstBudget = 400
 )
 
+// burstPopulation builds the burst nodes. They share the transcript sent;
+// with sent nil each keeps its own, which is what nodes delivered on
+// several workers must do.
 func burstPopulation(sent *[]sentRec) []Node {
 	nodes := make([]Node, burstN)
 	for i := range nodes {
-		nodes[i] = &burstNode{id: i, n: burstN, fan: burstFan, budget: burstBudget, sent: sent}
+		own := sent
+		if own == nil {
+			own = new([]sentRec)
+		}
+		nodes[i] = &burstNode{id: i, n: burstN, fan: burstFan, budget: burstBudget, sent: own}
 	}
 	return nodes
+}
+
+// withWorkers makes the runners of the calling test deliver on w workers.
+func withWorkers(t *testing.T, w int) {
+	prev := forcedWorkers
+	forcedWorkers = w
+	t.Cleanup(func() { forcedWorkers = prev })
+}
+
+// perReceiver splits an observer stream by receiver: what each node must
+// have received, in order, whatever the number of workers.
+func perReceiver(stream []Envelope) [][]received {
+	got := make([][]received, burstN)
+	for _, e := range stream {
+		got[e.To] = append(got[e.To], received{from: e.From, round: e.Depth, kind: e.Msg.Kind()})
+	}
+	return got
+}
+
+// checkReceivers compares what the burst nodes received with want.
+func checkReceivers(t *testing.T, nodes []Node, want [][]received) {
+	t.Helper()
+	for id, n := range nodes {
+		b, ok := n.(*burstNode)
+		if !ok {
+			continue
+		}
+		if !reflect.DeepEqual(b.got, want[id]) {
+			t.Fatalf("node %d received %d messages in another order than the serial stream (%d)", id, len(b.got), len(want[id]))
+		}
+	}
 }
 
 // TestRoundLogOrderAndMetrics: a population whose first round spans more
@@ -122,6 +169,37 @@ func TestRoundLogOrderAndMetrics(t *testing.T) {
 	if m.Rounds != want.Rounds || m.Delivered != want.Delivered {
 		t.Fatalf("Rounds/Delivered = %d/%d, want %d/%d", m.Rounds, m.Delivered, want.Rounds, want.Delivered)
 	}
+
+	// An observed run delivers on one worker. Without the observer, on one
+	// worker and on four, every node receives the same messages in the same
+	// order, sends the same transcript, and the meters agree.
+	recv := perReceiver(got)
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			withWorkers(t, w)
+			nodes := burstPopulation(nil)
+			r := NewSync(nodes, nil)
+			pm := r.Run(100)
+			if len(r.slots) != w+1 {
+				t.Fatalf("ran %d workers, want %d", len(r.slots)-1, w)
+			}
+			checkReceivers(t, nodes, recv)
+			for id, n := range nodes {
+				var own []sentRec
+				for _, s := range sent {
+					if s.from == id {
+						own = append(own, s)
+					}
+				}
+				if !reflect.DeepEqual(*n.(*burstNode).sent, own) {
+					t.Fatalf("node %d sent another transcript", id)
+				}
+			}
+			if !reflect.DeepEqual(pm, m) {
+				t.Fatalf("metrics differ from the observed run: %+v vs %+v", pm, m)
+			}
+		})
+	}
 }
 
 // burstRusher is a Byzantine member of the burst population: it injects one
@@ -130,6 +208,7 @@ func TestRoundLogOrderAndMetrics(t *testing.T) {
 type burstRusher struct {
 	id       int
 	observed int
+	shown    uint64 // running digest of every envelope shown, in order
 }
 
 func (r *burstRusher) Init(ctx Context) {}
@@ -140,20 +219,24 @@ func (r *burstRusher) Deliver(ctx Context, from NodeID, m Message) {
 }
 func (r *burstRusher) Rush(ctx Context, round int, correct []Envelope) {
 	r.observed += len(correct)
+	h := fnv.New64a()
+	fmt.Fprint(h, r.shown)
+	for _, e := range correct {
+		fmt.Fprintf(h, " %d %d %s %d", e.From, e.To, e.Msg.Kind(), e.Depth)
+	}
+	r.shown = h.Sum64()
 	if len(correct) > 0 && round < 6 {
 		last := correct[len(correct)-1]
 		ctx.Send(last.To, burst{k: len(correct) + last.Depth})
 	}
 }
 
-// TestRoundLogFaultStreamGolden pins the observer stream (from, to, kind,
-// depth) of a multi-block run under every fault the sync runner implements
-// — delay carried over rounds, duplicates, drops, a crash window judged at
-// send and at delivery — with a Rusher in the population. The golden was
-// captured from the slice-based runner the round log replaced.
-func TestRoundLogFaultStreamGolden(t *testing.T) {
-	var sent []sentRec
-	nodes := burstPopulation(&sent)
+// faultRun runs the burst population with a Rusher under every fault the
+// sync runner implements — delay carried over rounds, duplicates, drops, a
+// crash window judged at send and at delivery — and observe, if not nil, on
+// every delivery.
+func faultRun(observe Observer) ([]Node, *burstRusher, *Metrics) {
+	nodes := burstPopulation(nil)
 	spy := &burstRusher{id: burstN - 1}
 	nodes[burstN-1] = spy
 	corrupt := make([]bool, burstN)
@@ -164,21 +247,35 @@ func TestRoundLogFaultStreamGolden(t *testing.T) {
 		Seed: 15, DropProb: 0.05, DupProb: 0.1, DelayProb: 0.3, MaxDelay: 3,
 		Crashes: []Crash{{Node: 5, At: 2, RecoverAt: 4}},
 	})
+	if observe != nil {
+		r.Observe(observe)
+	}
+	return nodes, spy, r.Run(40)
+}
+
+// TestRoundLogFaultStreamGolden pins the observer stream (from, to, kind,
+// depth) of a multi-block run under every fault the sync runner implements,
+// with a Rusher in the population. The golden was captured from the
+// slice-based runner the round log replaced. Unobserved, on one worker and
+// on four, every node must receive what the stream gave it, in its order,
+// and the Rusher must be shown the same envelopes.
+func TestRoundLogFaultStreamGolden(t *testing.T) {
 	type roundSum struct {
 		delivered int
 		digest    uint64
 	}
 	var rounds []roundSum
+	var stream []Envelope
 	h := fnv.New64a()
-	r.Observe(func(e Envelope) {
+	_, spy, m := faultRun(func(e Envelope) {
 		for e.Depth >= len(rounds) {
 			rounds = append(rounds, roundSum{})
 		}
 		fmt.Fprintf(h, "%d %d %s %d\n", e.From, e.To, e.Msg.Kind(), e.Depth)
 		rounds[e.Depth].delivered++
 		rounds[e.Depth].digest = h.Sum64() // running digest: order within and across rounds
+		stream = append(stream, e)
 	})
-	m := r.Run(40)
 
 	var out bytes.Buffer
 	for i, rs := range rounds {
@@ -200,6 +297,21 @@ func TestRoundLogFaultStreamGolden(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("observer stream diverged from %s:\n got:\n%s want:\n%s", path, out.Bytes(), want)
+	}
+
+	recv := perReceiver(stream)
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			withWorkers(t, w)
+			nodes, wspy, wm := faultRun(nil)
+			checkReceivers(t, nodes, recv)
+			if wspy.observed != spy.observed || wspy.shown != spy.shown {
+				t.Fatalf("the Rusher was shown %d envelopes (digest %x), want %d (%x)", wspy.observed, wspy.shown, spy.observed, spy.shown)
+			}
+			if !reflect.DeepEqual(wm, m) {
+				t.Fatalf("metrics differ from the observed run: %+v vs %+v", wm, m)
+			}
+		})
 	}
 }
 
@@ -246,8 +358,12 @@ func TestRoundLogReturnsBlocksOnEveryExit(t *testing.T) {
 			var sent []sentRec
 			r := NewSync(burstPopulation(&sent), nil)
 			r.Run(1)
-			if r.next.n != 0 || len(r.next.blocks) != 0 {
-				t.Errorf("the round cap left %d records in %d blocks", r.next.n, len(r.next.blocks))
+			for _, s := range r.slots {
+				for d := range s.out {
+					if l, p := s.out[d], s.prev[d]; l.n+p.n != 0 || len(l.blocks)+len(p.blocks) != 0 {
+						t.Errorf("the round cap left %d records in %d blocks", l.n+p.n, len(l.blocks)+len(p.blocks))
+					}
+				}
 			}
 		},
 		"StopWhen mid-round": func() {
@@ -323,4 +439,12 @@ func BenchmarkSyncRunnerRound(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n*fan), "ns/msg")
+}
+
+// TestSendRecSize: a record in flight stays 32 bytes. The round logs of an
+// n = 4096 agreement hold tens of millions of them at once.
+func TestSendRecSize(t *testing.T) {
+	if got := reflect.TypeOf(sendRec{}).Size(); got != 32 {
+		t.Fatalf("sendRec is %d bytes, want 32", got)
+	}
 }
