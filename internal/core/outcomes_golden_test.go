@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/simnet"
 )
 
@@ -17,7 +21,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files ins
 
 // aerOutcome is what one synchronous agreement is pinned to: who decided
 // what and when, every message count but Fw1's, the number of (x, w) tuples
-// the Fw1 messages stand for, and the bits per node as upper bounds.
+// the Fw1 messages stand for, the bits per node as upper bounds, and what
+// each correct node sent in what order.
 type aerOutcome struct {
 	Case          string           `json:"case"`
 	GString       string           `json:"gstring"`
@@ -30,6 +35,11 @@ type aerOutcome struct {
 	// bits than recorded, never more.
 	MeanBitsPerNode float64 `json:"meanBitsPerNode"`
 	MaxBitsPerNode  int64   `json:"maxBitsPerNode"`
+	// Sends holds one digest per correct node, in id order, of everything
+	// it sent: destination, kind and payload of each send, in send order.
+	// A node's sends follow the order its deliveries reached it, so a
+	// runner that reorders deliveries moves them.
+	Sends []string `json:"sends"`
 
 	n    int
 	seed uint64
@@ -69,7 +79,19 @@ func (o aerOutcome) run(t *testing.T) aerOutcome {
 		t.Fatal(err)
 	}
 	nodes, correct := sc.Build(nil)
+	var recs []*sendRecorder
+	for id, nd := range correct {
+		if nd != nil {
+			rec := &sendRecorder{Node: nd, h: sha256.New()}
+			nodes[id] = rec
+			recs = append(recs, rec)
+		}
+	}
 	m := simnet.NewSync(nodes, sc.Corrupt).Run(64)
+	o.Sends = []string{}
+	for _, rec := range recs {
+		o.Sends = append(o.Sends, hex.EncodeToString(rec.h.Sum(nil)[:6]))
+	}
 	o.Fw1Tuples = fw1Tuples(correct)
 	o.GString = hex.EncodeToString(sc.GString.Bytes())
 	o.Decided = Evaluate(correct, sc.GString).Decided
@@ -91,12 +113,74 @@ func (o aerOutcome) run(t *testing.T) aerOutcome {
 	return o
 }
 
-// TestAEROutcomesGolden pins the decisions of seeded synchronous agreements
-// and every message count except how the Fw1 tuples are packed into
-// messages: a change to the Fw1 fan-out may regroup the tuples, but each
-// case must decide the same string at the same nodes in the same rounds,
-// send the same number of every other message and of Fw1 tuples, and send no
-// more bits per node than recorded.
+// sendRecorder wraps a node and digests every send it makes.
+type sendRecorder struct {
+	simnet.Node
+	h   hash.Hash
+	ctx recordingCtx
+	buf []byte
+}
+
+type recordingCtx struct {
+	simnet.Context
+	rec *sendRecorder
+}
+
+func (c *recordingCtx) Send(to simnet.NodeID, m simnet.Message) {
+	c.rec.buf = appendSend(c.rec.buf[:0], to, m)
+	c.rec.h.Write(c.rec.buf)
+	c.Context.Send(to, m)
+}
+
+func (r *sendRecorder) Init(ctx simnet.Context) {
+	r.ctx = recordingCtx{Context: ctx, rec: r}
+	r.Node.Init(&r.ctx)
+}
+
+func (r *sendRecorder) Deliver(ctx simnet.Context, from simnet.NodeID, m simnet.Message) {
+	r.ctx.Context = ctx
+	r.Node.Deliver(&r.ctx, from, m)
+}
+
+// appendSend appends the destination, the kind and the payload fields of
+// one send: the requester x and label r where the message has them, and
+// the string as its bit length and packed bytes.
+func appendSend(b []byte, to int, m simnet.Message) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(to))
+	b = append(b, m.Kind()...)
+	var (
+		x int
+		s bitstring.String
+		r uint64
+	)
+	switch msg := m.(type) {
+	case MsgPush:
+		s = msg.S
+	case MsgPull:
+		s, r = msg.S, msg.R
+	case MsgPoll:
+		s, r = msg.S, msg.R
+	case MsgFw1:
+		x, s, r = msg.X, msg.S, msg.R
+	case MsgFw2:
+		x, s, r = msg.X, msg.S, msg.R
+	case MsgAnswer:
+		s, r = msg.S, msg.R
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(x))
+	b = binary.LittleEndian.AppendUint64(b, r)
+	b = binary.LittleEndian.AppendUint16(b, uint16(s.Len()))
+	return append(b, s.Bytes()...)
+}
+
+// TestAEROutcomesGolden pins the decisions of seeded synchronous agreements:
+// each case must decide the same string at the same nodes in the same
+// rounds, send the same number of every message and of Fw1 tuples, send no
+// more bits per node than recorded, and have every correct node make the
+// same sends in the same order. The send digests see delivery order, which
+// the counts cannot: parallel round delivery must reproduce the serial
+// order. Fw1's message count stays out of the counts so that a regrouping
+// of the tuples reads as one moved field per case, beside the digests.
 //
 // Regenerate (only after an intentional change of outcomes) with:
 //
