@@ -53,10 +53,11 @@ func TestDebugStuckNode(t *testing.T) {
 				if gID < 0 {
 					continue
 				}
-				if wn.fw2Majority[xsrID{x: id, s: gID, r: r}] {
+				rec := wn.req.get(id)
+				if wn.req.majority(rec, gID, r) {
 					maj++
 				}
-				if wn.answered[xsID{x: id, s: gID}] {
+				if _, answered := wn.req.flags(rec, gID, r); *answered {
 					answeredUs++
 				}
 			}
@@ -69,8 +70,7 @@ func TestDebugStuckNode(t *testing.T) {
 				if yn == nil {
 					continue
 				}
-				gID := yn.strs.Lookup(sc.GString)
-				if gID >= 0 && yn.pullForwarded[xsID{x: id, s: gID}] {
+				if yn.sthis.Equal(sc.GString) && yn.req.get(id).forwarded {
 					fwd++
 				}
 			}

@@ -353,7 +353,7 @@ func TestOutOfRangeIDsAreNotMembers(t *testing.T) {
 			if len(ctx.sends) != sent {
 				t.Errorf("%s = %d: node sent %v", c.name, bad, ctx.sends[sent:])
 			}
-			if len(z.fw1.entries)+len(z.fw2Vouches)+len(z.polled) != 0 || z.strs.Len() != 1 {
+			if len(z.req.recs) != 0 || z.strs.Len() != 1 {
 				t.Errorf("%s = %d: the frame left protocol state behind", c.name, bad)
 			}
 		}
@@ -362,7 +362,7 @@ func TestOutOfRangeIDsAreNotMembers(t *testing.T) {
 	z := newTestNode(zID, s, p, smp)
 	z.Init(&fakeCtx{})
 	z.Deliver(&fakeCtx{}, y, valid)
-	if len(z.fw1.entries) != 1 {
+	if len(z.req.recs) != 1 {
 		t.Fatal("the in-range Fw1 was not counted")
 	}
 	if z.memo.none.Count() != 0 {

@@ -22,11 +22,10 @@ import (
 //
 // All per-string state is keyed by dense interned IDs rather than string
 // map keys: each node owns an intern.Table mapping every candidate string
-// it has seen to a small integer, per-string counters live in an ID-indexed
-// slice, the composite (x, s[, r]) counters key their maps by integer tuples
-// and the (x, s, r) Fw1 vouch counters live in the Fw1 table. This keeps the
-// delivery hot path free of per-message key formatting and map-of-map churn
-// (DESIGN.md §4).
+// it has seen to a small integer, and per-string counters live in an
+// ID-indexed slice. Everything Algorithms 2 and 3 keep per request
+// (x, s[, r]) lives in the requester table, indexed by x. This keeps the
+// delivery hot path free of hashing and maps (DESIGN.md §4).
 //
 // Every "is y ∈ I(s, x) / H(s, x) / J(x, r)?" a handler asks is answered
 // from a derived row (memo.go) — the node's own for I(s, this) and the
@@ -61,23 +60,17 @@ type Node struct {
 	states     []strState
 	candidates bitstring.Bitset
 
-	// Algorithm 2 state: Pull requests already forwarded (once per (x, s)),
-	// and the Fw1 table: vouch counters per (x, s, r), from which the
-	// forward-once flags per (x, s, w) follow (fw1table.go).
-	pullForwarded map[xsID]bool
-	fw1           fw1Table
+	// Algorithms 2 and 3 state per request: forwarded Pulls, Fw1 and Fw2
+	// vouchers and majorities, the Polled set and sent answers
+	// (reqtable.go).
+	req reqTable
 
-	// Algorithm 3 state: Fw2 counters keyed by (x, s, r), the Polled set,
-	// sent answers, the answer budget and the deferred answers flushed on
-	// decision ("Wait for has_decided"). beliefDeferred holds requests
-	// whose Fw2 majority and Poll arrived while s differed from s_this;
-	// they are answered if this node later decides s (§3.1.2 reply
-	// condition 2: "one of its pull requests was answered ... and s_w was
-	// changed accordingly").
-	fw2Vouches     map[xsrID]*bitstring.Set
-	fw2Majority    map[xsrID]bool
-	polled         map[xsID]bool
-	answered       map[xsID]bool
+	// The answer budget and the deferred answers flushed on decision
+	// ("Wait for has_decided"). beliefDeferred holds requests whose Fw2
+	// majority and Poll arrived while s differed from s_this; they are
+	// answered if this node later decides s (§3.1.2 reply condition 2: "one
+	// of its pull requests was answered ... and s_w was changed
+	// accordingly").
 	answerCount    int
 	deferred       []deferredAnswer
 	beliefDeferred []deferredAnswer
@@ -91,10 +84,6 @@ type Node struct {
 	// fanSeen is forwardPull's scratch, empty between fan-outs: the z's a
 	// fan-out has reached.
 	fanSeen bitstring.Bitset
-	// setPool recycles vouch Sets: fw2Vouches entries churn per (x, s, r)
-	// counter key and are deleted on majority, so recycling them keeps
-	// steady-state Fw2 delivery free of slice growth.
-	setPool []*bitstring.Set
 
 	// Statistics surfaced to the experiment harness.
 	stats Stats
@@ -115,19 +104,6 @@ type strState struct {
 	label    uint64
 	answers  bitstring.Set
 }
-
-// Composite state keys; s is the interned string ID.
-type (
-	xsID struct {
-		x int
-		s intern.ID
-	}
-	xsrID struct {
-		x int
-		s intern.ID
-		r uint64
-	}
-)
 
 type deferredAnswer struct {
 	x int
@@ -172,18 +148,13 @@ func (n *Node) HasCandidate(s bitstring.String) bool {
 // node's private random source (§2.1).
 func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng *prng.Source) *Node {
 	n := &Node{
-		id:            id,
-		params:        params,
-		smp:           smp,
-		rng:           rng,
-		sthis:         initial,
-		initial:       initial,
-		pullForwarded: make(map[xsID]bool),
-		fw1:           fw1Table{stride: params.QuorumSize/2 + 1},
-		fw2Vouches:    make(map[xsrID]*bitstring.Set),
-		fw2Majority:   make(map[xsrID]bool),
-		polled:        make(map[xsID]bool),
-		answered:      make(map[xsID]bool),
+		id:      id,
+		params:  params,
+		smp:     smp,
+		rng:     rng,
+		sthis:   initial,
+		initial: initial,
+		req:     reqTable{n: params.N, stride: params.QuorumSize/2 + 1},
 	}
 	// s_this always has a valid interned ID, even for the zero string, so
 	// the Algorithm 2 fast path can key state by it unconditionally.
@@ -192,10 +163,9 @@ func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng
 }
 
 // Reset rewinds the node to a freshly constructed state for a new agreement
-// instance, keeping every allocation it can: map buckets survive via
-// clear(), the intern table and per-string state slice keep their storage,
-// and the quorum-member sets inside recycled strState entries keep their
-// capacity. The node's identity and protocol geometry are unchanged;
+// instance, keeping every allocation it can: the requester table, the
+// intern table and per-string state slice keep their storage, and the
+// quorum-member sets inside recycled strState entries keep their capacity. The node's identity and protocol geometry are unchanged;
 // initial, smp and rng take the role of NewNode's arguments — a reopened
 // instance passes attempt-salted samplers so a retry re-rolls the quorum
 // geometry, not just the poll labels. The decision-log pipeline calls this
@@ -227,18 +197,7 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 	n.candidates.Reset()
 	n.memo.pull = nil
 
-	// Live vouch sets return to the free list before their keys clear, so a
-	// recycled node starts the next instance with its set capacity intact.
-	for _, set := range n.fw2Vouches {
-		n.putSet(set)
-	}
-
-	clear(n.pullForwarded)
-	n.fw1.reset()
-	clear(n.fw2Vouches)
-	clear(n.fw2Majority)
-	clear(n.polled)
-	clear(n.answered)
+	n.req.reset()
 	n.answerCount = 0
 	n.deferred = n.deferred[:0]
 	n.beliefDeferred = n.beliefDeferred[:0]
@@ -247,21 +206,6 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 
 	n.sthisID = n.strs.ID(initial)
 }
-
-// getSet takes a vouch set from the node-local free list (or allocates).
-func (n *Node) getSet() *bitstring.Set {
-	if k := len(n.setPool) - 1; k >= 0 {
-		s := n.setPool[k]
-		n.setPool = n.setPool[:k]
-		s.Reset()
-		return s
-	}
-	return new(bitstring.Set)
-}
-
-// putSet returns a vouch set to the free list. The caller must have removed
-// every reference to it from the vouch maps first.
-func (n *Node) putSet(s *bitstring.Set) { n.setPool = append(n.setPool, s) }
 
 // state returns the per-string state for an interned ID, growing the
 // ID-indexed slice on demand. Growth may reallocate the slice, so callers
@@ -465,13 +409,14 @@ func (n *Node) onPull(ctx simnet.Context, from int, m MsgPull) {
 // z ∈ H(s, w) for every w ∈ J(x, r): d² tuples over at most min(n, d²)
 // distinct z. A recipient can derive its w's from (x, s, r) alone, so each
 // z gets one message naming the request, in first-seen order, and every z
-// shares the one boxed message.
+// shares the one boxed message. sid is the belief's: the forwarded flags
+// belong to it.
 func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring.String, r uint64) {
-	k := xsID{x: x, s: sid}
-	if n.pullForwarded[k] {
+	rec := n.req.get(x)
+	if rec.forwarded {
 		return
 	}
-	n.pullForwarded[k] = true
+	rec.forwarded = true
 	var fw1 simnet.Message = MsgFw1{X: x, S: s, R: r}
 	for _, w := range n.smp.J.Row(x, r).Order {
 		zs := n.pullRow(sid, s, int(w)).Order
@@ -500,40 +445,35 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 	if !vouchers.Get(from) { // y ∈ H(s, x)
 		return
 	}
-	t := &n.fw1
-	if t.sid != sid {
-		t.reset() // the belief changed: nothing vouched under the old one can match again
-		t.sid = sid
-	}
-	x := int32(m.X)
-	slot := t.open(x, m.R, true)
-	e := slot
-	if t.entries[slot].label != m.R {
-		e = t.open(x, m.R, false) // x issued a second label
-	}
-	if t.entries[e].done || !t.vouch(e, from) {
+	t := &n.req
+	rec := t.get(m.X)
+	req, e := t.fw1(rec, sid, m.R)
+	if req.done || !t.vouch(req, from) {
 		return // forwarded already, or a duplicate voucher
 	}
-	if 2*int(t.entries[e].n) <= vouchers.Count() {
+	if 2*int(req.n) <= vouchers.Count() {
 		return
 	}
 	served := n.proxied(sid, m.S) // {w : this ∈ H(s, w)}
 	var fw2 simnet.Message = MsgFw2{X: m.X, S: m.S, R: m.R}
 	for _, w := range n.smp.J.Row(m.X, m.R).Order {
-		if served.Get(int(w)) && !n.forwarded(slot, int(w)) {
+		if served.Get(int(w)) && !n.forwarded(rec, int(w)) {
 			ctx.Send(int(w), fw2)
 		}
 	}
-	t.complete(slot, e)
+	t.complete(rec, req, e)
 }
 
 // forwarded reports whether the Fw2 for (x, s, w) has been sent, x being
-// the requester whose slot is slot: whether an earlier label of x reached
-// its majority with w on its poll list.
-func (n *Node) forwarded(slot, w int) bool {
-	t := &n.fw1
-	for c := t.entries[slot].last; c != 0; c = t.entries[c-1].prev {
-		if n.pollList(int(t.entries[slot].x), t.entries[c-1].label).Get(w) {
+// rec's requester and s the belief: whether a label of x reached its
+// majority with w on its poll list.
+func (n *Node) forwarded(rec *requester, w int) bool {
+	x := int(rec.x)
+	if rec.fw1.done && n.pollList(x, rec.fw1.r).Get(w) {
+		return true
+	}
+	for c := rec.last; c != 0; c = n.req.spill[c-1].prev {
+		if n.pollList(x, n.req.spill[c-1].req.r).Get(w) {
 			return true
 		}
 	}
@@ -554,7 +494,10 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 	if !n.pollList(m.X, m.R).Get(n.id) { // this ∈ J(x, r)
 		return
 	}
-	sid := n.strs.Lookup(m.S)
+	sid := n.sthisID
+	if !m.S.Equal(n.sthis) {
+		sid = n.strs.Lookup(m.S)
+	}
 	vouchers := n.pullQuorum(sid, m.S, n.id)
 	if !vouchers.Get(from) { // z ∈ H(s, this)
 		return
@@ -563,25 +506,16 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 	if sid == intern.None {
 		sid = n.strs.ID(m.S) // the first authentic Fw2 earns the string its state
 	}
-	k := xsrID{x: m.X, s: sid, r: m.R}
-	if n.fw2Majority[k] {
+	rec := n.req.get(m.X)
+	req := n.req.fw2(rec, sid, m.R)
+	if req.done || !n.req.vouch(req, from) {
+		return // answered already, or a duplicate voucher
+	}
+	if 2*int(req.n) <= quorumSize {
 		return
 	}
-	set := n.fw2Vouches[k]
-	if set == nil {
-		set = n.getSet()
-		n.fw2Vouches[k] = set
-	}
-	if !set.Add(from) {
-		return // duplicate voucher: the count did not change
-	}
-	if 2*set.Len() <= quorumSize {
-		return
-	}
-	n.fw2Majority[k] = true
-	delete(n.fw2Vouches, k)
-	n.putSet(set)
-	if n.polled[xsID{x: m.X, s: sid}] {
+	req.done = true
+	if n.req.polled(rec, sid) {
 		n.maybeAnswer(ctx, m.X, sid, m.R)
 	}
 }
@@ -593,9 +527,14 @@ func (n *Node) onPoll(ctx simnet.Context, from int, m MsgPoll) {
 	if !n.pollList(from, m.R).Get(n.id) {
 		return
 	}
-	sid := n.strs.ID(m.S)
-	n.polled[xsID{x: from, s: sid}] = true
-	if n.fw2Majority[xsrID{x: from, s: sid, r: m.R}] {
+	sid := n.sthisID
+	if !m.S.Equal(n.sthis) {
+		sid = n.strs.ID(m.S)
+	}
+	rec := n.req.get(from)
+	polled, _ := n.req.flags(rec, sid, m.R)
+	*polled = true
+	if n.req.majority(rec, sid, m.R) {
 		n.maybeAnswer(ctx, from, sid, m.R)
 	}
 }
@@ -616,8 +555,8 @@ func (n *Node) maybeAnswer(ctx simnet.Context, x int, sid intern.ID, r uint64) {
 // which case the answer is deferred until this node decides (Algorithm 3:
 // "Wait for has_decided"). Each (x, s) is answered at most once.
 func (n *Node) tryAnswer(ctx simnet.Context, x int, sid intern.ID, r uint64) {
-	k := xsID{x: x, s: sid}
-	if n.answered[k] {
+	_, answered := n.req.flags(n.req.get(x), sid, r)
+	if *answered {
 		return
 	}
 	if n.params.AnswerBudget > 0 && n.answerCount >= n.params.AnswerBudget && !n.hasDecided {
@@ -625,7 +564,7 @@ func (n *Node) tryAnswer(ctx simnet.Context, x int, sid intern.ID, r uint64) {
 		n.deferred = append(n.deferred, deferredAnswer{x: x, s: sid, r: r})
 		return
 	}
-	n.answered[k] = true
+	*answered = true
 	n.answerCount++
 	n.stats.AnswersSent++
 	ctx.Send(x, MsgAnswer{S: n.strs.String(sid), R: r})
@@ -669,6 +608,9 @@ func (n *Node) decide(ctx simnet.Context, sid intern.ID) {
 	n.decided = s
 	n.decidedAt = ctx.Now()
 	n.pub.Store(&decision{s: s, at: n.decidedAt})
+	if sid != n.sthisID {
+		n.req.newBelief()
+	}
 	n.sthis = s
 	n.sthisID = sid
 	flushBudget := n.deferred

@@ -523,7 +523,7 @@ func TestFw2MalformedStringIgnored(t *testing.T) {
 	if len(ctx.byKind("answer")) != 0 {
 		t.Fatal("answered a malformed-length string")
 	}
-	if len(w.fw2Vouches) != 0 || len(w.fw2Majority) != 0 {
+	if len(w.req.vouchers) != 0 || len(w.req.spill) != 0 {
 		t.Fatal("malformed string accumulated vouch state")
 	}
 }

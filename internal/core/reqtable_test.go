@@ -34,8 +34,8 @@ type pullMaps struct {
 	forwarded   map[pullKey]bool         // (x, s)
 	fw1Vouches  map[pullKey]map[int]bool // (x, s, r, w)
 	fw1Done     map[pullKey]bool         // (x, s, w)
-	fw2Vouches  map[pullKey]map[int]bool // (x, s, r)
-	fw2Majority map[pullKey]bool         // (x, s, r)
+	fw2Sets     map[pullKey]map[int]bool // (x, s, r)
+	fw2Done     map[pullKey]bool         // (x, s, r)
 	polled      map[pullKey]bool         // (x, s)
 	answered    map[pullKey]bool         // (x, s)
 	answerCount int
@@ -64,7 +64,7 @@ func newPullMaps(id int, initial bitstring.String, p Params, smp *Samplers, rng 
 		candidates: map[string]bool{}, labels: map[string]uint64{},
 		pushRecv: map[pullKey]map[int]bool{}, answers: map[pullKey]map[int]bool{},
 		forwarded: map[pullKey]bool{}, fw1Vouches: map[pullKey]map[int]bool{}, fw1Done: map[pullKey]bool{},
-		fw2Vouches: map[pullKey]map[int]bool{}, fw2Majority: map[pullKey]bool{},
+		fw2Sets: map[pullKey]map[int]bool{}, fw2Done: map[pullKey]bool{},
 		polled: map[pullKey]bool{}, answered: map[pullKey]bool{}}
 }
 
@@ -240,14 +240,14 @@ func (f *pullMaps) onFw2(from, x int, s bitstring.String, r uint64) {
 		return
 	}
 	k := pullKey{x: x, s: s.Key(), r: r}
-	if f.fw2Majority[k] || !add(f.fw2Vouches, k, from) {
+	if f.fw2Done[k] || !add(f.fw2Sets, k, from) {
 		return
 	}
-	if 2*len(f.fw2Vouches[k]) <= len(distinct(f.smp.H.Quorum(s, f.id))) {
+	if 2*len(f.fw2Sets[k]) <= len(distinct(f.smp.H.Quorum(s, f.id))) {
 		return
 	}
-	f.fw2Majority[k] = true
-	delete(f.fw2Vouches, k)
+	f.fw2Done[k] = true
+	delete(f.fw2Sets, k)
 	if f.polled[pullKey{x: x, s: s.Key()}] {
 		f.maybeAnswer(x, s, r)
 	}
@@ -258,7 +258,7 @@ func (f *pullMaps) onPoll(x int, s bitstring.String, r uint64) {
 		return
 	}
 	f.polled[pullKey{x: x, s: s.Key()}] = true
-	if f.fw2Majority[pullKey{x: x, s: s.Key(), r: r}] {
+	if f.fw2Done[pullKey{x: x, s: s.Key(), r: r}] {
 		f.maybeAnswer(x, s, r)
 	}
 }
@@ -598,8 +598,8 @@ func TestFw1UnauthenticatedChangesNothing(t *testing.T) {
 		node := NewNode(fw1Me, s, w.p, w.smp, prng.New(1))
 		ctx := &fakeCtx{}
 		node.Deliver(ctx, c.from, c.msg)
-		if len(ctx.sends) != 0 || len(node.fw1.entries) != 0 || node.strs.Len() != 1 {
-			t.Errorf("%s: %d sends, %d Fw1 entries, %d strings", c.name, len(ctx.sends), len(node.fw1.entries), node.strs.Len())
+		if len(ctx.sends) != 0 || len(node.req.recs) != 0 || node.strs.Len() != 1 {
+			t.Errorf("%s: %d sends, %d requester records, %d strings", c.name, len(ctx.sends), len(node.req.recs), node.strs.Len())
 		}
 		if allocs := testing.AllocsPerRun(100, func() { node.Deliver(ctx, c.from, c.msg) }); allocs != 0 {
 			t.Errorf("%s: delivery allocated %.1f times", c.name, allocs)
@@ -609,8 +609,8 @@ func TestFw1UnauthenticatedChangesNothing(t *testing.T) {
 	ctx := &fakeCtx{}
 	m := MsgFw1{X: x, S: s, R: r}
 	node.Deliver(ctx, hsx[0], m)
-	if len(node.fw1.entries) != 1 || node.fw1.entries[0].n != 1 {
-		t.Fatalf("an authenticated Fw1 left entries %+v, want one with one voucher", node.fw1.entries)
+	if len(node.req.recs) != 1 || node.req.recs[0].fw1.n != 1 {
+		t.Fatalf("an authenticated Fw1 left records %+v, want one with one voucher", node.req.recs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { node.Deliver(ctx, hsx[0], m) }); allocs != 0 {
 		t.Fatalf("a duplicate voucher allocated %.1f times", allocs)
@@ -633,14 +633,14 @@ func TestFw1SeedsExerciseTheTable(t *testing.T) {
 	}
 	first := fw1Majority(w, w.strs[0], x, 0)
 	deliver(first[:len(first)-8]) // one short of the majority
-	if len(ctx.sends) != 0 || len(node.fw1.entries) != 1 {
-		t.Fatalf("before the majority: %d sends, %d entries", len(ctx.sends), len(node.fw1.entries))
+	if len(ctx.sends) != 0 || len(node.req.recs) != 1 || len(node.req.spill) != 0 {
+		t.Fatalf("before the majority: %d sends, %d records, %d spilled", len(ctx.sends), len(node.req.recs), len(node.req.spill))
 	}
 	second := fw1Served(w, w.strs[0], x, fw1Label(1))
 	deliver(fw1Majority(w, w.strs[0], x, 1))
-	if len(ctx.sends) != len(second) || len(node.fw1.entries) != 2 {
-		t.Fatalf("a majority under the second label: %d sends for %d served w's, %d entries",
-			len(ctx.sends), len(second), len(node.fw1.entries))
+	if len(ctx.sends) != len(second) || len(node.req.recs) != 1 || len(node.req.spill) != 1 {
+		t.Fatalf("a majority under the second label: %d sends for %d served w's, %d records, %d spilled",
+			len(ctx.sends), len(second), len(node.req.recs), len(node.req.spill))
 	}
 	deliver(first) // forward-once holds across labels
 	var toShared, more int
@@ -661,7 +661,7 @@ func TestFw1SeedsExerciseTheTable(t *testing.T) {
 }
 
 // TestResetCarriesNoFw1State: a pooled node (a MuxNode child between log
-// instances) starts the next instance with an empty Fw1 table — the same
+// instances) starts the next instance with an empty requester table — the same
 // vouchers must earn the same Fw2s again, neither blocked by the last
 // instance's forward-once flags nor helped by its vouch counts — and keeps
 // the table's storage.
@@ -687,13 +687,13 @@ func TestResetCarriesNoFw1State(t *testing.T) {
 	hsx := distinct(w.smp.H.Quorum(w.strs[0], x))
 	node.Deliver(&fakeCtx{}, hsx[0], MsgFw1{X: x, S: w.strs[0], R: fw1Label(1)})
 
-	storage := cap(node.fw1.entries)
+	storage := cap(node.req.recs)
 	for _, next := range []bitstring.String{w.strs[0], w.strs[1]} { // the same interned id, then another string under it
 		node.Reset(next, w.smp, prng.New(3))
-		if len(node.fw1.entries) != 0 {
-			t.Fatalf("Reset left %d Fw1 entries", len(node.fw1.entries))
+		if len(node.req.recs)+len(node.req.spill)+len(node.req.over) != 0 {
+			t.Fatalf("Reset left %d records, %d spilled", len(node.req.recs), len(node.req.spill))
 		}
-		for _, i := range node.fw1.index {
+		for _, i := range node.req.index {
 			if i != 0 {
 				t.Fatal("Reset left an index entry behind")
 			}
@@ -702,8 +702,8 @@ func TestResetCarriesNoFw1State(t *testing.T) {
 			t.Fatalf("after Reset the same vouchers sent %d Fw2, want %d", sent, want)
 		}
 	}
-	if cap(node.fw1.entries) != storage {
-		t.Fatalf("Reset did not keep the table's storage: cap %d, was %d", cap(node.fw1.entries), storage)
+	if cap(node.req.recs) != storage {
+		t.Fatalf("Reset did not keep the table's storage: cap %d, was %d", cap(node.req.recs), storage)
 	}
 }
 
@@ -1072,5 +1072,57 @@ func TestPullStateMatchesMaps(t *testing.T) {
 			}
 		}
 		checkPullStateAgainstMaps(t, ops)
+	}
+}
+
+// BenchmarkOnFw2 times one valid Fw2 or Poll delivery on a node in steady
+// state: for every requester x whose poll list J(x, r) holds the node, x's
+// Poll and then an Fw2 from every member of H(s, this), the majority among
+// them completing the request and answering it. One pass is one instance's
+// Algorithm 3 traffic; the node is Reset between passes, as a pooled node is
+// between log instances, so steady-state delivery must not allocate.
+func BenchmarkOnFw2(b *testing.B) {
+	for _, n := range []int{24, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := DefaultParams(n)
+			p.AnswerBudget = 0 // answer every request
+			smp := NewSamplers(p)
+			s := bitstring.Random(prng.New(42), p.StringBits)
+			const wID = 5
+			w := NewNode(wID, s, p, smp, prng.New(1))
+			type delivery struct {
+				from int
+				msg  simnet.Message
+			}
+			var valid []delivery
+			quorum := distinct(smp.H.Quorum(s, wID))
+			for x := 0; x < n; x++ {
+				r := uint64(x) * 31
+				if !smp.J.Contains(x, r, wID) {
+					continue
+				}
+				valid = append(valid, delivery{x, MsgPoll{S: s, R: r}})
+				for _, z := range quorum {
+					valid = append(valid, delivery{z, MsgFw2{X: x, S: s, R: r}})
+				}
+			}
+			if len(valid) == 0 {
+				b.Fatal("no requester polls this node")
+			}
+			ctx := &discardCtx{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%len(valid) == 0 {
+					w.Reset(s, smp, w.rng)
+				}
+				d := &valid[i%len(valid)]
+				w.Deliver(ctx, d.from, d.msg)
+			}
+			b.StopTimer()
+			if ctx.sent == 0 && b.N >= len(valid) {
+				b.Fatal("a full pass of valid Fw2s answered nothing")
+			}
+		})
 	}
 }

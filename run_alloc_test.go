@@ -30,7 +30,7 @@ func poolDropsPuts() bool {
 // gone. At n = 64 a run moves some 75 k messages standing for 245 k Fw1
 // tuples; the slice-based runner this replaced regrew its round buffers from
 // nil every round and allocated 118 MB per run, the pooled round log leaves
-// 1.4 MB in 11.0 k objects (nodes, sampler rows, Fw1 tables, and one boxed
+// 1.4 MB in 11.0 k objects (nodes, sampler rows, requester tables, and one boxed
 // message per fan-out). A run cancelled in the middle of a round must hand
 // its blocks back too, or the run after it pays for them again: thirteen
 // blocks, 1.7 MB. The byte budget lies between the two. The object budget
