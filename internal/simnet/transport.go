@@ -197,7 +197,10 @@ type Fabric struct {
 	// the concurrent runtimes vary between runs like delivery order does.
 	faults *Injector
 
-	inflight atomic.Int64
+	// inflight counts tracked messages sent and not yet handled. Every
+	// worker writes it once per batch, so it sits alone on its cache line,
+	// away from the read-mostly fields above and the observer sequence.
+	inflight paddedInt64
 	obsSeq   atomic.Uint64
 	shards   []shard
 	// workers is the run-loop parallelism: boxes has one mailbox per worker
@@ -221,6 +224,13 @@ type Fabric struct {
 
 	stopOnce  sync.Once
 	flushOnce sync.Once
+}
+
+// paddedInt64 is an atomic counter that shares its cache line with nothing.
+type paddedInt64 struct {
+	_ [64]byte
+	atomic.Int64
+	_ [56]byte
 }
 
 // sendStage buffers one worker's outgoing envelopes per destination worker
@@ -506,9 +516,8 @@ func (f *Fabric) workerLoop(w int) {
 		for _, e := range batch {
 			f.deliverOne(e)
 		}
-		// Flush staged sends before the decrement: the staged envelopes were
-		// counted at stage time, so the in-flight counter can never dip to
-		// zero while work remains.
+		// Flush staged sends before the decrement: the flush counts them, so
+		// the in-flight counter can never dip to zero while work remains.
 		f.flushStage(st)
 		if f.track {
 			f.inflight.Add(-int64(len(batch)))
@@ -560,16 +569,22 @@ func (f *Fabric) deliverOne(e Envelope) {
 }
 
 // flushStage delivers everything the worker's nodes staged during the
-// batch: one PutBatch per destination worker with pending envelopes.
+// batch: one PutBatch per destination worker with pending envelopes. Staged
+// sends are counted here, once per destination, before they become visible
+// to a receiver: until then the batch being handled holds the counter above
+// zero.
 func (f *Fabric) flushStage(st *sendStage) {
 	for w := range st.byWorker {
 		buf := st.byWorker[w]
 		if len(buf) == 0 {
 			continue
 		}
+		if f.track {
+			f.inflight.Add(int64(len(buf)))
+		}
 		if !f.boxes[w].PutBatch(buf) {
-			// Mailboxes closed mid-run (teardown): return the counts taken
-			// at stage time or quiescence never comes.
+			// Mailboxes closed mid-run (teardown): return the counts or
+			// quiescence never comes.
 			if f.track {
 				f.inflight.Add(-int64(len(buf)))
 			}
@@ -625,13 +640,14 @@ func (c *fabricCtx) send(e Envelope, size int) {
 		e.Depth += v.Delay
 	}
 	for i := 0; i < copies; i++ {
-		if c.f.track {
-			c.f.inflight.Add(1)
-		}
 		if c.stage != nil {
+			// Counted when the stage is flushed (flushStage).
 			w := e.To % c.f.workers
 			c.stage.byWorker[w] = append(c.stage.byWorker[w], e)
 			continue
+		}
+		if c.f.track {
+			c.f.inflight.Add(1)
 		}
 		if !c.f.transport.Send(e) && c.f.track {
 			c.f.inflight.Add(-1)
