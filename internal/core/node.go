@@ -44,6 +44,11 @@ type Node struct {
 	sthis   bitstring.String
 	sthisID intern.ID
 	initial bitstring.String
+	// other is the last string other than s_this that lookup found
+	// interned, as otherID (intern.None when there is none): a node that
+	// does not believe gstring gets it in every Fw2 and Poll.
+	other   bitstring.String
+	otherID intern.ID
 
 	hasDecided bool
 	decided    bitstring.String
@@ -159,18 +164,20 @@ func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng
 	// s_this always has a valid interned ID, even for the zero string, so
 	// the Algorithm 2 fast path can key state by it unconditionally.
 	n.sthisID = n.strs.ID(initial)
+	n.otherID = intern.None
 	return n
 }
 
 // Reset rewinds the node to a freshly constructed state for a new agreement
 // instance, keeping every allocation it can: the requester table, the
 // intern table and per-string state slice keep their storage, and the
-// quorum-member sets inside recycled strState entries keep their capacity. The node's identity and protocol geometry are unchanged;
-// initial, smp and rng take the role of NewNode's arguments — a reopened
-// instance passes attempt-salted samplers so a retry re-rolls the quorum
-// geometry, not just the poll labels. The decision-log pipeline calls this
-// between instances so a long log reuses one set of nodes instead of
-// reallocating per-instance protocol state (see BenchmarkLogInstanceReuse).
+// quorum-member sets inside recycled strState entries keep their capacity.
+// The node's identity and protocol geometry are unchanged; initial, smp
+// and rng take the role of NewNode's arguments — a reopened instance
+// passes attempt-salted samplers so a retry re-rolls the quorum geometry,
+// not just the poll labels. The decision-log pipeline calls this between
+// instances so a long log reuses one set of nodes instead of reallocating
+// per-instance protocol state (see BenchmarkLogInstanceReuse).
 func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) {
 	n.smp = smp
 	n.rng = rng
@@ -205,6 +212,7 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 	n.stats = Stats{}
 
 	n.sthisID = n.strs.ID(initial)
+	n.other, n.otherID = bitstring.String{}, intern.None
 }
 
 // state returns the per-string state for an interned ID, growing the
@@ -338,7 +346,7 @@ func (n *Node) onPush(ctx simnet.Context, from int, m MsgPush) {
 	if m.S.IsZero() || m.S.Len() != n.params.StringBits {
 		return // malformed candidate; only the adversary sends these
 	}
-	sid := n.strs.Lookup(m.S)
+	sid := n.lookup(m.S)
 	quorum := n.pushQuorum(sid, m.S)
 	if !quorum.Get(from) {
 		return
@@ -392,7 +400,7 @@ func (n *Node) startPull(ctx simnet.Context, sid intern.ID, s bitstring.String) 
 // trigger (Lemma 6: "the adversary can send pull requests at most once for
 // each node it controls").
 func (n *Node) onPull(ctx simnet.Context, from int, m MsgPull) {
-	if !n.proxied(n.strs.Lookup(m.S), m.S).Get(from) {
+	if !n.proxied(n.lookup(m.S), m.S).Get(from) {
 		return // this ∉ H(s, x): not our request to proxy
 	}
 	if !m.S.Equal(n.sthis) {
@@ -447,8 +455,8 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 	}
 	t := &n.req
 	rec := t.get(m.X)
-	req, e := t.fw1(rec, sid, m.R)
-	if req.done || !t.vouch(req, from) {
+	req, done, e := t.fw1(rec, sid, m.R)
+	if *done || !t.vouch(req, from) {
 		return // forwarded already, or a duplicate voucher
 	}
 	if 2*int(req.n) <= vouchers.Count() {
@@ -461,7 +469,7 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 			ctx.Send(int(w), fw2)
 		}
 	}
-	t.complete(rec, req, e)
+	t.complete(rec, done, e)
 }
 
 // forwarded reports whether the Fw2 for (x, s, w) has been sent, x being
@@ -469,7 +477,7 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 // majority with w on its poll list.
 func (n *Node) forwarded(rec *requester, w int) bool {
 	x := int(rec.x)
-	if rec.fw1.done && n.pollList(x, rec.fw1.r).Get(w) {
+	if rec.fw1Done && n.pollList(x, rec.fw1.r).Get(w) {
 		return true
 	}
 	for c := rec.last; c != 0; c = n.req.spill[c-1].prev {
@@ -494,10 +502,7 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 	if !n.pollList(m.X, m.R).Get(n.id) { // this ∈ J(x, r)
 		return
 	}
-	sid := n.sthisID
-	if !m.S.Equal(n.sthis) {
-		sid = n.strs.Lookup(m.S)
-	}
+	sid := n.lookup(m.S)
 	vouchers := n.pullQuorum(sid, m.S, n.id)
 	if !vouchers.Get(from) { // z ∈ H(s, this)
 		return
@@ -507,17 +512,34 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 		sid = n.strs.ID(m.S) // the first authentic Fw2 earns the string its state
 	}
 	rec := n.req.get(m.X)
-	req := n.req.fw2(rec, sid, m.R)
-	if req.done || !n.req.vouch(req, from) {
+	req, done := n.req.fw2(rec, sid, m.R)
+	if *done || !n.req.vouch(req, from) {
 		return // answered already, or a duplicate voucher
 	}
 	if 2*int(req.n) <= quorumSize {
 		return
 	}
-	req.done = true
+	*done = true
 	if n.req.polled(rec, sid) {
 		n.maybeAnswer(ctx, m.X, sid, m.R)
 	}
+}
+
+// lookup returns the interned id of s, or intern.None. The belief and the
+// last other string found are compared, not hashed: an honest message names
+// its sender's belief or candidate, which is gstring nearly everywhere.
+func (n *Node) lookup(s bitstring.String) intern.ID {
+	switch {
+	case s.Equal(n.sthis):
+		return n.sthisID
+	case n.otherID != intern.None && s.Equal(n.other):
+		return n.otherID
+	}
+	sid := n.strs.Lookup(s)
+	if sid != intern.None {
+		n.other, n.otherID = s, sid
+	}
+	return sid
 }
 
 // onPoll is the second handler of Algorithm 3: record (x, s) in the Polled
@@ -527,8 +549,8 @@ func (n *Node) onPoll(ctx simnet.Context, from int, m MsgPoll) {
 	if !n.pollList(from, m.R).Get(n.id) {
 		return
 	}
-	sid := n.sthisID
-	if !m.S.Equal(n.sthis) {
+	sid := n.lookup(m.S)
+	if sid == intern.None {
 		sid = n.strs.ID(m.S)
 	}
 	rec := n.req.get(from)
@@ -576,7 +598,7 @@ func (n *Node) onAnswer(ctx simnet.Context, from int, m MsgAnswer) {
 	if n.hasDecided {
 		return
 	}
-	sid := n.strs.Lookup(m.S)
+	sid := n.lookup(m.S)
 	if sid == intern.None {
 		return // not a poll we issued
 	}

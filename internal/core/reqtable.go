@@ -10,7 +10,7 @@ import (
 // requester x (DESIGN.md §4.3 "Requester table"). A node receives about
 // d·min(n, d²) Fw1 messages per agreement, one per (voucher, request), and
 // d² Fw2s, so the table is built for the honest case — one string and one
-// label per requester — to cost one index load per message: no hash, no
+// label per requester — to cost an index load per message: no hash, no
 // map.
 //
 // The index has a slot per node id, pointing at x's record once the node
@@ -18,29 +18,33 @@ import (
 // request under each handler:
 //
 //   - Algorithm 2, for the string the node believes: the vouchers of x's
-//     first label, the completed-label chain and whether x's Pull was
-//     forwarded. The belief changes at most once, at decide, and never back,
-//     so newBelief empties this part of every record.
+//     first label, the chain of x's other completed labels and whether x's
+//     Pull was forwarded. The belief changes at most once, at decide, and
+//     never back, so newBelief empties this part of every record.
 //   - Algorithm 3, for the first string s and label r an Fw2 or Poll named:
 //     the Fw2 vouchers and majority of (x, s, r), and whether (x, s) was
-//     polled and answered. This part is keyed by s and survives decide.
+//     polled and answered. A node is on about d poll lists, so only about d
+//     of its records get this part; it lives in a small array of its own,
+//     which keeps a record at 32 bytes. It is keyed by s and survives
+//     decide.
 //
 // What a record has no room for — a Byzantine x's second label, an Fw2 or
 // Poll for a string or label other than the record's — is spilled into one
-// map keyed by (x, s, r), still constant time per message however many
-// labels or strings the sender names. An honest requester reaches it only
-// for a second candidate string.
+// map keyed by (x, s, r): constant time per message however many labels or
+// strings the sender names. A correct requester reaches it only with a
+// second candidate string.
 //
 // The forward-once flag of (x, s, w) needs no storage of its own: a request
 // that reaches its majority forwards to every w of its poll list the node
 // serves, so the flag is set exactly when some label r′ of x has completed
-// and w ∈ J(x, r′). The completed labels of x are its first label's done
-// flag and a chain of spilled entries, empty for an honest requester.
+// and w ∈ J(x, r′). The completed labels of x are its first label, if done,
+// and a chain of spilled labels, empty for an honest requester.
 type reqTable struct {
 	// index holds x's record number plus one, or zero: n entries,
 	// allocated on first use.
 	index []int32
 	recs  []requester
+	polls []pollState
 	over  map[spillKey]int32 // spill entry numbers
 	spill []spillEntry
 	// vouchers holds one block of stride ⌊d/2⌋ + 1 ids per request that has
@@ -51,27 +55,32 @@ type reqTable struct {
 }
 
 // request counts the distinct vouchers of one request (x, s, r) up to the
-// strict majority that completes it.
+// strict majority that completes it; its owner keeps the done flag.
 type request struct {
 	r     uint64
 	block int32 // voucher block number plus one, or zero before the first voucher
 	n     int32 // vouchers recorded
-	done  bool  // the majority was reached
 }
 
+// requester is x's record.
 type requester struct {
-	// Algorithm 2, for the belief: x's first label (open once it has a
-	// voucher) and the chain of x's other completed labels, a spill entry
-	// number plus one, or zero.
-	fw1       request
-	last      int32
-	forwarded bool // x's Pull was fanned out
-	// Algorithm 3, for (x, sid) and the request (x, sid, fw2.r); sid is
-	// intern.None until an Fw2 or Poll claims the part.
-	sid              intern.ID
-	fw2              request
-	polled, answered bool
-	x                int32
+	// Algorithm 2, for the belief: x's first label, open once it has a
+	// voucher; the chain of x's other completed labels, a spill entry
+	// number plus one, or zero; and whether x's Pull was fanned out.
+	fw1                request
+	last               int32
+	fw1Done, forwarded bool
+	// poll is x's Algorithm 3 part, its number in polls plus one, or zero.
+	poll int32
+	x    int32
+}
+
+// pollState is x's Algorithm 3 part: the Fw2 request (x, sid, fw2.r) and
+// the Polled and answered flags of (x, sid).
+type pollState struct {
+	fw2                       request
+	sid                       intern.ID
+	fw2Done, polled, answered bool
 }
 
 type spillKind uint8
@@ -90,9 +99,9 @@ type spillKey struct {
 }
 
 type spillEntry struct {
-	req              request
-	prev             int32 // spillFw1: the previous completed label of x
-	polled, answered bool  // spillPoll
+	req                    request
+	prev                   int32 // spillFw1: the previous completed label of x
+	done, polled, answered bool
 }
 
 // get returns x's record, creating it. x must be a node id. The pointer is
@@ -104,7 +113,7 @@ func (t *reqTable) get(x int) *requester {
 	if i := t.index[x]; i != 0 {
 		return &t.recs[i-1]
 	}
-	t.recs = append(t.recs, requester{sid: intern.None, x: int32(x)})
+	t.recs = append(t.recs, requester{x: int32(x)})
 	t.index[x] = int32(len(t.recs))
 	return &t.recs[len(t.recs)-1]
 }
@@ -130,71 +139,78 @@ func (t *reqTable) lookup(k spillKey) *spillEntry {
 	return nil
 }
 
-// fw1 returns x's request under label r for the belief sid, opening x's
-// first label if it has none: the record's, or a spilled one (then e is its
-// entry number plus one).
-func (t *reqTable) fw1(rec *requester, sid intern.ID, r uint64) (req *request, e int32) {
+// fw1 returns x's request under label r for the belief sid and its done
+// flag, opening x's first label if it has none: the record's, or a spilled
+// one (then e is its entry number plus one).
+func (t *reqTable) fw1(rec *requester, sid intern.ID, r uint64) (req *request, done *bool, e int32) {
 	if rec.fw1.n == 0 {
 		rec.fw1.r = r
 	}
 	if rec.fw1.r == r {
-		return &rec.fw1, 0
+		return &rec.fw1, &rec.fw1Done, 0
 	}
 	e = t.open(spillKey{x: rec.x, kind: spillFw1, s: sid, r: r}) + 1
-	return &t.spill[e-1].req, e
+	return &t.spill[e-1].req, &t.spill[e-1].done, e
 }
 
 // complete marks x's request as having reached its majority and, for a
 // spilled label e, chains it to x's completed labels.
-func (t *reqTable) complete(rec *requester, req *request, e int32) {
-	req.done = true
+func (t *reqTable) complete(rec *requester, done *bool, e int32) {
+	*done = true
 	if e != 0 {
 		t.spill[e-1].prev = rec.last
 		rec.last = e
 	}
 }
 
-// claim gives x's Algorithm 3 part to (sid, r) if no string holds it yet,
-// and reports whether the part is sid's.
-func (rec *requester) claim(sid intern.ID, r uint64) bool {
-	if rec.sid == intern.None {
-		rec.sid = sid
-		rec.fw2.r = r
+// part returns x's Algorithm 3 part if it is sid's, or nil. With claim, a
+// record without one gets it for (sid, r).
+func (t *reqTable) part(rec *requester, sid intern.ID, r uint64, claim bool) *pollState {
+	if rec.poll == 0 {
+		if !claim {
+			return nil
+		}
+		t.polls = append(t.polls, pollState{fw2: request{r: r}, sid: sid})
+		rec.poll = int32(len(t.polls))
 	}
-	return rec.sid == sid
+	if p := &t.polls[rec.poll-1]; p.sid == sid {
+		return p
+	}
+	return nil
 }
 
-// fw2 returns the Fw2 request (x, sid, r), creating it.
-func (t *reqTable) fw2(rec *requester, sid intern.ID, r uint64) *request {
-	if rec.claim(sid, r) && rec.fw2.r == r {
-		return &rec.fw2
+// fw2 returns the Fw2 request (x, sid, r) and its done flag, creating them.
+func (t *reqTable) fw2(rec *requester, sid intern.ID, r uint64) (req *request, done *bool) {
+	if p := t.part(rec, sid, r, true); p != nil && p.fw2.r == r {
+		return &p.fw2, &p.fw2Done
 	}
-	return &t.spill[t.open(spillKey{x: rec.x, kind: spillFw2, s: sid, r: r})].req
+	e := &t.spill[t.open(spillKey{x: rec.x, kind: spillFw2, s: sid, r: r})]
+	return &e.req, &e.done
 }
 
 // majority reports whether the Fw2 request (x, sid, r) reached its majority.
 func (t *reqTable) majority(rec *requester, sid intern.ID, r uint64) bool {
-	if rec.sid == sid && rec.fw2.r == r {
-		return rec.fw2.done
+	if p := t.part(rec, sid, r, false); p != nil && p.fw2.r == r {
+		return p.fw2Done
 	}
 	e := t.lookup(spillKey{x: rec.x, kind: spillFw2, s: sid, r: r})
-	return e != nil && e.req.done
+	return e != nil && e.done
 }
 
 // polled reports whether (x, sid) was polled.
 func (t *reqTable) polled(rec *requester, sid intern.ID) bool {
-	if rec.sid == sid {
-		return rec.polled
+	if p := t.part(rec, sid, 0, false); p != nil {
+		return p.polled
 	}
 	e := t.lookup(spillKey{x: rec.x, kind: spillPoll, s: sid})
 	return e != nil && e.polled
 }
 
 // flags returns the Polled and answered flags of (x, sid), creating them; r
-// is the label that claims the record for sid if nothing holds it.
+// is the label that claims x's Algorithm 3 part for sid if it has none.
 func (t *reqTable) flags(rec *requester, sid intern.ID, r uint64) (polled, answered *bool) {
-	if rec.claim(sid, r) {
-		return &rec.polled, &rec.answered
+	if p := t.part(rec, sid, r, true); p != nil {
+		return &p.polled, &p.answered
 	}
 	e := &t.spill[t.open(spillKey{x: rec.x, kind: spillPoll, s: sid})]
 	return &e.polled, &e.answered
@@ -218,15 +234,15 @@ func (t *reqTable) vouch(req *request, y int) bool {
 	return true
 }
 
-// newBelief empties the Algorithm 2 part of every record: nothing vouched
-// under the old belief can match again. Spilled labels are filed under the
-// old belief and are never found again either.
+// newBelief empties the Algorithm 2 part of every record, keeping its
+// voucher block: nothing vouched under the old belief can match again.
+// Spilled labels are filed under the old belief and are never found again
+// either.
 func (t *reqTable) newBelief() {
 	for i := range t.recs {
 		rec := &t.recs[i]
 		rec.fw1 = request{block: rec.fw1.block}
-		rec.last = 0
-		rec.forwarded = false
+		rec.last, rec.fw1Done, rec.forwarded = 0, false, false
 	}
 }
 
@@ -237,6 +253,7 @@ func (t *reqTable) reset() {
 		t.index[t.recs[i].x] = 0
 	}
 	t.recs = t.recs[:0]
+	t.polls = t.polls[:0]
 	if len(t.over) > 0 {
 		clear(t.over)
 	}
