@@ -159,7 +159,7 @@ func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng
 		rng:     rng,
 		sthis:   initial,
 		initial: initial,
-		req:     reqTable{n: params.N, stride: params.QuorumSize/2 + 1},
+		req:     reqTable{index: make([]int32, params.N), stride: params.QuorumSize/2 + 1},
 	}
 	// s_this always has a valid interned ID, even for the zero string, so
 	// the Algorithm 2 fast path can key state by it unconditionally.

@@ -40,8 +40,7 @@ import (
 // and w ∈ J(x, r′). The completed labels of x are its first label, if done,
 // and a chain of spilled labels, empty for an honest requester.
 type reqTable struct {
-	// index holds x's record number plus one, or zero: n entries,
-	// allocated on first use.
+	// index holds x's record number plus one, or zero, for each node id.
 	index []int32
 	recs  []requester
 	polls []pollState
@@ -51,7 +50,6 @@ type reqTable struct {
 	// a voucher: a set never grows past the majority that completes it.
 	vouchers []int32
 	stride   int
-	n        int
 }
 
 // request counts the distinct vouchers of one request (x, s, r) up to the
@@ -107,9 +105,6 @@ type spillEntry struct {
 // get returns x's record, creating it. x must be a node id. The pointer is
 // valid until the next get of another requester.
 func (t *reqTable) get(x int) *requester {
-	if t.index == nil {
-		t.index = make([]int32, t.n)
-	}
 	if i := t.index[x]; i != 0 {
 		return &t.recs[i-1]
 	}
