@@ -361,51 +361,17 @@ func fw1ID(b byte, n int) int {
 func fw1Label(b byte) uint64 { return uint64(b&3)*977 + 5 }
 
 // checkFw1TableAgainstMaps interprets ops as a sequence of four-byte steps
-// [kind, x, from, sel], delivers them to a core.Node as Fw1 messages and to
-// the reference as the tuples the node derives from each, and
-// requires the same Fw2 emission — destinations, requesters, strings and
-// labels, in order — message by message. Kinds 0–5 are Fw1(x, s, r) from
-// `from`: sel's low two bits pick one of four labels, so one x issues
-// several; the next two pick the node's current belief or another string.
-// Kind 6 decides (once per instance) on one of the strings, which may change
-// the belief; kind 7 with x ≥ 0xf0 resets both sides for a new instance.
+// [kind, x, from, sel] of Fw1s, decides and resets and runs them through
+// checkPullStateAgainstMaps, which holds every Fw2 the node sends to the
+// reference's, message by message. Kinds 0–5 are Fw1(x, s, r) from `from`:
+// sel's low two bits pick one of four labels (the fourth is the node's own
+// poll label where it has one), so one x issues several; the next two pick
+// the node's current belief or another string. Kind 6 decides (once per
+// instance) on the string x picks, which may change the belief; kind 7
+// with x ≥ 0xf0 resets both sides for a new instance.
 func checkFw1TableAgainstMaps(t *testing.T, ops []byte) {
 	t.Helper()
-	w := newFw1World()
-	n := w.p.N
-	node := NewNode(fw1Me, w.strs[0], w.p, w.smp, prng.New(1))
-	ref := newPullMaps(fw1Me, w.strs[0], w.p, w.smp, prng.New(1))
-	for step := 0; len(ops) >= 4; ops, step = ops[4:], step+1 {
-		kind, sel := ops[0]%8, ops[3]
-		switch {
-		case kind <= 5:
-			s := ref.sthis
-			if pick := (sel >> 2) & 3; pick >= 2 {
-				s = w.strs[pick-1]
-			}
-			from := fw1ID(ops[2], n)
-			m := MsgFw1{X: fw1ID(ops[1], n), S: s, R: fw1Label(sel)}
-			ctx := &fakeCtx{}
-			node.Deliver(ctx, from, m)
-			if want := ref.deliver(from, m); !sameSends(ctx.sends, want) {
-				t.Fatalf("step %d: %+v from %d: node sent %v, reference %v", step, m, from, ctx.sends, want)
-			}
-		case kind == 6:
-			if !ref.decided {
-				s := w.strs[int(ops[1])%len(w.strs)]
-				ctx := &fakeCtx{}
-				node.decide(ctx, node.strs.ID(s))
-				ref.decide(s)
-				if want := ref.flush(); !sameSends(ctx.sends, want) {
-					t.Fatalf("step %d: decide: node sent %v, reference %v", step, ctx.sends, want)
-				}
-			}
-		case ops[1] >= 0xf0:
-			s := w.strs[int(ops[2])%len(w.strs)]
-			node.Reset(s, w.smp, prng.New(2))
-			ref = newPullMaps(fw1Me, s, w.p, w.smp, prng.New(2))
-		}
-	}
+	checkPullStateAgainstMaps(t, asPullSteps(ops))
 }
 
 // sameSends reports whether got holds exactly the sends of want, in order:
@@ -877,16 +843,23 @@ func pullAnswered(w fw1World, s bitstring.String, pick byte, x int, label byte, 
 	return cat(poll, pullMajority(w, s, pick, x, label))
 }
 
-// asPullSteps turns checkFw1TableAgainstMaps steps into Fw1 steps of
+// asPullSteps turns checkFw1TableAgainstMaps steps into steps of
 // checkPullStateAgainstMaps.
 func asPullSteps(fw1 []byte) []byte {
 	var ops []byte
 	for ; len(fw1) >= 4; fw1 = fw1[4:] {
-		pick := pickBelief
-		if p := (fw1[3] >> 2) & 3; p >= 2 {
-			pick = pickStr0 + p - 1
+		switch kind := fw1[0] % 8; {
+		case kind <= 5:
+			pick := pickBelief
+			if p := (fw1[3] >> 2) & 3; p >= 2 {
+				pick = pickStr0 + p - 1
+			}
+			ops = append(ops, 2, fw1[1], fw1[2], pullSel(fw1[3]&3, pick))
+		case kind == 6:
+			ops = append(ops, 6, 0, 0, pullSel(0, pickStr0+fw1[1]%3))
+		default:
+			ops = append(ops, fw1[:4]...)
 		}
-		ops = append(ops, pullStep(2, int(fw1[1]), int(fw1[2]), pullSel(fw1[3]&3, pick))...)
 	}
 	return ops
 }
